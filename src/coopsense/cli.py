@@ -288,13 +288,15 @@ def cmd_thresholds(run: RunConfig, args: argparse.Namespace) -> int:
 def _analytic_reference(config: sim.SimConfig) -> dict:
     params = config.params
     reference: dict[str, Any] = {}
-    if isinstance(config.attacker_policy, str) and params.n_attackers >= 1:
+    if isinstance(config.attacker_policy, str):
         honest = config.attacker_policy == "honest"
         if config.punishment_mode in ("none", "direct"):
             att, hon = oneshot.expected_slot_rewards(
                 params, config.punishment_mode == "direct", honest=honest)
             reference["per_slot_attacker"] = att
-            reference["per_slot_honest"] = hon
+            if not isinstance(params, HeteroParams):
+                # heterogeneous honest SUs have no common per-SU rate
+                reference["per_slot_honest"] = hon
         elif config.punishment_mode == "indirect" and not honest:
             lr_h = indirect.lr_honest(params)
             lr_d = indirect.lr_dishonest(params)

@@ -12,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from . import oneshot
+from . import oneshot, posterior
 from .model import HeteroParams, ScenarioParams
-from .oneshot import SensingState
+from .posterior import _exp, _exp_diff
 
 
 @dataclass(frozen=True)
@@ -23,21 +23,6 @@ class DirectThreshold:
     log_value: float
     binding_constraint: str
     per_constraint_values: dict[str, float]
-
-
-def _exp(x: float) -> float:
-    if x > 709.0:
-        return math.inf
-    return math.exp(x)
-
-
-def _exp_diff(la: float, lb: float) -> float:
-    # exp(la) - exp(lb) without forming the near-cancelling pair
-    if la == lb:
-        return 0.0
-    if la > lb:
-        return _exp(la) * -math.expm1(lb - la)
-    return _exp(lb) * math.expm1(la - lb)
 
 
 def _package(constraints: dict[str, float]) -> DirectThreshold:
@@ -63,15 +48,12 @@ def direct_threshold(m_attackers: int, params: ScenarioParams) -> DirectThreshol
     n = params.n_total
     if not 1 <= m_attackers < n:
         raise ValueError(f"m_attackers {m_attackers} outside [1, {n - 1}]")
-    p_i, p_f, p_m = params.p_idle, params.p_false_alarm, params.p_missed_detection
-    log_pref = (math.log(p_i) - math.log1p(-p_i)
-                + n * (math.log1p(-p_f) - math.log(p_m)))
-    log_q = (math.log(p_f) + math.log(p_m)
-             - math.log1p(-p_f) - math.log1p(-p_m))
+    log_pref = posterior._log_all_idle_odds(n, params)
     log_rate = math.log(params.total_rate)
     all_idle = _exp(log_pref + math.log(1.0 / m_attackers - 1.0 / n) + log_rate)
-    single_busy = _exp_diff(log_pref + log_q - math.log(m_attackers) + log_rate,
-                            math.log(params.collision_penalty))
+    single_busy = _exp_diff(
+        log_pref + posterior._log_q(params) - math.log(m_attackers) + log_rate,
+        posterior._log(params.collision_penalty))
     return _package({"all_idle_deviation": all_idle,
                      "single_busy_transmission": single_busy})
 
@@ -86,15 +68,6 @@ def threshold_sweep(params: ScenarioParams) -> list[tuple[int, DirectThreshold]]
     return [(m, direct_threshold(m, params)) for m in range(1, params.n_total)]
 
 
-def _any_attack(params: ScenarioParams) -> bool:
-    for kh in range(params.n_honest + 1):
-        for ka in range(params.n_attackers + 1):
-            _, breakdown = oneshot.best_response(SensingState(kh, ka), params, True)
-            if breakdown.is_attack:
-                return True
-    return False
-
-
 def direct_threshold_oracle(m_attackers: int, params: ScenarioParams) -> float:
     """Behavioral threshold: bisection on C_b over the best-response scan.
 
@@ -107,8 +80,9 @@ def direct_threshold_oracle(m_attackers: int, params: ScenarioParams) -> float:
         raise ValueError(f"m_attackers {m_attackers} outside [1, {n - 1}]")
 
     def attacked(cb: float) -> bool:
-        return _any_attack(replace(params, n_attackers=m_attackers,
-                                   direct_punishment=cb))
+        order, best, _ = oneshot.best_profiles(
+            replace(params, n_attackers=m_attackers, direct_punishment=cb), True)
+        return bool((best != order[..., 0]).any())
 
     if not attacked(0.0):
         return 0.0
@@ -138,22 +112,17 @@ def direct_threshold_hetero(hparams: HeteroParams) -> DirectThreshold:
     """
     base = hparams.base
     n = base.n_total
-    p_i, p_f, p_m = base.p_idle, base.p_false_alarm, base.p_missed_detection
     p_fa = hparams.p_false_alarm_attacker
     p_ma = hparams.p_missed_detection_attacker
-    log_prior = math.log(p_i) - math.log1p(-p_i)
-    log_honest = (n - 1) * (math.log1p(-p_f) - math.log(p_m))
-    log_q = (math.log(p_f) + math.log(p_m)
-             - math.log1p(-p_f) - math.log1p(-p_m))
+    log_honest = posterior._log_all_idle_odds(n - 1, base)
     log_rate_a = math.log(hparams.rate_attacker)
-    log_cp = math.log(base.collision_penalty)
-    all_idle = _exp(log_prior + log_honest
-                    + math.log1p(-p_fa) - math.log(p_ma)
+    log_cp = posterior._log(base.collision_penalty)
+    all_idle = _exp(log_honest + math.log1p(-p_fa) - math.log(p_ma)
                     + math.log((n - 1) / n) + log_rate_a)
-    own_busy = _exp_diff(log_prior + log_honest
+    own_busy = _exp_diff(log_honest
                          + math.log(p_fa) - math.log1p(-p_ma) + log_rate_a,
                          log_cp)
-    honest_busy = _exp_diff(log_prior + log_honest + log_q
+    honest_busy = _exp_diff(log_honest + posterior._log_q(base)
                             + math.log1p(-p_fa) - math.log(p_ma) + log_rate_a,
                             log_cp)
     return _package({"all_idle_deviation": all_idle,

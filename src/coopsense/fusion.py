@@ -47,12 +47,6 @@ def fuse(busy_report_count: int, group_size: int, threshold: int) -> Announcemen
     return Announcement.H1 if busy_report_count >= t else Announcement.H0
 
 
-def _exp(x: float) -> float:
-    if x > 709.0:
-        return math.inf
-    return math.exp(x)
-
-
 def condition_i_bounds(params: ScenarioParams) -> CpRegion:
     """Collision-penalty window in which the OR rule is incentive-correct.
 
@@ -61,18 +55,11 @@ def condition_i_bounds(params: ScenarioParams) -> CpRegion:
     formed in log space; the linear fields saturate to inf past exp range.
     """
     n = params.n_total
-    p_i = params.p_idle
-    p_f = params.p_false_alarm
-    p_m = params.p_missed_detection
-    log_prefactor = (math.log(p_i) - math.log1p(-p_i)
-                     + n * (math.log1p(-p_f) - math.log(p_m)))
-    log_q = (math.log(p_f) + math.log(p_m)
-             - math.log1p(-p_f) - math.log1p(-p_m))
     log_rate = math.log(params.total_rate)
-    log_upper = log_prefactor - math.log(n) + log_rate
-    log_lower = log_upper + log_q
-    cp = params.collision_penalty
-    log_cp = math.log(cp) if cp > 0.0 else -math.inf
+    log_upper = (posterior._log_all_idle_odds(n, params) - math.log(n)
+                 + log_rate)
+    log_lower = log_upper + posterior._log_q(params)
+    log_cp = posterior._log(params.collision_penalty)
     if log_cp == log_lower or log_cp == log_upper:
         region = Region.I if log_cp == log_lower else Region.III
         boundary = True
@@ -82,8 +69,8 @@ def condition_i_bounds(params: ScenarioParams) -> CpRegion:
         region, boundary = Region.III, False
     else:
         region, boundary = Region.II, False
-    return CpRegion(_exp(log_lower), _exp(log_upper), log_lower, log_upper,
-                    region, boundary)
+    return CpRegion(posterior._exp(log_lower), posterior._exp(log_upper),
+                    log_lower, log_upper, region, boundary)
 
 
 def check_condition_i_semantics(params: ScenarioParams) -> bool:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from . import posterior
 from .model import (CooperationCase, ScenarioParams, TransmissionCase,
                     classify_cooperation_case, classify_transmission_case)
+from .posterior import _exp_diff
 
 
 @dataclass(frozen=True)
@@ -109,15 +110,6 @@ def lr_dishonest(params: ScenarioParams) -> LongTermRewards:
     dishonest = params.total_rate * value
     return LongTermRewards(honest, dishonest, c_case, t_case, z_star,
                            honest >= dishonest)
-
-
-def _exp_diff(la: float, lb: float) -> float:
-    # exp(la) - exp(lb) without forming the near-cancelling pair
-    if la == lb:
-        return 0.0
-    if la > lb:
-        return math.exp(la) * -math.expm1(lb - la)
-    return math.exp(lb) * math.expm1(la - lb)
 
 
 def _log_mass_idle(group_size: int, params: ScenarioParams) -> float:

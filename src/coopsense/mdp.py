@@ -6,9 +6,9 @@ absorbing.  Solving this model is the behavioral cross-check for the
 closed forms in the indirect module: both must produce the same numbers
 from entirely different computations.
 
-The action axis is ordered per state: the honest-equivalent profile
-first, the rest by (report distortion, -transmitters, reports).  Actions
-of equal value produce bit-identical rows, so a first-wins argmax
+The action axis of a pre-punishment state is oneshot.action_order, the
+one-shot tie-break: the honest-equivalent profile first.  Actions of
+equal value produce bit-identical rows, so a first-wins argmax
 reproduces the one-shot tie-breaking exactly.
 """
 
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import oneshot, posterior
 from .model import ScenarioParams
-from .oneshot import ActionProfile, SensingState
+from .oneshot import ActionProfile
 
 StateKey = tuple  # ("pre", honest_busy, attacker_busy) | ("post", attacker_busy)
 Action = ActionProfile | int  # pre: report/transmit profile; post: transmitter count
@@ -40,22 +40,8 @@ class MdpModel:
     def n_pre(self) -> int:
         return (self.params.n_honest + 1) * (self.params.n_attackers + 1)
 
-    def state_index(self, state: StateKey) -> int:
-        return self.states.index(state)
-
 
 Policy = dict  # StateKey -> Action
-
-
-def _pre_actions(state: SensingState, params: ScenarioParams) -> tuple[ActionProfile, ...]:
-    m = params.n_attackers
-    honest = oneshot.honest_equivalent_profile(state, params)
-    rest = sorted(
-        (ActionProfile(b, mt) for b in range(m + 1) for mt in range(m + 1)
-         if ActionProfile(b, mt) != honest),
-        key=lambda p: (abs(p.busy_reports - state.attacker_busy),
-                       -p.transmitters, p.busy_reports))
-    return (honest, *rest)
 
 
 def _post_actions(params: ScenarioParams) -> tuple[int, ...]:
@@ -72,54 +58,40 @@ def build_mdp(params: ScenarioParams) -> MdpModel:
     (busy posterior when they transmit through a busy announcement)
     depends on the current state and action.
     """
-    n, m, rate = params.n_total, params.n_attackers, params.total_rate
-    cp = params.cp_rate1
+    m, rate = params.n_attackers, params.total_rate
     pre_states = [("pre", kh, ka)
                   for kh in range(params.n_honest + 1) for ka in range(m + 1)]
     post_states = [("post", ka) for ka in range(m + 1)]
     states = tuple(pre_states + post_states)
     n_pre, n_states = len(pre_states), len(states)
 
-    split = np.array([[posterior.report_split_pmf(kh, ka, params)
-                       for ka in range(m + 1)]
-                      for kh in range(params.n_honest + 1)]).reshape(-1)
+    split = np.array([posterior.report_split_pmf(kh, ka, params)
+                      for _, kh, ka in pre_states])
     alone = np.array([posterior.report_count_pmf(m, ka, params)
                       for ka in range(m + 1)])
 
-    actions: list[tuple[Action, ...]] = []
-    for s in pre_states:
-        actions.append(_pre_actions(SensingState(s[1], s[2]), params))
+    # pre-punishment [action, state] arrays in each state's action order
+    order = oneshot.action_order(params).reshape(n_pre, -1)
+    tensors = oneshot.reward_tensors(params, False)
+    pre_reward, trigger = (np.take_along_axis(t.reshape(n_pre, -1), order, 1).T
+                           for t in (tensors.attacker, tensors.trigger))
     post_acts = _post_actions(params)
+    actions: list[tuple[Action, ...]] = [
+        tuple(oneshot.profile_at(f, m) for f in row) for row in order.tolist()]
     actions.extend([post_acts] * len(post_states))
-    max_actions = max(len(a) for a in actions)
+    max_actions, n_post_acts = order.shape[1], len(post_acts)
 
     transition = np.zeros((max_actions, n_states, n_states))
     reward = np.full((max_actions, n_states), -math.inf)
-    for si, s in enumerate(states):
-        for ai, act in enumerate(actions[si]):
-            if s[0] == "pre":
-                state = SensingState(s[1], s[2])
-                breakdown = oneshot.evaluate_profile(state, act, params, False)
-                reward[ai, si] = breakdown.attacker_aggregate
-                announced_busy = state.honest_busy >= 1 or act.busy_reports >= 1
-                if announced_busy and act.transmitters >= 1:
-                    k = state.honest_busy + state.attacker_busy
-                    trigger = posterior.posterior_idle(n, k, params).p_busy_given_reports
-                else:
-                    trigger = 0.0
-                transition[ai, si, :n_pre] = (1.0 - trigger) * split
-                transition[ai, si, n_pre:] = trigger * alone
-            else:
-                ka = s[1]
-                if act == 0:
-                    reward[ai, si] = 0.0
-                else:
-                    post = posterior.posterior_idle(m, ka, params)
-                    reward[ai, si] = rate * (post.p_idle_given_reports
-                                             - m * post.p_busy_given_reports * cp)
-                transition[ai, si, n_pre:] = alone
-        for ai in range(len(actions[si]), max_actions):
-            transition[ai, si, si] = 1.0  # padded action: self-loop, -inf reward
+    reward[:, :n_pre] = pre_reward
+    transition[:, :n_pre, :n_pre] = (1.0 - trigger)[:, :, None] * split
+    transition[:, :n_pre, n_pre:] = trigger[:, :, None] * alone
+    reward[0, n_pre:] = 0.0  # wait
+    reward[1:n_post_acts, n_pre:] = [rate * oneshot.lone_sensing_value(ka, params)
+                                     for ka in range(m + 1)]
+    transition[:n_post_acts, n_pre:, n_pre:] = alone
+    post = np.arange(n_pre, n_states)
+    transition[n_post_acts:, post, post] = 1.0  # padded action: self-loop, -inf reward
     return MdpModel(params, states, tuple(actions), transition, reward,
                     params.discount)
 
@@ -168,14 +140,8 @@ def policy_value(model: MdpModel, policy: Policy) -> np.ndarray:
 
 
 def honest_policy(model: MdpModel) -> Policy:
-    out: Policy = {}
-    for s in model.states:
-        if s[0] == "pre":
-            out[s] = oneshot.honest_equivalent_profile(
-                SensingState(s[1], s[2]), model.params)
-        else:
-            out[s] = 0
-    return out
+    # every state's first action is its honest one
+    return {s: acts[0] for s, acts in zip(model.states, model.actions_per_state)}
 
 
 def threshold_policy(model: MdpModel, z: int) -> Policy:
@@ -183,7 +149,7 @@ def threshold_policy(model: MdpModel, z: int) -> Policy:
     after termination transmit exactly when the lone-sensing value is
     positive."""
     params = model.params
-    m, cp = params.n_attackers, params.cp_rate1
+    m = params.n_attackers
     out: Policy = {}
     for s in model.states:
         if s[0] == "pre":
@@ -193,32 +159,19 @@ def threshold_policy(model: MdpModel, z: int) -> Policy:
             else:
                 out[s] = ActionProfile(max(ka, 1), 0)
         else:
-            post = posterior.posterior_idle(m, s[1], params)
-            pays = post.p_idle_given_reports - m * post.p_busy_given_reports * cp
-            out[s] = m if pays > 0.0 else 0
+            out[s] = m if oneshot.lone_sensing_pays(s[1], params) else 0
     return out
 
 
 def start_distribution(model: MdpModel) -> np.ndarray:
     """Slot-stationary weights over pre-punishment states (zero on post)."""
-    params = model.params
-    dist = np.zeros(len(model.states))
-    i = 0
-    for kh in range(params.n_honest + 1):
-        for ka in range(params.n_attackers + 1):
-            dist[i] = posterior.report_split_pmf(kh, ka, params)
-            i += 1
-    return dist
+    split = [posterior.report_split_pmf(kh, ka, model.params)
+             for _, kh, ka in model.states[:model.n_pre]]
+    return np.concatenate([split, np.zeros(len(model.states) - model.n_pre)])
 
 
 def start_value(model: MdpModel, values: np.ndarray) -> float:
     return float(start_distribution(model) @ values)
-
-
-def _attacks(model: MdpModel, policy: Policy, state: StateKey) -> bool:
-    honest = oneshot.honest_equivalent_profile(
-        SensingState(state[1], state[2]), model.params)
-    return policy[state] != honest
 
 
 def verify_threshold_structure(model: MdpModel
@@ -229,8 +182,9 @@ def verify_threshold_structure(model: MdpModel
     some state with at least as many busy sensors attacks.
     """
     _, policy = value_iteration(model, 1e-10)
-    pre = [s for s in model.states if s[0] == "pre"]
-    attacked = {s: _attacks(model, policy, s) for s in pre}
+    pre = model.states[:model.n_pre]
+    attacked = {s: policy[s] != acts[0]
+                for s, acts in zip(pre, model.actions_per_state)}
     max_attack_k = max((s[1] + s[2] for s in pre if attacked[s]), default=-1)
     for s in pre:
         if not attacked[s] and s[1] + s[2] <= max_attack_k:

@@ -79,6 +79,12 @@ class ScenarioParams:
         """Direct punishment expressed at unit channel rate."""
         return self.direct_punishment / self.total_rate
 
+    @property
+    def base(self) -> ScenarioParams:
+        """The record itself, as HeteroParams.base is the homogeneous part
+        of a heterogeneous one."""
+        return self
+
 
 @dataclass(frozen=True)
 class HeteroParams:
@@ -209,9 +215,7 @@ def classify_cooperation_case(params: ScenarioParams) -> CooperationCase:
     Uses the group-size-M posterior (attackers sensing alone).  The boundary
     (exact equality) counts as WC.
     """
-    from . import posterior
+    from . import oneshot
 
-    post = posterior.posterior_idle(params.n_attackers, 0, params)
-    value = (post.p_idle_given_reports
-             - params.n_attackers * post.p_busy_given_reports * params.cp_rate1)
-    return CooperationCase.WC if value <= 0.0 else CooperationCase.SC
+    return (CooperationCase.SC if oneshot.lone_sensing_pays(0, params)
+            else CooperationCase.WC)

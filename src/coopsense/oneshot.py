@@ -4,15 +4,23 @@ States count local busy decisions (honest, attacker); action profiles
 count false busy reports b and Phase-II transmitters M_T.  Counts are
 lossless here: rewards depend only on the OR of the reports and on how
 many nodes transmit, never on which ones.
+
+reward_tensors prices every state and profile at once and action_order
+fixes the tie-break; every best response in the package is the first
+maximum of the attacker tensor in that order.  evaluate_profile is the
+scalar reference for the tensor.  A heterogeneous single attacker plays
+the same game with M = 1, its own decision taking the attacker axis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import posterior
+import numpy as np
+
+from . import fusion, posterior
 from .fusion import Announcement
-from .model import ScenarioParams
+from .model import HeteroParams, ScenarioParams
 
 
 @dataclass(frozen=True)
@@ -102,65 +110,165 @@ def evaluate_profile(state: SensingState, profile: ActionProfile,
     return RewardBreakdown(rate * attacker, rate * honest, announcement, is_attack)
 
 
+@dataclass(frozen=True, eq=False)
+class RewardTensors:
+    """Per-slot values of every state and profile, indexed [honest_busy,
+    attacker_busy, b, M_T]: the attackers' aggregate reward, one honest
+    SU's reward (at the attackers' rate), and the trigger probability of
+    a collision after a busy announcement, the event that direct
+    punishment fines and that terminates collaboration."""
+
+    attacker: np.ndarray
+    honest: np.ndarray
+    trigger: np.ndarray
+
+
+def reward_tensors(params: ScenarioParams | HeteroParams,
+                   include_direct_punishment: bool) -> RewardTensors:
+    """evaluate_profile's rewards for every state and profile at once.
+
+    For a heterogeneous attacker the posteriors are posterior_idle_hetero
+    and the rate is rate_attacker; the penalties are charges, so they are
+    converted to that rate.
+    """
+    group = params.base
+    n_h, m = group.n_honest, group.n_attackers
+    if isinstance(params, HeteroParams):
+        posts = [[posterior.posterior_idle_hetero(kh, d, params) for d in (0, 1)]
+                 for kh in range(n_h + 1)]
+        rate = params.rate_attacker
+    else:
+        posts = [[posterior.posterior_idle(group.n_total, kh + ka, group)
+                  for ka in range(m + 1)] for kh in range(n_h + 1)]
+        rate = group.total_rate
+    pi = np.array([[p.p_idle_given_reports for p in row]
+                   for row in posts])[:, :, None, None]
+    pb = np.array([[p.p_busy_given_reports for p in row]
+                   for row in posts])[:, :, None, None]
+    cp = group.collision_penalty / rate
+    cb = group.direct_punishment / rate if include_direct_punishment else 0.0
+    kh = np.arange(n_h + 1)[:, None, None, None]
+    b = np.arange(m + 1)[:, None]
+    mt = np.arange(m + 1)
+    announced_busy = (kh >= 1) | (b >= 1)
+    grab = announced_busy & (mt >= 1)
+    # on an idle announcement every honest SU transmits alongside the M_T
+    # attackers; a busy channel collides all of them and fines all N SUs
+    share = pi / (n_h + mt)
+    attacker = np.where(grab, pi - m * pb * (cp + cb),
+                        np.where(announced_busy, 0.0, mt * share - m * pb * cp))
+    honest = np.where(grab, -pb * (cp + cb),
+                      np.where(announced_busy, 0.0, share - pb * cp))
+    return RewardTensors(rate * attacker, rate * honest,
+                         np.where(grab, pb, 0.0))
+
+
+def profile_at(flat: int, m: int) -> ActionProfile:
+    """The profile at flat index b*(M+1) + M_T of the tensors' action axes."""
+    return ActionProfile(*divmod(int(flat), m + 1))
+
+
+def action_order(params: ScenarioParams) -> np.ndarray:
+    """Every state's profiles in tie-break order, as flat indices
+    b*(M+1) + M_T, indexed [honest_busy, attacker_busy, rank].
+
+    The honest-equivalent profile comes first: punishment thresholds are
+    strict, so a state where honesty ties the best attack counts as
+    deterred.  The others follow by least report distortion
+    |b - attacker_busy|, then most transmitters, then fewest busy reports.
+    """
+    m = params.n_attackers
+    flat = np.arange((m + 1) ** 2)
+    b, mt = np.divmod(flat, m + 1)
+    key = (np.abs(b - np.arange(m + 1)[:, None]) * (m + 1) + m - mt) * (m + 1) + b
+    profiles = [honest_equivalent_profile(SensingState(kh, ka), params)
+                for kh in range(params.n_honest + 1) for ka in range(m + 1)]
+    honest = np.reshape([p.busy_reports * (m + 1) + p.transmitters
+                         for p in profiles], (-1, m + 1, 1))
+    return np.argsort(np.where(flat == honest, -1, key), axis=-1)
+
+
+def _pick(table: np.ndarray, index: np.ndarray) -> np.ndarray:
+    # table[kh, ka, index[kh, ka]], with table's profile axes flattened
+    flat = table.reshape(*index.shape[:2], -1)
+    return np.take_along_axis(flat, index[..., None], axis=-1)[..., 0]
+
+
+def best_profiles(params: ScenarioParams | HeteroParams,
+                  include_direct_punishment: bool
+                  ) -> tuple[np.ndarray, np.ndarray, RewardTensors]:
+    """(action_order, flat index of every state's best response,
+    reward_tensors).  The best response is the first maximum of the
+    attackers' aggregate reward in action_order."""
+    order = action_order(params.base)
+    tensors = reward_tensors(params, include_direct_punishment)
+    ranked = np.take_along_axis(tensors.attacker.reshape(order.shape), order,
+                                axis=-1)
+    return order, _pick(order, ranked.argmax(axis=-1)), tensors
+
+
 def best_response(state: SensingState, params: ScenarioParams,
                   include_direct_punishment: bool) -> tuple[ActionProfile, RewardBreakdown]:
-    """Exhaustive maximizer of the attackers' aggregate reward.
-
-    Ties resolve to the honest-equivalent profile when it is maximal
-    (punishment thresholds are strict, so the boundary counts as deterred);
-    among attacking maximizers, to the least falsified report count, then
-    the most transmitters, then fewer busy reports.
-    """
+    """Maximizer of the attackers' aggregate reward, ties broken by
+    action_order."""
     _check_state(state, params)
-    m = params.n_attackers
-    honest = honest_equivalent_profile(state, params)
-    evaluated = {
-        ActionProfile(b, mt): evaluate_profile(
-            state, ActionProfile(b, mt), params, include_direct_punishment)
-        for b in range(m + 1) for mt in range(m + 1)
-    }
-    best_value = max(r.attacker_aggregate for r in evaluated.values())
-    if evaluated[honest].attacker_aggregate == best_value:
-        return honest, evaluated[honest]
-    pick = min(
-        (p for p, r in evaluated.items() if r.attacker_aggregate == best_value),
-        key=lambda p: (abs(p.busy_reports - state.attacker_busy),
-                       -p.transmitters, p.busy_reports))
-    return pick, evaluated[pick]
+    row = state.honest_busy * (params.n_attackers + 1) + state.attacker_busy
+    _, profile, breakdown = behavior_table(params, include_direct_punishment)[row]
+    return profile, breakdown
 
 
 def behavior_table(params: ScenarioParams, include_direct_punishment: bool = True,
                    ) -> list[tuple[SensingState, ActionProfile, RewardBreakdown]]:
     """Best response in every sensing state, in lexicographic state order."""
+    order, best, tensors = best_profiles(params, include_direct_punishment)
     rows = []
-    for kh in range(params.n_honest + 1):
-        for ka in range(params.n_attackers + 1):
-            state = SensingState(kh, ka)
-            profile, breakdown = best_response(state, params, include_direct_punishment)
-            rows.append((state, profile, breakdown))
+    for (kh, ka), flat in np.ndenumerate(best):
+        profile = profile_at(flat, params.n_attackers)
+        at = (kh, ka, profile.busy_reports, profile.transmitters)
+        rows.append((SensingState(kh, ka), profile, RewardBreakdown(
+            float(tensors.attacker[at]), float(tensors.honest[at]),
+            fusion.fuse(kh + profile.busy_reports, params.n_total, 1),
+            bool(flat != order[kh, ka, 0]))))
     return rows
 
 
-def expected_slot_rewards(params: ScenarioParams, include_direct_punishment: bool,
+def expected_slot_rewards(params: ScenarioParams | HeteroParams,
+                          include_direct_punishment: bool,
                           honest: bool = False) -> tuple[float, float]:
     """Slot-stationary expectation of (attacker aggregate, honest per-SU)
-    under the best response, or under honest behavior when honest=True."""
-    att = 0.0
-    hon = 0.0
-    for kh in range(params.n_honest + 1):
-        for ka in range(params.n_attackers + 1):
-            weight = posterior.report_split_pmf(kh, ka, params)
-            state = SensingState(kh, ka)
-            if honest:
-                profile = honest_equivalent_profile(state, params)
-                breakdown = evaluate_profile(state, profile, params,
-                                             include_direct_punishment)
-            else:
-                _, breakdown = best_response(state, params,
-                                             include_direct_punishment)
-            att += weight * breakdown.attacker_aggregate
-            hon += weight * breakdown.honest_per_su
-    return att, hon
+    under the best response, or under honest behavior when honest=True.
+
+    For a heterogeneous attacker only the first value is meaningful: the
+    second prices honest SUs at the attacker's rate.
+    """
+    order, best, tensors = best_profiles(params, include_direct_punishment)
+    chosen = order[..., 0] if honest else best
+    att = _pick(tensors.attacker, chosen).tolist()
+    hon = _pick(tensors.honest, chosen).tolist()
+    att_sum = hon_sum = 0.0
+    # summed state by state, kh-major, so the last bits never depend on
+    # numpy's reduction order
+    for kh, ka in np.ndindex(chosen.shape):
+        weight = posterior.report_split_pmf(kh, ka, params)
+        att_sum += weight * att[kh][ka]
+        hon_sum += weight * hon[kh][ka]
+    return att_sum, hon_sum
+
+
+def lone_sensing_value(attacker_busy: int, params: ScenarioParams) -> float:
+    """Unit-rate aggregate value of all M attackers transmitting on their
+    own pooled sensing, collaboration terminated: pi - M*pi_b*c_p on the
+    group-size-M posterior."""
+    m = params.n_attackers
+    post = posterior.posterior_idle(m, attacker_busy, params)
+    return (post.p_idle_given_reports
+            - m * post.p_busy_given_reports * params.cp_rate1)
+
+
+def lone_sensing_pays(attacker_busy: int, params: ScenarioParams) -> bool:
+    """Whether the attackers transmit on their own sensing; the boundary
+    does not pay."""
+    return lone_sensing_value(attacker_busy, params) > 0.0
 
 
 def csv_record(state: SensingState, profile: ActionProfile,

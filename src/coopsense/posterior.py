@@ -41,6 +41,38 @@ def _log1m(x: float) -> float:
     return math.log1p(-x)
 
 
+def _exp(x: float) -> float:
+    # exp saturating to inf instead of raising OverflowError
+    if x > 709.0:
+        return math.inf
+    return math.exp(x)
+
+
+def _exp_diff(la: float, lb: float) -> float:
+    # exp(la) - exp(lb) without forming the near-cancelling pair
+    if la == lb:
+        return 0.0
+    if la > lb:
+        return _exp(la) * -math.expm1(lb - la)
+    return _exp(lb) * math.expm1(la - lb)
+
+
+def _log_all_idle_odds(group_size: int, params: ScenarioParams) -> float:
+    # log of P_I/(1-P_I) * ((1-P_f)/P_m)^group_size: the idle odds after
+    # group_size sensors all decide idle
+    p_i, p_f, p_m = params.p_idle, params.p_false_alarm, params.p_missed_detection
+    return (math.log(p_i) - math.log1p(-p_i)
+            + group_size * (math.log1p(-p_f) - math.log(p_m)))
+
+
+def _log_q(params: ScenarioParams) -> float:
+    # log of the odds factor one busy decision takes away:
+    # P_f P_m / ((1-P_f)(1-P_m))
+    p_f, p_m = params.p_false_alarm, params.p_missed_detection
+    return (math.log(p_f) + math.log(p_m)
+            - math.log1p(-p_f) - math.log1p(-p_m))
+
+
 def _nlog(count: int, log_term: float) -> float:
     # count * log_term with the convention 0 * (-inf) = 0
     if count == 0:
@@ -90,11 +122,13 @@ def posterior_idle(group_size: int, busy_count: int, params: ScenarioParams) -> 
                            params.p_false_alarm, params.p_missed_detection)
 
 
-@functools.lru_cache(maxsize=1 << 16)
+@functools.lru_cache(maxsize=1 << 12)
 def _posterior_idle(n: int, k: int, p_i: float, p_f: float,
                     p_m: float) -> Posterior:
     # cached on the sensing fields only: threshold searches sweep the
-    # punishment fields while hitting the same handful of keys
+    # punishment fields while hitting the same handful of keys.  One
+    # scenario needs about N + M keys, so a small cache serves it and
+    # keeps memory flat over thousands of scenarios.
     if n < 1:
         raise ValueError("group_size must be >= 1")
     if not 0 <= k <= n:
@@ -157,25 +191,30 @@ def report_count_pmf(group_size: int, busy_count: int, params: ScenarioParams) -
     return idle + busy
 
 
+def _binom(n: int, k: int, p: float) -> float:
+    return _comb(n, k) * p**k * (1.0 - p) ** (n - k)
+
+
 def report_split_pmf(honest_busy: int, attacker_busy: int,
-                     params: ScenarioParams) -> float:
+                     params: ScenarioParams | HeteroParams) -> float:
     """Joint probability of the (honest busy count, attacker busy count) split.
 
     The two groups are conditionally independent given the channel state but
-    correlated through it, so this is not a product of the marginals.
+    correlated through it, so this is not a product of the marginals.  A
+    heterogeneous attacker is a group of one with its own error rates.
     """
-    n_h, m = params.n_honest, params.n_attackers
+    hetero = isinstance(params, HeteroParams)
+    base = params.base
+    n_h, m = base.n_honest, base.n_attackers
     if not 0 <= honest_busy <= n_h:
         raise ValueError(f"honest_busy {honest_busy} outside [0, {n_h}]")
     if not 0 <= attacker_busy <= m:
         raise ValueError(f"attacker_busy {attacker_busy} outside [0, {m}]")
-    p_i = params.p_idle
-    p_f = params.p_false_alarm
-    p_m = params.p_missed_detection
-
-    def binom(n, k, p):
-        return _comb(n, k) * p**k * (1.0 - p) ** (n - k)
-
-    return (p_i * binom(n_h, honest_busy, p_f) * binom(m, attacker_busy, p_f)
-            + (1.0 - p_i) * binom(n_h, honest_busy, 1.0 - p_m)
-            * binom(m, attacker_busy, 1.0 - p_m))
+    p_i = base.p_idle
+    p_f = base.p_false_alarm
+    p_m = base.p_missed_detection
+    p_fa, p_ma = ((params.p_false_alarm_attacker,
+                   params.p_missed_detection_attacker) if hetero else (p_f, p_m))
+    return (p_i * _binom(n_h, honest_busy, p_f) * _binom(m, attacker_busy, p_fa)
+            + (1.0 - p_i) * _binom(n_h, honest_busy, 1.0 - p_m)
+            * _binom(m, attacker_busy, 1.0 - p_ma))

@@ -19,10 +19,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import mdp as mdp_mod
-from . import oneshot, posterior
+from . import oneshot
 from .fusion import Announcement
 from .model import HeteroParams, ScenarioParams, validate, validate_hetero
-from .oneshot import ActionProfile, SensingState
 
 MODES = ("none", "direct", "indirect")
 
@@ -115,109 +114,52 @@ def validate_config(config: SimConfig) -> list[str]:
     return problems
 
 
-def _base(params: ScenarioParams | HeteroParams) -> ScenarioParams:
-    return params.base if isinstance(params, HeteroParams) else params
-
-
 def _post_transmit_table(params: ScenarioParams) -> np.ndarray:
-    m, cp = params.n_attackers, params.cp_rate1
-    table = np.zeros(m + 1, dtype=np.int64)
-    for ka in range(m + 1):
-        post = posterior.posterior_idle(m, ka, params)
-        if post.p_idle_given_reports - m * post.p_busy_given_reports * cp > 0.0:
-            table[ka] = m
-    return table
+    m = params.n_attackers
+    return np.array([m if oneshot.lone_sensing_pays(ka, params) else 0
+                     for ka in range(m + 1)], dtype=np.int64)
 
 
-def _homogeneous_tables(params: ScenarioParams, mode: str,
-                        policy: str | PolicyTables) -> PolicyTables:
-    if isinstance(policy, PolicyTables):
-        return policy
-    m, n_h = params.n_attackers, params.n_honest
-    b = np.zeros((n_h + 1, m + 1), dtype=np.int64)
-    mt = np.zeros((n_h + 1, m + 1), dtype=np.int64)
-    if policy == "honest":
-        for ka in range(m + 1):
-            b[:, ka] = ka
-        mt[0, 0] = m
-        return PolicyTables(b, mt, np.zeros(m + 1, dtype=np.int64))
-    if mode == "indirect":
-        # long-run optimum: greedy policy of the termination-game MDP
-        model = mdp_mod.build_mdp(params)
-        _, pol = mdp_mod.value_iteration(model, 1e-10)
-        post = np.zeros(m + 1, dtype=np.int64)
-        for s, act in pol.items():
-            if s[0] == "pre":
-                b[s[1], s[2]] = act.busy_reports
-                mt[s[1], s[2]] = act.transmitters
-            else:
-                post[s[1]] = act
-        return PolicyTables(b, mt, post)
-    include_cb = mode == "direct"
-    for kh in range(n_h + 1):
-        for ka in range(m + 1):
-            profile, _ = oneshot.best_response(SensingState(kh, ka), params, include_cb)
-            b[kh, ka] = profile.busy_reports
-            mt[kh, ka] = profile.transmitters
-    return PolicyTables(b, mt, _post_transmit_table(params))
-
-
-def _hetero_attacker_posterior(hparams: HeteroParams, d: int):
-    lone = replace(hparams.base,
-                   p_false_alarm=hparams.p_false_alarm_attacker,
-                   p_missed_detection=hparams.p_missed_detection_attacker)
-    return posterior.posterior_idle(1, d, lone)
-
-
-def _hetero_tables(hparams: HeteroParams, mode: str,
-                   policy: str | PolicyTables) -> PolicyTables:
-    if isinstance(policy, PolicyTables):
-        return policy
-    if mode == "indirect" and policy == "optimal":
-        raise ValueError("optimal indirect policy is only built for "
-                         "homogeneous attackers (no heterogeneous MDP)")
-    base = hparams.base
-    n_h = base.n_total - 1
-    cp = base.collision_penalty
-    cb = base.direct_punishment if mode == "direct" else 0.0
-    r_a = hparams.rate_attacker
-    b = np.zeros((n_h + 1, 2), dtype=np.int64)
-    mt = np.zeros((n_h + 1, 2), dtype=np.int64)
-    post_tab = np.zeros(2, dtype=np.int64)
-    for d in (0, 1):
-        lone = _hetero_attacker_posterior(hparams, d)
-        if lone.p_idle_given_reports * r_a - lone.p_busy_given_reports * cp > 0.0:
-            post_tab[d] = 1
-    for kh in range(n_h + 1):
-        for d in (0, 1):
-            post = posterior.posterior_idle_hetero(kh, d, hparams)
-            pi, pb = post.p_idle_given_reports, post.p_busy_given_reports
-            honest = (d, 0 if (kh >= 1 or d >= 1) else 1)
-            if policy == "honest":
-                b[kh, d], mt[kh, d] = honest
-                continue
-            def value(profile: tuple[int, int]) -> float:
-                rb, rmt = profile
-                if kh >= 1 or rb >= 1:
-                    return pi * r_a - pb * (cp + cb) if rmt else 0.0
-                return rmt * r_a * pi / (n_h + rmt) - pb * cp
-            options = [(0, 0), (0, 1), (1, 0), (1, 1)]
-            best = max(value(p) for p in options)
-            if value(honest) == best:
-                b[kh, d], mt[kh, d] = honest
-            else:
-                pick = min((p for p in options if value(p) == best),
-                           key=lambda p: (abs(p[0] - d), -p[1], p[0]))
-                b[kh, d], mt[kh, d] = pick
-    return PolicyTables(b, mt, post_tab)
+def _mdp_tables(params: ScenarioParams) -> PolicyTables:
+    # long-run optimum: greedy policy of the termination-game MDP
+    model = mdp_mod.build_mdp(params)
+    _, policy = mdp_mod.value_iteration(model, 1e-10)
+    acts = [policy[s] for s in model.states]
+    pre, shape = acts[:model.n_pre], (params.n_honest + 1, params.n_attackers + 1)
+    return PolicyTables(
+        np.reshape([a.busy_reports for a in pre], shape).astype(np.int64),
+        np.reshape([a.transmitters for a in pre], shape).astype(np.int64),
+        np.array(acts[model.n_pre:], dtype=np.int64))
 
 
 def build_policy_tables(config: SimConfig) -> PolicyTables:
-    if isinstance(config.params, HeteroParams):
-        return _hetero_tables(config.params, config.punishment_mode,
-                              config.attacker_policy)
-    return _homogeneous_tables(config.params, config.punishment_mode,
-                               config.attacker_policy)
+    params, mode = config.params, config.punishment_mode
+    policy = config.attacker_policy
+    if isinstance(policy, PolicyTables):
+        return policy
+    hetero = isinstance(params, HeteroParams)
+    if mode == "indirect" and policy == "optimal":
+        if hetero:
+            raise ValueError("optimal indirect policy is only built for "
+                             "homogeneous attackers (no heterogeneous MDP)")
+        return _mdp_tables(params)
+    group = params.base
+    if policy == "honest":
+        flat = oneshot.action_order(group)[..., 0]
+    else:
+        _, flat, _ = oneshot.best_profiles(params, mode == "direct")
+    b, mt = np.divmod(flat, group.n_attackers + 1)
+    if hetero:
+        # the attacker sensing alone, at its own error rates and rate
+        post = _post_transmit_table(replace(
+            group, p_false_alarm=params.p_false_alarm_attacker,
+            p_missed_detection=params.p_missed_detection_attacker,
+            total_rate=params.rate_attacker))
+    elif policy == "honest":
+        post = np.zeros(group.n_attackers + 1, dtype=np.int64)
+    else:
+        post = _post_transmit_table(params)
+    return PolicyTables(b, mt, post)
 
 
 def _reward_constants(config: SimConfig) -> tuple[float, float, float, float, int, int]:
@@ -282,7 +224,7 @@ def run_slot(rng: np.random.Generator, runtime: SlotRuntime) -> SlotTrace:
     """
     config = runtime.config
     r_att, r_hon, cp, cb, m, n_h = _reward_constants(config)
-    params = _base(config.params)
+    params = config.params.base
     idle = rng.random() < params.p_idle
     p_busy = params.p_false_alarm if idle else 1.0 - params.p_missed_detection
     if isinstance(config.params, HeteroParams):
@@ -334,7 +276,7 @@ def _replication_rng(base_seed: int, r: int) -> np.random.Generator:
 
 def _draws(rng: np.random.Generator, config: SimConfig
            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    params = _base(config.params)
+    params = config.params.base
     h = config.horizon
     idle = rng.random(h) < params.p_idle
     p_busy = np.where(idle, params.p_false_alarm, 1.0 - params.p_missed_detection)
@@ -374,7 +316,7 @@ def run_experiment(config: SimConfig, workers: int = 1) -> SimStats:
     if problems:
         raise ValueError("; ".join(problems))
     tables = build_policy_tables(config)
-    params = _base(config.params)
+    params = config.params.base
     delta = params.discount
     weights = delta ** np.arange(config.horizon)
     reps = range(config.replications)
@@ -420,7 +362,7 @@ def estimate_pu_metrics(config: SimConfig, v_function=None, r_pu: float = 1.0,
     stats = run_experiment(config, workers)
     gamma = stats.empirical_gamma
     v = v_function if v_function is not None else (lambda x: x)
-    params = _base(config.params)
+    params = config.params.base
     utility = (1.0 - gamma) * v(r_pu) \
         + gamma * params.n_total * params.collision_penalty
     return gamma, utility

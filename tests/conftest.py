@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from coopsense import condition_i_bounds
+from coopsense import condition_i_bounds, direct_threshold
 from coopsense.model import ScenarioParams
 
 
@@ -33,6 +33,22 @@ def region_ii_scenario(rng: np.random.Generator,
     u = rng.uniform(cp_band[0] + 1e-9, cp_band[1] - 1e-9)
     log_cp = window.log_lower_bound + span * u
     return dataclasses.replace(draft, collision_penalty=math.exp(log_cp))
+
+
+def fined_scenarios(seed: int, count: int):
+    """Region-II scenarios, every sixth at a non-unit rate, with a direct
+    punishment at 0.3-2x the closed-form threshold."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        params = region_ii_scenario(rng)
+        if i % 6 == 5:
+            rate = float(rng.uniform(0.5, 4.0))
+            params = dataclasses.replace(
+                params, total_rate=rate,
+                collision_penalty=params.collision_penalty * rate)
+        fine = direct_threshold(params.n_attackers, params).value
+        yield dataclasses.replace(
+            params, direct_punishment=fine * float(rng.uniform(0.3, 2.0)))
 
 
 def observable_scenario(rng: np.random.Generator) -> ScenarioParams:

@@ -106,6 +106,20 @@ def test_simulate_outputs_and_reference(tmp_path):
     assert len(trace) == 4
 
 
+def test_simulate_hetero_reports_attacker_reference(tmp_path):
+    scenario = dict(SCENARIO, n_attackers=1, collision_penalty=100.0,
+                    p_false_alarm_attacker=0.05,
+                    p_missed_detection_attacker=0.3, rate_attacker=1.5)
+    doc = _doc("simulate",
+               options={"punishment_mode": "direct", "horizon": 500,
+                        "replications": 3},
+               out_dir=str(tmp_path), scenario=scenario)
+    assert cli.main(["simulate", "--config",
+                     _write_config(tmp_path, doc)]) == 0
+    payload = json.loads((tmp_path / "simulation.json").read_text())
+    assert set(payload["analytic"]) == {"per_slot_attacker"}
+
+
 def test_simulate_worker_invariance(tmp_path):
     scenario = dict(SCENARIO, collision_penalty=100.0)
     doc = _doc("simulate",

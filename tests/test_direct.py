@@ -111,10 +111,18 @@ def test_hetero_pinned_components():
 
 
 def test_hetero_collapses_to_homogeneous():
-    h = HeteroParams(base=HET_BASE, p_false_alarm_attacker=0.05,
-                     p_missed_detection_attacker=0.05)
-    assert rel_err(direct_threshold_hetero(h).value,
-                   direct_threshold(1, HET_BASE).value) < 1e-12
+    # collision_penalty = 0 is valid: the busy-transmission constraints
+    # keep their whole rate gain instead of failing on log(0)
+    for cp in (HET_BASE.collision_penalty, 0.0):
+        base = dataclasses.replace(HET_BASE, collision_penalty=cp)
+        h = HeteroParams(base=base, p_false_alarm_attacker=0.05,
+                         p_missed_detection_attacker=0.05)
+        homogeneous = direct_threshold(1, base)
+        assert rel_err(direct_threshold_hetero(h).value,
+                       homogeneous.value) < 1e-12
+    near_zero = dataclasses.replace(HET_BASE, collision_penalty=1e-300)
+    assert homogeneous.per_constraint_values == \
+        direct_threshold(1, near_zero).per_constraint_values
 
 
 def test_hetero_linear_in_attacker_rate():

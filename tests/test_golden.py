@@ -3,9 +3,9 @@
 Each digest is the sha256 of the repr of one output family over a fixed
 list of seeded scenarios: region-II homogeneous scenarios (two of them at
 a non-unit rate) and heterogeneous single attackers, each with a direct
-punishment at 0.3-2x its closed-form threshold.  The digests were taken
-before the reward model was vectorized; any change to a reward bit, a
-tie-break or a policy decision changes them.
+punishment at 0.3-2x its closed-form threshold.  Any change to a reward
+bit, a tie-break or a policy decision changes them; a change meant to
+alter these outputs says so and pins new digests.
 """
 
 import dataclasses
@@ -14,29 +14,17 @@ import hashlib
 import numpy as np
 import pytest
 
-from coopsense.direct import direct_threshold, direct_threshold_hetero
+from coopsense.direct import direct_threshold_hetero
 from coopsense.mdp import build_mdp
 from coopsense.model import HeteroParams
 from coopsense.oneshot import behavior_table, expected_slot_rewards
 from coopsense.sim import SimConfig, build_policy_tables
 
-from conftest import region_ii_scenario
+from conftest import fined_scenarios, region_ii_scenario
 
 
 def _homogeneous():
-    rng = np.random.default_rng(2024)
-    out = []
-    for i in range(12):
-        params = region_ii_scenario(rng)
-        if i % 6 == 5:
-            rate = float(rng.uniform(0.5, 4.0))
-            params = dataclasses.replace(
-                params, total_rate=rate,
-                collision_penalty=params.collision_penalty * rate)
-        fine = direct_threshold(params.n_attackers, params).value
-        out.append(dataclasses.replace(
-            params, direct_punishment=fine * float(rng.uniform(0.3, 2.0))))
-    return out
+    return list(fined_scenarios(2024, 12))
 
 
 def _hetero():

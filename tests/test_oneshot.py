@@ -1,17 +1,21 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
+from coopsense.direct import direct_threshold_hetero
 from coopsense.fusion import Announcement
-from coopsense.model import ScenarioParams
-from coopsense.oneshot import (ActionProfile, SensingState, behavior_table,
-                               best_response, csv_record, evaluate_profile,
-                               expected_slot_rewards,
-                               honest_equivalent_profile, CSV_COLUMNS)
-from coopsense.posterior import posterior_idle, report_split_pmf
+from coopsense.model import HeteroParams, ScenarioParams
+from coopsense.oneshot import (ActionProfile, SensingState, action_order,
+                               behavior_table, best_response, csv_record,
+                               evaluate_profile, expected_slot_rewards,
+                               honest_equivalent_profile, profile_at,
+                               reward_tensors, CSV_COLUMNS)
+from coopsense.posterior import (posterior_idle, posterior_idle_hetero,
+                                 report_split_pmf)
 
-from conftest import region_ii_scenario, rel_err
+from conftest import fined_scenarios, region_ii_scenario, rel_err
 
 
 def test_honest_equivalent_profiles(fig_params):
@@ -184,3 +188,81 @@ def test_best_response_dominates_honest_in_expectation():
         best_att, _ = expected_slot_rewards(params, False)
         honest_att, _ = expected_slot_rewards(params, False, honest=True)
         assert best_att >= honest_att - 1e-12 * abs(honest_att)
+
+
+def _entries(params):
+    m = params.n_attackers
+    return itertools.product(range(params.n_honest + 1), range(m + 1),
+                             range(m + 1), range(m + 1))
+
+
+def test_reward_tensors_equal_scalar_reference():
+    for params in fined_scenarios(31, 40):
+        for flag in (False, True):
+            tensors = reward_tensors(params, flag)
+            for kh, ka, b, mt in _entries(params):
+                ref = evaluate_profile(SensingState(kh, ka),
+                                       ActionProfile(b, mt), params, flag)
+                at = (kh, ka, b, mt)
+                assert tensors.attacker[at] == ref.attacker_aggregate, at
+                assert tensors.honest[at] == ref.honest_per_su, at
+                grab = ref.announcement is Announcement.H1 and mt >= 1
+                pb = posterior_idle(params.n_total, kh + ka,
+                                    params).p_busy_given_reports
+                assert tensors.trigger[at] == (pb if grab else 0.0), at
+
+
+def _exhaustive_best(state, params, flag):
+    # every profile evaluated; honest on a tie, else the least distorted
+    # report, then the most transmitters, then the fewest busy reports
+    m = params.n_attackers
+    values = {ActionProfile(b, mt): evaluate_profile(
+        state, ActionProfile(b, mt), params, flag).attacker_aggregate
+        for b in range(m + 1) for mt in range(m + 1)}
+    best = max(values.values())
+    honest = honest_equivalent_profile(state, params)
+    if values[honest] == best:
+        return honest
+    return min((p for p, v in values.items() if v == best),
+               key=lambda p: (abs(p.busy_reports - state.attacker_busy),
+                              -p.transmitters, p.busy_reports))
+
+
+def test_best_response_matches_exhaustive_scan():
+    for params in fined_scenarios(37, 25):
+        order = action_order(params)
+        m = params.n_attackers
+        for kh in range(params.n_honest + 1):
+            for ka in range(m + 1):
+                state = SensingState(kh, ka)
+                assert sorted(order[kh, ka]) == list(range((m + 1) ** 2))
+                assert profile_at(order[kh, ka, 0], m) \
+                    == honest_equivalent_profile(state, params)
+                for flag in (False, True):
+                    profile, _ = best_response(state, params, flag)
+                    assert profile == _exhaustive_best(state, params, flag)
+
+
+def test_hetero_tensor_prices_the_single_attacker():
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        h = HeteroParams(
+            base=region_ii_scenario(rng, max_attackers=1),
+            p_false_alarm_attacker=float(rng.uniform(0.01, 0.1)),
+            p_missed_detection_attacker=float(rng.uniform(0.1, 0.45)),
+            rate_attacker=float(rng.uniform(0.5, 2.0)))
+        cb = direct_threshold_hetero(h).value * float(rng.uniform(0.3, 2.0))
+        h = dataclasses.replace(
+            h, base=dataclasses.replace(h.base, direct_punishment=cb))
+        attacker = reward_tensors(h, True).attacker
+        n_h, r_a = h.base.n_total - 1, h.rate_attacker
+        cp = h.base.collision_penalty
+        assert attacker.shape == (n_h + 1, 2, 2, 2)
+        for kh, d, b, mt in _entries(h.base):
+            post = posterior_idle_hetero(kh, d, h)
+            pi, pb = post.p_idle_given_reports, post.p_busy_given_reports
+            if kh >= 1 or b >= 1:
+                want = r_a * pi - pb * (cp + cb) if mt else 0.0
+            else:
+                want = mt * r_a * pi / (n_h + mt) - pb * cp
+            assert rel_err(attacker[kh, d, b, mt], want) < 1e-12

@@ -175,6 +175,9 @@ def test_hetero_simulation_runs():
                        replications=4, base_seed=11)
     stats = run_experiment(config)
     assert math.isfinite(stats.per_slot_attacker.mean)
+    reference, _ = expected_slot_rewards(h, True)
+    se = stats.per_slot_attacker.ci_half_width / 1.96
+    assert abs(stats.per_slot_attacker.mean - reference) <= 5.0 * se
 
     indirect_optimal = SimConfig(params=h, punishment_mode="indirect",
                                  horizon=10, replications=1)
