@@ -554,6 +554,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.workers < 1:
+        print("--workers must be at least 1", file=sys.stderr)
+        return 2
     try:
         with open(args.config) as fh:
             doc = json.load(fh)
@@ -575,9 +578,6 @@ def main(argv: list[str] | None = None) -> int:
     if args.out is not None:
         run = dataclasses.replace(run, out_dir=Path(args.out))
     run.out_dir.mkdir(parents=True, exist_ok=True)
-    if args.workers < 1:
-        print("--workers must be at least 1", file=sys.stderr)
-        return 2
     return _COMMANDS[run.command](run, args)
 
 

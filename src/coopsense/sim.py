@@ -1,13 +1,15 @@
 """Slot-by-slot Monte Carlo simulation of the two-phase sensing game.
 
-run_experiment is vectorized over slots inside each replication;
-run_slot is the scalar reference for traces and tests.  Both feed the
-same outcome rules, and a test pins the vector kernel to the scalar one
-on shared draws.
+run_experiment cuts the replications into contiguous blocks of about
+BLOCK_SLOTS slots and runs the outcome kernel once per (rows x horizon)
+block; run_slot is the scalar reference for traces and tests.  Both feed
+the same outcome rules, and a test pins the block kernel to the scalar
+one on shared draws.
 
 Determinism contract: replication r draws from a stream derived from
-(base_seed, r), and replication outputs are merged in index order, so
-results are bit-identical for any worker count.
+(base_seed, r), the block size depends on the horizon only, and block
+outputs are merged in replication order, so results are bit-identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ from .fusion import Announcement
 from .model import HeteroParams, ScenarioParams, validate, validate_hetero
 
 MODES = ("none", "direct", "indirect")
+
+# Replications run in contiguous blocks of max(1, BLOCK_SLOTS // horizon)
+# rows.  The size depends on the horizon only, never on the worker count,
+# and small blocks keep the kernel's temporaries in a few hundred kB.
+BLOCK_SLOTS = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,12 +105,17 @@ class SlotTrace:
 
 def validate_config(config: SimConfig) -> list[str]:
     problems = []
-    if isinstance(config.params, HeteroParams):
+    hetero = isinstance(config.params, HeteroParams)
+    if hetero:
         problems += validate_hetero(config.params)
     else:
         problems += validate(config.params)
     if config.punishment_mode not in MODES:
         problems.append(f"punishment_mode must be one of {MODES}")
+    if hetero and config.punishment_mode == "indirect" \
+            and config.attacker_policy == "optimal":
+        problems.append("the optimal indirect policy is only built for "
+                        "homogeneous attackers (no heterogeneous MDP)")
     if isinstance(config.attacker_policy, str) \
             and config.attacker_policy not in ("optimal", "honest"):
         problems.append("attacker_policy must be 'optimal', 'honest', or tables")
@@ -178,11 +190,12 @@ def _reward_constants(config: SimConfig) -> tuple[float, float, float, float, in
     return r_att, r_hon, base.collision_penalty, cb, m, base.n_total - m
 
 
-def _vector_outcomes(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
-                     config: SimConfig, tables: PolicyTables
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Per-slot realized rewards (attacker aggregate, honest per-SU),
-    collision flags, and the punishment trigger slot (-1 when none)."""
+def _block_outcomes(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
+                    config: SimConfig, tables: PolicyTables
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-slot realized rewards (attacker aggregate, honest per-SU) and
+    collision flags of a (rows x horizon) block, and each row's punishment
+    trigger slot (-1 when none)."""
     r_att, r_hon, cp, cb, m, n_h = _reward_constants(config)
     busy = ~idle
     b = tables.b[kh, ka]
@@ -204,16 +217,17 @@ def _vector_outcomes(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
     att[exclusive_hit] = -m * (cp + cb)
     hon[exclusive_hit] = -(cp + cb)
 
-    trigger_slot = -1
-    if config.punishment_mode == "indirect" and exclusive_hit.any():
-        trigger_slot = int(np.argmax(exclusive_hit))
-        post = slice(trigger_slot + 1, None)
-        pmt = tables.post_transmit[ka[post]]
-        transmit = pmt >= 1
-        att[post] = np.where(transmit, np.where(idle[post], r_att, -m * cp), 0.0)
-        hon[post] = 0.0
-        collision[post] = busy[post] & transmit
-    return att, hon, collision, trigger_slot
+    triggered = exclusive_hit.any(axis=1)
+    if config.punishment_mode != "indirect" or not triggered.any():
+        return att, hon, collision, np.full(idle.shape[0], -1)
+    first = np.argmax(exclusive_hit, axis=1)
+    after = triggered[:, None] & (np.arange(idle.shape[1]) > first[:, None])
+    transmit = tables.post_transmit[ka] >= 1
+    att = np.where(after, np.where(transmit, np.where(idle, r_att, -m * cp),
+                                   0.0), att)
+    hon[after] = 0.0
+    collision = np.where(after, busy & transmit, collision)
+    return att, hon, collision, np.where(triggered, first, -1)
 
 
 def run_slot(rng: np.random.Generator, runtime: SlotRuntime) -> SlotTrace:
@@ -274,32 +288,43 @@ def _replication_rng(base_seed: int, r: int) -> np.random.Generator:
         np.random.SeedSequence(base_seed, spawn_key=(r,))))
 
 
-def _draws(rng: np.random.Generator, config: SimConfig
-           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _block_draws(config: SimConfig, reps: range
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Channel and busy-count draws of replications reps, one row each.
+
+    Every row draws from its own replication stream in the order random,
+    honest binomial, attacker binomial, each over the whole horizon.
+    """
     params = config.params.base
-    h = config.horizon
-    idle = rng.random(h) < params.p_idle
-    p_busy = np.where(idle, params.p_false_alarm, 1.0 - params.p_missed_detection)
+    shape = (len(reps), config.horizon)
+    rngs = [_replication_rng(config.base_seed, r) for r in reps]
+    uniform = np.empty(shape)
+    for rng, row in zip(rngs, uniform):
+        rng.random(out=row)
+    idle = uniform < params.p_idle
+    p_busy = p_busy_a = np.where(idle, params.p_false_alarm,
+                                 1.0 - params.p_missed_detection)
     if isinstance(config.params, HeteroParams):
-        kh = rng.binomial(params.n_total - 1, p_busy)
         p_busy_a = np.where(idle, config.params.p_false_alarm_attacker,
                             1.0 - config.params.p_missed_detection_attacker)
-        ka = rng.binomial(1, p_busy_a)
-    else:
-        kh = rng.binomial(params.n_honest, p_busy)
-        ka = rng.binomial(params.n_attackers, p_busy)
+    *_, m, n_h = _reward_constants(config)
+    kh = np.empty(shape, dtype=np.int64)
+    ka = np.empty(shape, dtype=np.int64)
+    for i, rng in enumerate(rngs):
+        kh[i] = rng.binomial(n_h, p_busy[i])
+        ka[i] = rng.binomial(m, p_busy_a[i])
     return idle, kh, ka
 
 
-def _replicate(r: int, config: SimConfig, tables: PolicyTables,
+def _run_block(reps: range, config: SimConfig, tables: PolicyTables,
                weights: np.ndarray) -> tuple:
-    rng = _replication_rng(config.base_seed, r)
-    idle, kh, ka = _draws(rng, config)
-    att, hon, collision, trigger_slot = _vector_outcomes(idle, kh, ka, config, tables)
-    return (float(np.mean(att)), float(np.mean(hon)),
-            float(np.sum(att * weights)), float(np.sum(hon * weights)),
+    idle, kh, ka = _block_draws(config, reps)
+    att, hon, collision, triggers = _block_outcomes(idle, kh, ka, config,
+                                                    tables)
+    return (att.mean(axis=1), hon.mean(axis=1),
+            (att * weights).sum(axis=1), (hon * weights).sum(axis=1),
             int(np.count_nonzero(collision)), int(np.count_nonzero(~idle)),
-            trigger_slot)
+            triggers)
 
 
 def _stat_block(values: np.ndarray) -> StatBlock:
@@ -319,19 +344,20 @@ def run_experiment(config: SimConfig, workers: int = 1) -> SimStats:
     params = config.params.base
     delta = params.discount
     weights = delta ** np.arange(config.horizon)
-    reps = range(config.replications)
+    size = max(1, BLOCK_SLOTS // config.horizon)
+    blocks = [range(start, min(start + size, config.replications))
+              for start in range(0, config.replications, size)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(
-                lambda r: _replicate(r, config, tables, weights), reps))
+                lambda reps: _run_block(reps, config, tables, weights), blocks))
     else:
-        rows = [_replicate(r, config, tables, weights) for r in reps]
+        rows = [_run_block(reps, config, tables, weights) for reps in blocks]
 
     cols = list(zip(*rows))
-    per_att, per_hon = np.array(cols[0]), np.array(cols[1])
-    disc_att, disc_hon = np.array(cols[2]), np.array(cols[3])
+    per_att, per_hon, disc_att, disc_hon, triggers = (
+        np.concatenate(cols[i]) for i in (0, 1, 2, 3, 6))
     collisions, busy_slots = sum(cols[4]), sum(cols[5])
-    triggers = cols[6]
 
     r_att, r_hon, cp, cb, m, _ = _reward_constants(config)
     tail = delta ** config.horizon / (1.0 - delta)
@@ -341,18 +367,14 @@ def run_experiment(config: SimConfig, workers: int = 1) -> SimStats:
     gamma = collisions / busy_slots if busy_slots else 0.0
     pu = (1.0 - gamma) * 1.0 + gamma * params.n_total * params.collision_penalty
 
-    trigger_hist: dict[int, int] = {}
-    never = 0
-    for t in triggers:
-        if t < 0:
-            never += 1
-        else:
-            trigger_hist[t] = trigger_hist.get(t, 0) + 1
+    slots, counts = np.unique(triggers[triggers >= 0], return_counts=True)
+    trigger_hist = dict(zip(slots.tolist(), counts.tolist()))
+    never = int(np.count_nonzero(triggers < 0))
 
     return SimStats(_stat_block(per_att), _stat_block(per_hon),
                     _stat_block(disc_att), _stat_block(disc_hon),
                     tail_att, tail_hon, collisions, busy_slots, gamma, pu,
-                    dict(sorted(trigger_hist.items())), never)
+                    trigger_hist, never)
 
 
 def estimate_pu_metrics(config: SimConfig, v_function=None, r_pu: float = 1.0,

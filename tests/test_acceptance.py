@@ -87,9 +87,12 @@ def test_criterion_03_best_response_classes_and_rewards():
         params = region_ii_scenario(rng, n_range=(3, 9), max_attackers=5)
         n, m = params.n_total, params.n_attackers
         cp, rate = params.cp_rate1, params.total_rate
+        table = cs.behavior_table(params, False)
         for kh in range(params.n_honest + 1):
             for ka in range(m + 1):
                 state = cs.SensingState(kh, ka)
+                row_state, profile, breakdown = table[kh * (m + 1) + ka]
+                assert row_state == state
                 if kh == 0 and ka == 0:
                     p0 = cs.posterior_idle(n, 0, params)
                     honest_value = rate * m * (p0.p_idle_given_reports / n
@@ -106,7 +109,6 @@ def test_criterion_03_best_response_classes_and_rewards():
                 else:
                     want = cs.honest_equivalent_profile(state, params)
                     want_value = honest_value
-                profile, breakdown = cs.best_response(state, params, False)
                 if profile != want:
                     failures.append(f"{state}: {profile} != {want} @ {params}")
                 elif rel_err(breakdown.attacker_aggregate, want_value) > 1e-12:
@@ -118,14 +120,8 @@ def test_criterion_03_best_response_classes_and_rewards():
 
 
 def _attacking_states(params: cs.ScenarioParams) -> int:
-    count = 0
-    for kh in range(params.n_honest + 1):
-        for ka in range(params.n_attackers + 1):
-            state = cs.SensingState(kh, ka)
-            profile, _ = cs.best_response(state, params, True)
-            if profile != cs.honest_equivalent_profile(state, params):
-                count += 1
-    return count
+    return sum(profile != cs.honest_equivalent_profile(state, params)
+               for state, profile, _ in cs.behavior_table(params, True))
 
 
 def test_criterion_04_direct_threshold_matches_oracle():

@@ -120,6 +120,30 @@ def test_simulate_hetero_reports_attacker_reference(tmp_path):
     assert set(payload["analytic"]) == {"per_slot_attacker"}
 
 
+def test_simulate_hetero_indirect_optimal_is_config_error(tmp_path, capsys):
+    scenario = dict(SCENARIO, n_attackers=1, p_false_alarm_attacker=0.05,
+                    p_missed_detection_attacker=0.3)
+    doc = _doc("simulate",
+               options={"punishment_mode": "indirect", "horizon": 10,
+                        "replications": 1},
+               out_dir=str(tmp_path), scenario=scenario)
+    assert cli.main(["simulate", "--config",
+                     _write_config(tmp_path, doc)]) == 2
+    assert "homogeneous attackers" in capsys.readouterr().err
+    assert not (tmp_path / "simulation.json").exists()
+
+
+def test_bad_workers_creates_no_directory(tmp_path):
+    out_dir = tmp_path / "never"
+    doc = _doc("analyze", out_dir=str(out_dir))
+    config = _write_config(tmp_path, doc)
+    assert cli.main(["analyze", "--config", config, "--workers", "0"]) == 2
+    assert not out_dir.exists()
+    assert cli.main(["analyze", "--config", config, "--workers", "0",
+                     "--out", str(out_dir)]) == 2
+    assert not out_dir.exists()
+
+
 def test_simulate_worker_invariance(tmp_path):
     scenario = dict(SCENARIO, collision_penalty=100.0)
     doc = _doc("simulate",

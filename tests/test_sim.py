@@ -7,7 +7,7 @@ import pytest
 from coopsense.model import HeteroParams, ScenarioParams
 from coopsense.oneshot import expected_slot_rewards
 from coopsense.sim import (PolicyTables, SimConfig, SlotRuntime,
-                           _draws, _replication_rng, _vector_outcomes,
+                           _block_draws, _block_outcomes, _replication_rng,
                            build_policy_tables, estimate_pu_metrics,
                            run_experiment, run_slot, run_trace,
                            validate_config)
@@ -41,25 +41,46 @@ class _Replay:
 @pytest.mark.parametrize("mode,cb", [("none", 0.0), ("direct", 40.0),
                                      ("indirect", 0.0)])
 def test_scalar_and_vector_paths_agree(mode, cb):
-    params = dataclasses.replace(AT_WC, direct_punishment=cb)
+    # a scenario whose indirect episodes trigger within a few hundred slots
+    params = dataclasses.replace(
+        observable_scenario(np.random.default_rng(0)), discount=0.8,
+        direct_punishment=cb)
     config = SimConfig(params=params, punishment_mode=mode, horizon=400,
-                       replications=1, base_seed=9)
+                       replications=6, base_seed=9)
     tables = build_policy_tables(config)
-    idle, kh, ka = _draws(_replication_rng(config.base_seed, 0), config)
-    att, hon, collision, trigger = _vector_outcomes(idle, kh, ka, config,
+    idle, kh, ka = _block_draws(config, range(config.replications))
+    # the last row never sees a busy slot, so it never triggers
+    idle[-1] = True
+    att, hon, collision, triggers = _block_outcomes(idle, kh, ka, config,
                                                     tables)
-    replay = _Replay(idle, kh, ka, params.p_idle)
-    runtime = SlotRuntime(config, tables)
-    seen_trigger = -1
-    for t in range(config.horizon):
-        was_on = runtime.punishment_on
-        trace = run_slot(replay, runtime)
-        if runtime.punishment_on and not was_on:
-            seen_trigger = t
-        assert trace.attacker_reward == att[t], f"slot {t}"
-        assert trace.honest_reward_per_su == hon[t], f"slot {t}"
-        assert trace.collision == bool(collision[t]), f"slot {t}"
-    assert seen_trigger == trigger
+    assert triggers[-1] == -1
+    if mode == "indirect":
+        assert (triggers[:-1] >= 0).any()
+    for row in range(config.replications):
+        replay = _Replay(idle[row], kh[row], ka[row], params.p_idle)
+        runtime = SlotRuntime(config, tables)
+        seen_trigger = -1
+        for t in range(config.horizon):
+            was_on = runtime.punishment_on
+            trace = run_slot(replay, runtime)
+            if runtime.punishment_on and not was_on:
+                seen_trigger = t
+            assert trace.attacker_reward == att[row, t], f"{row}, {t}"
+            assert trace.honest_reward_per_su == hon[row, t], f"{row}, {t}"
+            assert trace.collision == bool(collision[row, t]), f"{row}, {t}"
+        assert seen_trigger == triggers[row], f"row {row}"
+
+
+def test_block_draws_follow_replication_streams():
+    config = SimConfig(params=AT_WC, horizon=50, replications=4, base_seed=9)
+    idle, kh, ka = _block_draws(config, range(1, 4))
+    for i, r in enumerate(range(1, 4)):
+        rng = _replication_rng(config.base_seed, r)
+        assert (idle[i] == (rng.random(50) < AT_WC.p_idle)).all()
+        p_busy = np.where(idle[i], AT_WC.p_false_alarm,
+                          1.0 - AT_WC.p_missed_detection)
+        assert (kh[i] == rng.binomial(AT_WC.n_honest, p_busy)).all()
+        assert (ka[i] == rng.binomial(AT_WC.n_attackers, p_busy)).all()
 
 
 def test_runs_are_deterministic():
