@@ -29,8 +29,7 @@ from .mdp import (MdpModel, build_mdp, honest_policy, policy_value,
                   start_value, threshold_policy, value_iteration,
                   verify_threshold_structure)
 from .sim import (PolicyTables, SimConfig, SimStats, StatBlock,
-                  build_policy_tables, estimate_pu_metrics, run_experiment,
-                  run_trace)
+                  build_policy_tables, run_experiment, run_trace)
 
 __version__ = "0.1.0"
 
@@ -46,7 +45,7 @@ __all__ = [
     "delta_threshold_oracle", "delta_threshold_sc", "delta_threshold_wc",
     "delta_threshold_worst_case", "direct_threshold",
     "direct_threshold_hetero", "direct_threshold_oracle",
-    "estimate_pu_metrics", "evaluate_profile", "expected_slot_rewards",
+    "evaluate_profile", "expected_slot_rewards",
     "fuse", "honest_equivalent_profile", "honest_policy",
     "joint_report_mass", "log_odds_idle", "lr_dishonest", "lr_honest",
     "policy_value", "posterior_idle", "posterior_idle_hetero",

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from .model import (HeteroParams, ScenarioParams, check_a4,
                     classify_cooperation_case, classify_transmission_case,
                     validate, validate_hetero)
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 WORKERS_ENV_VAR = "COOPSENSE_WORKERS"
 
 _SCENARIO_KEYS = {
@@ -222,6 +223,30 @@ def cmd_thresholds(run: RunConfig, args: argparse.Namespace) -> int:
                      run.options.get("p_idle_values", [params.p_idle])]
     c_p_values = [float(c) for c in
                   run.options.get("c_p_values", [params.collision_penalty])]
+    # every point must admit one attacker (and, with attacker_error_values,
+    # be a valid heterogeneous record); validate before writing any CSV
+    problems = [
+        f"n_total={n}, p_idle={p_idle}, collision_penalty={c_p}: {problem}"
+        for n, p_idle, c_p in itertools.product(n_values, p_idle_values,
+                                                c_p_values)
+        for problem in validate(dataclasses.replace(
+            params, n_total=n, n_attackers=1, p_idle=p_idle,
+            collision_penalty=c_p))]
+    error_values = run.options.get("attacker_error_values")
+    hetero = error_values is not None and run.hetero is not None
+    hetero_points = [
+        dataclasses.replace(run.hetero, p_false_alarm_attacker=float(p_fa),
+                            p_missed_detection_attacker=float(p_ma))
+        for p_fa, p_ma in itertools.product(error_values, repeat=2)
+    ] if hetero else []
+    problems += [
+        f"attacker errors ({h.p_false_alarm_attacker}, "
+        f"{h.p_missed_detection_attacker}): {problem}"
+        for h in hetero_points for problem in validate_hetero(h)]
+    if problems:
+        print("invalid thresholds grid:\n  " + "\n  ".join(problems),
+              file=sys.stderr)
+        return 2
 
     direct_rows = []
     indirect_rows = []
@@ -261,17 +286,13 @@ def cmd_thresholds(run: RunConfig, args: argparse.Namespace) -> int:
                     "discount_threshold", "deterrable", "z_star"),
                    indirect_rows)
 
-    error_values = run.options.get("attacker_error_values")
-    if error_values is not None and run.hetero is not None:
+    if hetero:
         hetero_rows = []
-        for p_fa in error_values:
-            for p_ma in error_values:
-                point = dataclasses.replace(
-                    run.hetero, p_false_alarm_attacker=float(p_fa),
-                    p_missed_detection_attacker=float(p_ma))
-                th = direct.direct_threshold_hetero(point)
-                hetero_rows.append((float(p_fa), float(p_ma), th.value,
-                                    th.binding_constraint))
+        for point in hetero_points:
+            th = direct.direct_threshold_hetero(point)
+            hetero_rows.append((point.p_false_alarm_attacker,
+                                point.p_missed_detection_attacker, th.value,
+                                th.binding_constraint))
         if "csv" in run.formats:
             _write_csv(run.out_dir / "hetero_thresholds.csv",
                        ("p_false_alarm_attacker", "p_missed_detection_attacker",

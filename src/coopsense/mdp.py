@@ -42,11 +42,7 @@ class MdpModel:
 
 
 Policy = dict  # StateKey -> Action
-
-
-def _post_actions(params: ScenarioParams) -> tuple[int, ...]:
-    # wait first (the non-attack analog), then transmitter counts high to low
-    return (0, *range(params.n_attackers, 0, -1))
+MAX_SOLVES = 1000  # policy iteration needs a handful; this only stops a cycle
 
 
 def build_mdp(params: ScenarioParams) -> MdpModel:
@@ -75,7 +71,7 @@ def build_mdp(params: ScenarioParams) -> MdpModel:
     tensors = oneshot.reward_tensors(params, False)
     pre_reward, trigger = (np.take_along_axis(t.reshape(n_pre, -1), order, 1).T
                            for t in (tensors.attacker, tensors.trigger))
-    post_acts = _post_actions(params)
+    post_acts = (0, *range(m, 0, -1))  # wait first, then counts high to low
     actions: list[tuple[Action, ...]] = [
         tuple(oneshot.profile_at(f, m) for f in row) for row in order.tolist()]
     actions.extend([post_acts] * len(post_states))
@@ -102,41 +98,49 @@ def bellman_backup(model: MdpModel, values: np.ndarray) -> np.ndarray:
     return q.max(axis=0)
 
 
+def _solve(model: MdpModel, idx: list | np.ndarray) -> tuple[np.ndarray, float]:
+    """(v / scale, scale) for the policy taking action idx[s] in state s:
+    (I - d*T_pi) v = r_pi solved in power-of-two units, exact for an
+    in-range v and finite for one past the float range."""
+    rows = np.arange(len(model.states))
+    r_pi = model.reward[idx, rows]
+    scale = 2.0 ** math.frexp(float(np.max(np.abs(r_pi))))[1]
+    system = np.eye(len(rows)) - model.discount * model.transition[idx, rows]
+    return np.linalg.solve(system, r_pi / scale), scale
+
+
 def value_iteration(model: MdpModel, tolerance: float
                     ) -> tuple[np.ndarray, Policy]:
-    """Iterate to sup-norm residual below tolerance*(1-d)/(2d), then act
-    greedily; first-wins argmax over the per-state action order.
+    """Optimal values and policy, by Howard policy iteration.
 
-    The tolerance is relative to the value scale (max(1, ||v||inf)), so
-    the stopping rule works unchanged when penalties push values to 1e10.
+    From the honest policy (action 0), each exactly valued policy moves a
+    state to its first-wins greedy action only on strict improvement.  The
+    values are exact, so they meet any tolerance > 0; the policy is the
+    first-wins argmax of the final action values.
     """
     if tolerance <= 0.0:
         raise ValueError("tolerance must be positive")
-    d = model.discount
-    base = tolerance * (1.0 - d) / (2.0 * d) if d > 0.0 else math.inf
-    values = np.zeros(len(model.states))
-    for _ in range(1_000_000):
-        new_values = bellman_backup(model, values)
-        residual = float(np.max(np.abs(new_values - values)))
-        values = new_values
-        if residual < base * max(1.0, float(np.max(np.abs(values)))):
-            break
-    q = model.reward + d * (model.transition @ values)
-    greedy = q.argmax(axis=0)
-    policy = {s: model.actions_per_state[si][greedy[si]]
-              for si, s in enumerate(model.states)}
-    return values, policy
+    rows = np.arange(len(model.states))
+    idx = np.zeros(len(rows), dtype=np.intp)
+    for _ in range(MAX_SOLVES):
+        scaled, scale = _solve(model, idx)
+        q = model.reward / scale + model.discount * (model.transition @ scaled)
+        greedy = q.argmax(axis=0)
+        better = q[greedy, rows] > q[idx, rows]
+        if not better.any():
+            policy = {s: model.actions_per_state[si][greedy[si]]
+                      for si, s in enumerate(model.states)}
+            return scaled * scale, policy
+        idx = np.where(better, greedy, idx)
+    raise ValueError(
+        f"policy iteration did not converge in {MAX_SOLVES} solves")
 
 
 def policy_value(model: MdpModel, policy: Policy) -> np.ndarray:
     """Fixed-policy value, solving (I - d*T_pi) v = r_pi directly."""
-    idx = [model.actions_per_state[si].index(policy[s])
-           for si, s in enumerate(model.states)]
-    rows = np.arange(len(model.states))
-    r_pi = model.reward[idx, rows]
-    t_pi = model.transition[idx, rows, :]
-    system = np.eye(len(model.states)) - model.discount * t_pi
-    return np.linalg.solve(system, r_pi)
+    scaled, scale = _solve(model, [acts.index(policy[s]) for s, acts
+                                   in zip(model.states, model.actions_per_state)])
+    return scaled * scale
 
 
 def honest_policy(model: MdpModel) -> Policy:
@@ -152,12 +156,8 @@ def threshold_policy(model: MdpModel, z: int) -> Policy:
     m = params.n_attackers
     out: Policy = {}
     for s in model.states:
-        if s[0] == "pre":
-            kh, ka = s[1], s[2]
-            if kh + ka <= z:
-                out[s] = ActionProfile(max(ka, 1), m)
-            else:
-                out[s] = ActionProfile(max(ka, 1), 0)
+        if s[0] == "pre":  # s = ("pre", kh, ka)
+            out[s] = ActionProfile(max(s[2], 1), m if s[1] + s[2] <= z else 0)
         else:
             out[s] = m if oneshot.lone_sensing_pays(s[1], params) else 0
     return out

@@ -103,6 +103,25 @@ class SlotTrace:
     punishment_on: bool
 
 
+def _table_problems(tables: PolicyTables, params: ScenarioParams) -> list[str]:
+    """Shape, dtype and range violations: every table entry is a count of
+    attackers, so it must be an integer in [0, n_attackers]."""
+    m, rows = params.n_attackers, params.n_honest + 1
+    problems = []
+    for name, shape in (("b", (rows, m + 1)), ("transmit", (rows, m + 1)),
+                        ("post_transmit", (m + 1,))):
+        table = np.asarray(getattr(tables, name))
+        if table.shape != shape:
+            problems.append(f"PolicyTables.{name} must have shape {shape}, "
+                            f"not {table.shape}")
+        elif not np.issubdtype(table.dtype, np.integer):
+            problems.append(f"PolicyTables.{name} must hold integers, "
+                            f"not {table.dtype}")
+        elif table.min() < 0 or table.max() > m:
+            problems.append(f"PolicyTables.{name} entries must lie in [0, {m}]")
+    return problems
+
+
 def validate_config(config: SimConfig) -> list[str]:
     problems = []
     hetero = isinstance(config.params, HeteroParams)
@@ -119,6 +138,9 @@ def validate_config(config: SimConfig) -> list[str]:
     if isinstance(config.attacker_policy, str) \
             and config.attacker_policy not in ("optimal", "honest"):
         problems.append("attacker_policy must be 'optimal', 'honest', or tables")
+    if isinstance(config.attacker_policy, PolicyTables) and not problems:
+        # the expected shapes are only defined for valid counts
+        problems += _table_problems(config.attacker_policy, config.params.base)
     if config.horizon < 1:
         problems.append("horizon must be >= 1")
     if config.replications < 1:
@@ -375,19 +397,6 @@ def run_experiment(config: SimConfig, workers: int = 1) -> SimStats:
                     _stat_block(disc_att), _stat_block(disc_hon),
                     tail_att, tail_hon, collisions, busy_slots, gamma, pu,
                     trigger_hist, never)
-
-
-def estimate_pu_metrics(config: SimConfig, v_function=None, r_pu: float = 1.0,
-                        workers: int = 1) -> tuple[float, float]:
-    """Empirical collision rate on busy slots and the licensed user's
-    per-slot utility (collision fines count as revenue to it)."""
-    stats = run_experiment(config, workers)
-    gamma = stats.empirical_gamma
-    v = v_function if v_function is not None else (lambda x: x)
-    params = config.params.base
-    utility = (1.0 - gamma) * v(r_pu) \
-        + gamma * params.n_total * params.collision_penalty
-    return gamma, utility
 
 
 def run_trace(config: SimConfig, slots: int, replication: int = 0) -> list[SlotTrace]:

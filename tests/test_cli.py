@@ -67,7 +67,7 @@ def test_analyze_outputs(tmp_path):
     code = cli.main(["analyze", "--config", _write_config(tmp_path, doc)])
     assert code == 0
     report = json.loads((tmp_path / "analysis.json").read_text())
-    assert report["schema_version"] == 1
+    assert report["schema_version"] == 2
     assert report["collision_penalty_window"]["region"] == "II"
     assert report["transmission_case"] == "AT"
     assert len(report["posterior_table"]) == 7
@@ -87,6 +87,27 @@ def test_thresholds_outputs(tmp_path):
     indirect_rows = list(csv.DictReader(open(tmp_path
                                              / "indirect_thresholds.csv")))
     assert {r["transmission_case"] for r in indirect_rows} <= {"NT", "AT"}
+
+
+@pytest.mark.parametrize("options, message", [
+    # used to print a math domain error traceback and exit 1
+    ({"p_idle_values": [1.0]}, "p_idle must lie in (0, 1)"),
+    # used to write empty CSVs and exit 0
+    ({"n_values": [1]}, "n_total must be an integer >= 2"),
+    # used to write the homogeneous CSVs, then raise a math domain error
+    ({"attacker_error_values": [0.1, 1.0]},
+     "p_false_alarm_attacker must lie in (0, 1)"),
+], ids=["p_idle_one", "one_su", "attacker_error_one"])
+def test_thresholds_invalid_grid_is_config_error(tmp_path, capsys, options,
+                                                 message):
+    scenario = dict(SCENARIO, n_attackers=1, p_false_alarm_attacker=0.05,
+                    p_missed_detection_attacker=0.3)
+    doc = _doc("thresholds", options=options, out_dir=str(tmp_path),
+               scenario=scenario)
+    assert cli.main(["thresholds", "--config",
+                     _write_config(tmp_path, doc)]) == 2
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_simulate_outputs_and_reference(tmp_path):

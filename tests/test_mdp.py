@@ -3,13 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coopsense.indirect import lr_dishonest, lr_honest
 from coopsense.mdp import (build_mdp, bellman_backup, honest_policy,
                            policy_value, start_distribution, start_value,
                            threshold_policy, value_iteration,
                            verify_threshold_structure)
-from coopsense.model import ScenarioParams
+from coopsense.model import ScenarioParams, validate
 from coopsense.oneshot import ActionProfile
 
 from conftest import region_ii_scenario, rel_err
@@ -84,14 +85,16 @@ def test_optimal_value_matches_closed_form_pinned():
 def test_optimal_value_matches_closed_form_sampled():
     rng = np.random.default_rng(41)
     for _ in range(15):
-        params = region_ii_scenario(rng, n_range=(3, 8), max_attackers=4)
-        model = build_mdp(params)
-        values, _ = value_iteration(model, 1e-11)
-        got = start_value(model, values)
-        out = lr_dishonest(params)
-        best = max(out.lr_honest, out.lr_dishonest)
-        scale = max(abs(best), 1.0)
-        assert abs(got - best) / scale < 1e-8
+        sampled = region_ii_scenario(rng, n_range=(3, 8), max_attackers=4)
+        for discount in (sampled.discount, 0.99, 0.999):
+            params = dataclasses.replace(sampled, discount=discount)
+            model = build_mdp(params)
+            values, _ = value_iteration(model, 1e-11)
+            got = start_value(model, values)
+            out = lr_dishonest(params)
+            best = max(out.lr_honest, out.lr_dishonest)
+            scale = max(abs(best), 1.0)
+            assert abs(got - best) / scale < 1e-8
 
 
 def test_bellman_backup_fixed_point():
@@ -100,6 +103,31 @@ def test_bellman_backup_fixed_point():
     backed = bellman_backup(model, values)
     scale = max(1.0, float(np.max(np.abs(values))))
     assert float(np.max(np.abs(backed - values))) / scale < 1e-11
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=st.builds(
+    ScenarioParams,
+    n_total=st.integers(2, 8),
+    n_attackers=st.integers(1, 4),
+    p_idle=st.floats(0.01, 0.99),
+    p_false_alarm=st.floats(0.001, 0.999),
+    p_missed_detection=st.floats(0.001, 0.999),
+    collision_penalty=st.sampled_from([0.0, math.ulp(0.0), 1e300]),
+    discount=st.floats(1e-9, 1.0 - 1e-9)))
+# the honest start policy's value overflows here; the optimum is finite
+@example(params=ScenarioParams(2, 1, 0.05, 0.01, 0.9, 1e300,
+                               discount=1.0 - 1e-9))
+def test_policy_iteration_is_exact_everywhere(params):
+    assume(not validate(params))
+    model = build_mdp(params)
+    values, policy = value_iteration(model, 1e-12)
+    assert np.isfinite(values).all()
+    backed = bellman_backup(model, values)
+    assert (np.max(np.abs(backed - values))
+            <= 1e-12 * np.max(np.abs(values)))
+    assert rel_err(start_value(model, policy_value(model, policy)),
+                   start_value(model, values)) <= 1e-12
 
 
 def test_threshold_scan_peaks_at_reported_cutoff():

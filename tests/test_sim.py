@@ -8,9 +8,8 @@ from coopsense.model import HeteroParams, ScenarioParams
 from coopsense.oneshot import expected_slot_rewards
 from coopsense.sim import (PolicyTables, SimConfig, SlotRuntime,
                            _block_draws, _block_outcomes, _replication_rng,
-                           build_policy_tables, estimate_pu_metrics,
-                           run_experiment, run_slot, run_trace,
-                           validate_config)
+                           build_policy_tables, run_experiment, run_slot,
+                           run_trace, validate_config)
 
 from conftest import observable_scenario, rel_err
 
@@ -147,14 +146,11 @@ def test_tail_bounds():
 def test_pu_metrics_consistency():
     config = SimConfig(params=AT_WC, punishment_mode="none", horizon=3000,
                        replications=6, base_seed=13)
-    gamma, utility = estimate_pu_metrics(config)
+    stats = run_experiment(config)
+    gamma = stats.empirical_gamma
     assert 0.0 <= gamma <= 1.0
     expect = (1.0 - gamma) + gamma * 6 * AT_WC.collision_penalty
-    assert rel_err(utility, expect) < 1e-12
-    scaled = estimate_pu_metrics(config, v_function=lambda x: 2 * x,
-                                 r_pu=3.0)
-    assert rel_err(scaled[1], (1.0 - gamma) * 6.0
-                   + gamma * 6 * AT_WC.collision_penalty) < 1e-12
+    assert rel_err(stats.pu_utility, expect) < 1e-12
 
 
 def test_trace_fields():
@@ -186,6 +182,32 @@ def test_validate_config_collects_problems():
                        attacker_policy="greedy", horizon=0, replications=0)
     problems = validate_config(config)
     assert len(problems) == 4
+
+
+@pytest.mark.parametrize("tables", [
+    # 2x2 tables at N=6, M=2 used to raise IndexError inside the kernel
+    PolicyTables(b=np.zeros((2, 2), dtype=np.int64),
+                 transmit=np.zeros((2, 2), dtype=np.int64),
+                 post_transmit=np.zeros(2, dtype=np.int64)),
+    # 7 transmitters from 2 attackers used to be priced without complaint
+    PolicyTables(b=np.zeros((5, 3), dtype=np.int64),
+                 transmit=np.full((5, 3), 7),
+                 post_transmit=np.zeros(3, dtype=np.int64)),
+    PolicyTables(b=np.zeros((5, 3)),
+                 transmit=np.zeros((5, 3), dtype=np.int64),
+                 post_transmit=np.zeros(3, dtype=np.int64)),
+    PolicyTables(b=np.zeros((5, 3), dtype=np.int64),
+                 transmit=np.zeros((5, 3), dtype=np.int64),
+                 post_transmit=np.array([0, -1, 2])),
+], ids=["shape", "too_many_transmitters", "float_dtype", "negative"])
+def test_bad_policy_tables_are_config_problems(tables):
+    config = SimConfig(params=AT_WC, punishment_mode="indirect",
+                       attacker_policy=tables, horizon=50, replications=2)
+    problems = validate_config(config)
+    assert len(problems) >= 1
+    assert all("PolicyTables" in p for p in problems)
+    with pytest.raises(ValueError, match="PolicyTables"):
+        run_experiment(config)
 
 
 def test_hetero_simulation_runs():
