@@ -7,6 +7,12 @@ that split unevenly into batches of replications, and every shape is run
 at 1 and 3 workers, which must agree exactly.  Any change to a draw, a
 reward bit, a reduction order or a field's Python type changes a digest;
 a change meant to alter these outputs says so and pins new digests.
+
+Besides the cases on SCENARIO and HETERO, three cases sit where numpy's
+binomial sampler changes method: LARGE draws its busy honest counts with
+BTPE (n * min(p, 1-p) > 30), flip_boundary has a busy probability of
+exactly 0.5 (numpy flips p above 0.5), and HETERO_FLIP's attacker senses
+busy with probability below 0.5 where the honest SUs sense it above.
 """
 
 import dataclasses
@@ -32,6 +38,17 @@ HETERO = HeteroParams(
     p_false_alarm_attacker=0.1, p_missed_detection_attacker=0.35,
     rate_attacker=1.5)
 
+# busy honest counts: 77 draws at p = 0.55, beyond the inversion limit
+LARGE = ScenarioParams(
+    n_total=80, n_attackers=3, p_idle=0.5, p_false_alarm=0.05,
+    p_missed_detection=0.45, collision_penalty=2.0, discount=0.8,
+    direct_punishment=5.0)
+
+HETERO_FLIP = HeteroParams(
+    base=ScenarioParams(5, 1, 0.55, 0.06, 0.2, 40.0, discount=0.9),
+    p_false_alarm_attacker=0.3, p_missed_detection_attacker=0.6,
+    rate_attacker=0.8)
+
 
 def _custom_tables() -> PolicyTables:
     rng = np.random.default_rng(77)
@@ -54,6 +71,10 @@ CASES = {
     "honest": (SCENARIO, "indirect", "honest"),
     "custom_indirect": (SCENARIO, "indirect", _custom_tables()),
     "hetero_direct": (HETERO, "direct", "optimal"),
+    "large_n_btpe": (LARGE, "direct", "optimal"),
+    "flip_boundary": (dataclasses.replace(SCENARIO, p_missed_detection=0.5),
+                      "indirect", "optimal"),
+    "hetero_flip": (HETERO_FLIP, "none", "optimal"),
 }
 
 GOLDEN = {
@@ -69,6 +90,12 @@ GOLDEN = {
         "f06e33efed7e7564187135ba8126bf3ba27eec60addbf5d9374a0bb0a9275a3d",
     "hetero_direct":
         "87a6893e7d3a7018b05ae5fe12af5beac65c4a156f577ee4070d383356559fc1",
+    "large_n_btpe":
+        "b8864c06c47562bd9dd760a8f6ff3b47a2190c3cb50c4e7b06c68d9dda1909ee",
+    "flip_boundary":
+        "c3cff291d6071d146d8b6c81efd4967a58984f4107a9fe7b3f48c921d4f0de4c",
+    "hetero_flip":
+        "a64231d407d737c98fa5b63a16e7dde398f0de9f5c63c9c05ddb889aacd90e71",
 }
 
 
