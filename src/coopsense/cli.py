@@ -8,8 +8,8 @@ Four subcommands, all driven by a JSON run configuration:
   verify      closed forms against their independent oracles
 
 Exit codes: 0 on success, 1 when a verification check fails, 2 on a
-usage or configuration error.  Output files are deterministic: no
-timestamps, no worker counts, keys sorted.
+usage or configuration error, 3 when a command fails internally.  Output
+files are deterministic: no timestamps, no worker counts, keys sorted.
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -56,6 +56,40 @@ _OPTION_KEYS = {
 
 class ConfigError(Exception):
     pass
+
+
+def _integer(value: Any) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _number(value: Any) -> bool:
+    return _integer(value) or isinstance(value, float)
+
+
+def _list_of(item: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda value: (isinstance(value, list)
+                          and all(item(v) for v in value))
+
+
+def _or_null(check: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    # the commands treat a null option as an absent one
+    return lambda value: value is None or check(value)
+
+
+# JSON types of the typed command options; the commands rely on them
+_OPTION_TYPES = {
+    "n_sweep": (_or_null(_list_of(_integer)), "a list of integers"),
+    "n_values": (_list_of(_integer), "a list of integers"),
+    "p_idle_values": (_list_of(_number), "a list of numbers"),
+    "c_p_values": (_list_of(_number), "a list of numbers"),
+    "attacker_error_values": (_or_null(_list_of(_number)), "a list of numbers"),
+    "horizon": (_integer, "an integer"),
+    "replications": (_integer, "an integer"),
+    "trace_slots": (_or_null(_integer), "an integer"),
+    "instances": (_integer, "an integer"),
+    "sim_instances": (_integer, "an integer"),
+    "seed": (_integer, "an integer"),
+}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,6 +152,10 @@ def parse_config(doc: Any) -> RunConfig:
     if not isinstance(options, dict):
         raise ConfigError("command options must be an object")
     _reject_unknown(options, _OPTION_KEYS[name], f"{name} option")
+    for key, (check, expected) in _OPTION_TYPES.items():
+        if key in options and not check(options[key]):
+            raise ConfigError(f"{name} option {key} must be {expected}, "
+                              f"not {json.dumps(options[key])}")
 
     output = doc.get("output", {})
     if not isinstance(output, dict):
@@ -203,10 +241,9 @@ def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
         rows = []
         for n in sweep:
             swept = dataclasses.replace(
-                params, n_total=int(n),
-                n_attackers=min(params.n_attackers, int(n) - 1))
+                params, n_total=n, n_attackers=min(params.n_attackers, n - 1))
             w = fusion.condition_i_bounds(swept)
-            rows.append((int(n), w.lower_bound, w.upper_bound))
+            rows.append((n, w.lower_bound, w.upper_bound))
         _write_csv(run.out_dir / "collision_penalty_window.csv",
                    ("n_total", "lower_bound", "upper_bound"), rows)
     print(f"analyze: region {window.region.name}, "
@@ -218,7 +255,7 @@ def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_thresholds(run: RunConfig, args: argparse.Namespace) -> int:
     params = run.params
-    n_values = [int(n) for n in run.options.get("n_values", [params.n_total])]
+    n_values = run.options.get("n_values", [params.n_total])
     p_idle_values = [float(p) for p in
                      run.options.get("p_idle_values", [params.p_idle])]
     c_p_values = [float(c) for c in
@@ -335,8 +372,8 @@ def cmd_simulate(run: RunConfig, args: argparse.Namespace) -> int:
         params=params,
         punishment_mode=run.options.get("punishment_mode", "none"),
         attacker_policy=run.options.get("attacker_policy", "optimal"),
-        horizon=int(run.options.get("horizon", 10_000)),
-        replications=int(run.options.get("replications", 20)),
+        horizon=run.options.get("horizon", 10_000),
+        replications=run.options.get("replications", 20),
         base_seed=args.seed,
     )
     problems = sim.validate_config(config)
@@ -363,7 +400,7 @@ def cmd_simulate(run: RunConfig, args: argparse.Namespace) -> int:
         _write_json(run.out_dir / "simulation.json", payload)
     trace_slots = run.options.get("trace_slots")
     if trace_slots is not None and "csv" in run.formats:
-        traces = sim.run_trace(config, int(trace_slots))
+        traces = sim.run_trace(config, trace_slots)
         rows = [(i, t.channel_busy, t.honest_busy, t.attacker_busy,
                  "" if t.announcement is None else t.announcement.name,
                  t.transmitters, t.collision, t.attacker_reward,
@@ -509,12 +546,12 @@ def _check_sim(rng: np.random.Generator, instances: int,
 
 
 def cmd_verify(run: RunConfig, args: argparse.Namespace) -> int:
-    instances = int(run.options.get("instances", 12))
-    sim_instances = int(run.options.get("sim_instances", 3))
+    instances = run.options.get("instances", 12)
+    sim_instances = run.options.get("sim_instances", 3)
     if instances <= 0:
         print("verify: empty instance grid", file=sys.stderr)
         return 2
-    seed = int(run.options.get("seed", args.seed))
+    seed = run.options.get("seed", args.seed)
     perturb = bool(run.options.get("perturb_direct_threshold", False))
     rng = np.random.default_rng(seed)
     checks = [
@@ -599,7 +636,12 @@ def main(argv: list[str] | None = None) -> int:
     if args.out is not None:
         run = dataclasses.replace(run, out_dir=Path(args.out))
     run.out_dir.mkdir(parents=True, exist_ok=True)
-    return _COMMANDS[run.command](run, args)
+    try:
+        return _COMMANDS[run.command](run, args)
+    except Exception as exc:  # a fault of the program, not of its input
+        print(f"internal error: {type(exc).__name__}: "
+              f"{' '.join(str(exc).split())}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

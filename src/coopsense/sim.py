@@ -2,19 +2,31 @@
 
 run_experiment cuts the replications into contiguous blocks of about
 BLOCK_SLOTS slots and runs the outcome kernel once per (rows x horizon)
-block; run_slot is the scalar reference for traces and tests.  Both feed
-the same outcome rules, and a test pins the block kernel to the scalar
-one on shared draws.
+block; run_slot is the scalar reference for traces and tests.  The block
+kernel evaluates the outcome rules once on the small grid of (idle,
+honest busy count, attacker busy count) cells and gathers each slot's
+rewards from it; a test pins it to the scalar path on shared draws.
 
 Determinism contract: replication r draws from a stream derived from
 (base_seed, r), the block size depends on the horizon only, and block
 outputs are merged in replication order, so results are bit-identical
 for any worker count.
+
+Draws: each row's stream gives the channel uniforms, then the honest and
+then the attacker busy counts, exactly as Generator.random and
+Generator.binomial read it.  Where numpy samples every count by inversion
+(n * min(p, 1-p) <= 30), each count reads one uniform, so a row reads
+its stream with one random(3 * horizon) call and maps each uniform to its
+count through the cut points of numpy's inversion loop, found once per
+(n, p) by bisection.  A configuration that needs BTPE, and a row in which
+numpy would redraw a uniform, take numpy's samplers per row instead.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import struct
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -31,6 +43,10 @@ MODES = ("none", "direct", "indirect")
 # rows.  The size depends on the horizon only, never on the worker count,
 # and small blocks keep the kernel's temporaries in a few hundred kB.
 BLOCK_SLOTS = 8192
+
+# numpy's Generator.binomial (random_binomial in its distributions.c)
+# samples by inversion where n * min(p, 1-p) is at most this, else by BTPE.
+INVERSION_LIMIT = 30.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,12 +228,12 @@ def _reward_constants(config: SimConfig) -> tuple[float, float, float, float, in
     return r_att, r_hon, base.collision_penalty, cb, m, base.n_total - m
 
 
-def _block_outcomes(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
-                    config: SimConfig, tables: PolicyTables
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-slot realized rewards (attacker aggregate, honest per-SU) and
-    collision flags of a (rows x horizon) block, and each row's punishment
-    trigger slot (-1 when none)."""
+def _slot_rules(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
+                config: SimConfig, tables: PolicyTables
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Elementwise outcome of slots before any punishment: realized
+    rewards (attacker aggregate, honest per-SU), collision flags and the
+    exclusive hits (a collision after a busy announcement)."""
     r_att, r_hon, cp, cb, m, n_h = _reward_constants(config)
     busy = ~idle
     b = tables.b[kh, ka]
@@ -238,6 +254,28 @@ def _block_outcomes(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
     exclusive_hit = busy & announced & (mt >= 1)
     att[exclusive_hit] = -m * (cp + cb)
     hon[exclusive_hit] = -(cp + cb)
+    return att, hon, collision, exclusive_hit
+
+
+def _outcome_grid(config: SimConfig, tables: PolicyTables
+                  ) -> tuple[np.ndarray, ...]:
+    """_slot_rules on every (idle, honest_busy, attacker_busy) cell,
+    flattened as (idle * (n_h + 1) + honest_busy) * (M + 1) + attacker_busy."""
+    *_, m, n_h = _reward_constants(config)
+    idle, kh, ka = np.indices((2, n_h + 1, m + 1)).reshape(3, -1)
+    return _slot_rules(idle.astype(bool), kh, ka, config, tables)
+
+
+def _block_outcomes(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
+                    config: SimConfig, tables: PolicyTables,
+                    grid: tuple[np.ndarray, ...]
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-slot realized rewards (attacker aggregate, honest per-SU) and
+    collision flags of a (rows x horizon) block, and each row's punishment
+    trigger slot (-1 when none).  grid is _outcome_grid(config, tables)."""
+    r_att, _, cp, _, m, n_h = _reward_constants(config)
+    cell = (idle * (n_h + 1) + kh) * (m + 1) + ka
+    att, hon, collision, exclusive_hit = (column[cell] for column in grid)
 
     triggered = exclusive_hit.any(axis=1)
     if config.punishment_mode != "indirect" or not triggered.any():
@@ -248,28 +286,23 @@ def _block_outcomes(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
     att = np.where(after, np.where(transmit, np.where(idle, r_att, -m * cp),
                                    0.0), att)
     hon[after] = 0.0
-    collision = np.where(after, busy & transmit, collision)
+    collision = np.where(after, ~idle & transmit, collision)
     return att, hon, collision, np.where(triggered, first, -1)
 
 
 def run_slot(rng: np.random.Generator, runtime: SlotRuntime) -> SlotTrace:
     """One slot, scalar path: sense, report, fuse, transmit, settle.
 
-    Draw order (channel, honest count, attacker count) matches the
-    vectorized kernel slot-for-slot.
+    Draws channel, honest count and attacker count in turn each slot; the
+    block kernel draws each over the whole horizon instead, so a trace
+    follows the estimator's rules but not its episodes.
     """
     config = runtime.config
     r_att, r_hon, cp, cb, m, n_h = _reward_constants(config)
-    params = config.params.base
-    idle = rng.random() < params.p_idle
-    p_busy = params.p_false_alarm if idle else 1.0 - params.p_missed_detection
-    if isinstance(config.params, HeteroParams):
-        p_busy_a = (config.params.p_false_alarm_attacker if idle
-                    else 1.0 - config.params.p_missed_detection_attacker)
-    else:
-        p_busy_a = p_busy
-    kh = int(rng.binomial(n_h, p_busy))
-    ka = int(rng.binomial(m, p_busy_a))
+    idle = rng.random() < config.params.base.p_idle
+    honest, attacker = _busy_probabilities(config)
+    kh = int(rng.binomial(n_h, honest[0] if idle else honest[1]))
+    ka = int(rng.binomial(m, attacker[0] if idle else attacker[1]))
 
     if runtime.punishment_on:
         pmt = int(runtime.tables.post_transmit[ka])
@@ -310,9 +343,10 @@ def _replication_rng(base_seed: int, r: int) -> np.random.Generator:
         np.random.SeedSequence(base_seed, spawn_key=(r,))))
 
 
-def _block_draws(config: SimConfig, reps: range
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Channel and busy-count draws of replications reps, one row each.
+def _binomial_draws(config: SimConfig, reps: range
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Channel and busy-count draws of replications reps, one row each,
+    straight from numpy's samplers.
 
     Every row draws from its own replication stream in the order random,
     honest binomial, attacker binomial, each over the whole horizon.
@@ -324,11 +358,9 @@ def _block_draws(config: SimConfig, reps: range
     for rng, row in zip(rngs, uniform):
         rng.random(out=row)
     idle = uniform < params.p_idle
-    p_busy = p_busy_a = np.where(idle, params.p_false_alarm,
-                                 1.0 - params.p_missed_detection)
-    if isinstance(config.params, HeteroParams):
-        p_busy_a = np.where(idle, config.params.p_false_alarm_attacker,
-                            1.0 - config.params.p_missed_detection_attacker)
+    (h_idle, h_busy), (a_idle, a_busy) = _busy_probabilities(config)
+    p_busy = np.where(idle, h_idle, h_busy)
+    p_busy_a = np.where(idle, a_idle, a_busy)
     *_, m, n_h = _reward_constants(config)
     kh = np.empty(shape, dtype=np.int64)
     ka = np.empty(shape, dtype=np.int64)
@@ -338,11 +370,150 @@ def _block_draws(config: SimConfig, reps: range
     return idle, kh, ka
 
 
+def _busy_probabilities(config: SimConfig
+                        ) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Per-SU probability of sensing busy on an idle and on a busy channel,
+    for the honest SUs and for the attackers."""
+    params = config.params
+    honest = (params.base.p_false_alarm,
+              1.0 - params.base.p_missed_detection)
+    if isinstance(params, HeteroParams):
+        return honest, (params.p_false_alarm_attacker,
+                        1.0 - params.p_missed_detection_attacker)
+    return honest, honest
+
+
+def _inversion_start(n: int, p: float) -> tuple[float, float, int]:
+    """(q, q**n, bound) as numpy's random_binomial_inversion computes them,
+    with exp, log and sqrt from the C library (math), as numpy calls them."""
+    q = 1.0 - p
+    np_ = n * p
+    return (q, math.exp(n * math.log(q)),
+            int(min(n, np_ + 10.0 * math.sqrt(np_ * q + 1))))
+
+
+def _inversion_count(u: float, n: int, p: float) -> int:
+    """numpy's random_binomial_inversion(n, p) run on its first uniform u:
+    the count it returns, or bound + 1 where it would draw another uniform."""
+    q, px, bound = _inversion_start(n, p)
+    x = 0
+    while u > px:
+        x += 1
+        if x > bound:
+            return x
+        u -= px
+        px = ((n - x + 1) * p * px) / (x * q)
+    return x
+
+
+def _float_of_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+_ONE_BITS = struct.unpack("<q", struct.pack("<d", 1.0))[0]
+
+
+@functools.lru_cache(maxsize=256)
+def _inversion_table(n: int, p: float
+                     ) -> tuple[np.ndarray, np.ndarray] | None:
+    """(cuts, counts) that reproduce Generator.binomial(n, p) from the one
+    uniform u it reads: the count is counts[searchsorted(cuts, u)], and the
+    last count, -1, marks the uniforms past numpy's bound that it redraws.
+
+    None where numpy reads no uniform (n or p zero) or samples by BTPE
+    (n * min(p, 1-p) > 30).  The inversion count is monotone in u, so cut
+    k is the largest double whose count is at most k, found by bisecting
+    over bit patterns (positive doubles order like their bits).
+    """
+    if n == 0 or p == 0.0:
+        return None
+    flip = p > 0.5
+    p_inv = 1.0 - p if flip else p
+    if p_inv * n > INVERSION_LIMIT:
+        return None
+    bound = _inversion_start(n, p_inv)[2]
+    cuts = []
+    lo = 0  # bits of 0.0, whose count is 0
+    for k in range(bound + 1):
+        hi = _ONE_BITS  # uniforms lie below 1.0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _inversion_count(_float_of_bits(mid), n, p_inv) <= k:
+                lo = mid
+            else:
+                hi = mid
+        cuts.append(_float_of_bits(lo))
+    counts = np.arange(bound + 2)
+    if flip:
+        counts = n - counts
+    counts[-1] = -1
+    table = (np.array(cuts), counts)
+    for column in table:
+        column.flags.writeable = False
+    return table
+
+
+def _cut_index(uniform: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """How many cut points each uniform exceeds: one branch-free compare
+    per cut, several times faster than a binary search per uniform."""
+    index = np.zeros(uniform.shape, dtype=np.uint8)  # tables hold < 90 cuts
+    for cut in cuts:
+        index += uniform > cut
+    return index
+
+
+def _invert(uniform: np.ndarray, idle: np.ndarray,
+            idle_table: tuple[np.ndarray, np.ndarray],
+            busy_table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Counts of uniforms in [0, 1): idle_table's where idle, else
+    busy_table's."""
+    (idle_cuts, idle_counts), (busy_cuts, busy_counts) = idle_table, busy_table
+    busy = _cut_index(uniform, busy_cuts)
+    # index into busy_counts + idle_counts, selected by uint8 arithmetic
+    # (np.where on a random mask costs several times more); the wrapped
+    # difference is exact mod 256 and the index stays below 256
+    to_idle = _cut_index(uniform, idle_cuts) + np.uint8(len(busy_counts)) - busy
+    index = busy + idle * to_idle
+    return np.concatenate((busy_counts, idle_counts))[index.astype(np.intp)]
+
+
+def _block_draws(config: SimConfig, reps: range
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The draws of _binomial_draws, by inversion of one uniform call per
+    row.
+
+    Where every count is sampled by numpy's inversion, each slot's counts
+    read exactly one double each, the same one Generator.random returns,
+    so a row reads its stream with one random(3 * horizon) call: channel,
+    honest and attacker uniforms, in that order.  A configuration numpy
+    samples otherwise goes to _binomial_draws, and so does a row in which
+    numpy would redraw a uniform.
+    """
+    (h_idle, h_busy), (a_idle, a_busy) = _busy_probabilities(config)
+    *_, m, n_h = _reward_constants(config)
+    honest = _inversion_table(n_h, h_idle), _inversion_table(n_h, h_busy)
+    attacker = _inversion_table(m, a_idle), _inversion_table(m, a_busy)
+    if None in honest + attacker:
+        return _binomial_draws(config, reps)
+    h = config.horizon
+    uniform = np.empty((len(reps), 3 * h))
+    for r, row in zip(reps, uniform):
+        _replication_rng(config.base_seed, r).random(out=row)
+    idle = uniform[:, :h] < config.params.base.p_idle
+    kh = _invert(uniform[:, h:2 * h], idle, *honest)
+    ka = _invert(uniform[:, 2 * h:], idle, *attacker)
+    redrawn = (kh.min(axis=1) < 0) | (ka.min(axis=1) < 0)
+    for i in np.flatnonzero(redrawn):
+        # numpy reads more uniforms for this row than the one call holds
+        _, kh[i:i + 1], ka[i:i + 1] = _binomial_draws(config, reps[i:i + 1])
+    return idle, kh, ka
+
+
 def _run_block(reps: range, config: SimConfig, tables: PolicyTables,
-               weights: np.ndarray) -> tuple:
+               grid: tuple[np.ndarray, ...], weights: np.ndarray) -> tuple:
     idle, kh, ka = _block_draws(config, reps)
     att, hon, collision, triggers = _block_outcomes(idle, kh, ka, config,
-                                                    tables)
+                                                    tables, grid)
     return (att.mean(axis=1), hon.mean(axis=1),
             (att * weights).sum(axis=1), (hon * weights).sum(axis=1),
             int(np.count_nonzero(collision)), int(np.count_nonzero(~idle)),
@@ -363,6 +534,7 @@ def run_experiment(config: SimConfig, workers: int = 1) -> SimStats:
     if problems:
         raise ValueError("; ".join(problems))
     tables = build_policy_tables(config)
+    grid = _outcome_grid(config, tables)
     params = config.params.base
     delta = params.discount
     weights = delta ** np.arange(config.horizon)
@@ -372,9 +544,11 @@ def run_experiment(config: SimConfig, workers: int = 1) -> SimStats:
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(
-                lambda reps: _run_block(reps, config, tables, weights), blocks))
+                lambda reps: _run_block(reps, config, tables, grid, weights),
+                blocks))
     else:
-        rows = [_run_block(reps, config, tables, weights) for reps in blocks]
+        rows = [_run_block(reps, config, tables, grid, weights)
+                for reps in blocks]
 
     cols = list(zip(*rows))
     per_att, per_hon, disc_att, disc_hon, triggers = (

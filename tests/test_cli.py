@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -216,6 +220,54 @@ def test_exit_codes_for_config_problems(tmp_path):
     mismatch = _doc("thresholds", out_dir=str(tmp_path))
     assert cli.main(["analyze", "--config",
                      _write_config(tmp_path, mismatch)]) == 2
+
+
+@pytest.mark.parametrize("command,options,message", [
+    # used to escape as a ValueError traceback with exit 1
+    ("simulate", {"horizon": "long"}, 'horizon must be an integer, not "long"'),
+    # used to be truncated to 2 slots without a word
+    ("simulate", {"horizon": 2.7}, "horizon must be an integer, not 2.7"),
+    ("simulate", {"replications": True}, "replications must be an integer"),
+    ("simulate", {"trace_slots": "4"}, "trace_slots must be an integer"),
+    ("thresholds", {"n_values": ["six"]}, "n_values must be a list of integers"),
+    ("thresholds", {"n_values": [2.7]}, "n_values must be a list of integers"),
+    ("thresholds", {"p_idle_values": 0.5}, "p_idle_values must be a list"),
+    ("thresholds", {"c_p_values": [None]}, "c_p_values must be a list"),
+    ("verify", {"instances": "12"}, "instances must be an integer"),
+    ("verify", {"sim_instances": 1.5}, "sim_instances must be an integer"),
+], ids=["horizon_text", "horizon_fraction", "replications_bool",
+        "trace_slots_text", "n_values_text", "n_values_fraction",
+        "p_idle_values_scalar", "c_p_values_null", "instances_text",
+        "sim_instances_fraction"])
+def test_option_types_are_config_errors(tmp_path, capsys, command, options,
+                                        message):
+    doc = _doc(command, options=options, out_dir=str(tmp_path / "out"))
+    assert cli.main([command, "--config", _write_config(tmp_path, doc)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_internal_failure_exits_3(tmp_path, capsys, monkeypatch):
+    def broken(run, args):
+        raise ZeroDivisionError("float division\nby zero")
+
+    monkeypatch.setitem(cli._COMMANDS, "analyze", broken)
+    doc = _doc("analyze", out_dir=str(tmp_path))
+    assert cli.main(["analyze", "--config", _write_config(tmp_path, doc)]) == 3
+    err = capsys.readouterr().err
+    assert err == "internal error: ZeroDivisionError: float division by zero\n"
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    doc = _doc("analyze", out_dir=str(tmp_path))
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "coopsense", "analyze", "--config",
+         _write_config(tmp_path, doc)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("analyze: region")
+    assert (tmp_path / "analysis.json").exists()
 
 
 def test_out_flag_overrides_directory(tmp_path):

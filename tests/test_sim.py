@@ -3,13 +3,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from coopsense.model import HeteroParams, ScenarioParams
+from coopsense import sim
+from coopsense.model import (HeteroParams, ScenarioParams, validate,
+                             validate_hetero)
 from coopsense.oneshot import expected_slot_rewards
 from coopsense.sim import (PolicyTables, SimConfig, SlotRuntime,
-                           _block_draws, _block_outcomes, _replication_rng,
-                           build_policy_tables, run_experiment, run_slot,
-                           run_trace, validate_config)
+                           _block_draws, _block_outcomes, _cut_index,
+                           _inversion_count, _inversion_table, _outcome_grid,
+                           _replication_rng, build_policy_tables,
+                           run_experiment, run_slot, run_trace,
+                           validate_config)
 
 from conftest import observable_scenario, rel_err
 
@@ -50,8 +55,8 @@ def test_scalar_and_vector_paths_agree(mode, cb):
     idle, kh, ka = _block_draws(config, range(config.replications))
     # the last row never sees a busy slot, so it never triggers
     idle[-1] = True
-    att, hon, collision, triggers = _block_outcomes(idle, kh, ka, config,
-                                                    tables)
+    att, hon, collision, triggers = _block_outcomes(
+        idle, kh, ka, config, tables, _outcome_grid(config, tables))
     assert triggers[-1] == -1
     if mode == "indirect":
         assert (triggers[:-1] >= 0).any()
@@ -70,16 +75,105 @@ def test_scalar_and_vector_paths_agree(mode, cb):
         assert seen_trigger == triggers[row], f"row {row}"
 
 
-def test_block_draws_follow_replication_streams():
-    config = SimConfig(params=AT_WC, horizon=50, replications=4, base_seed=9)
-    idle, kh, ka = _block_draws(config, range(1, 4))
-    for i, r in enumerate(range(1, 4)):
-        rng = _replication_rng(config.base_seed, r)
-        assert (idle[i] == (rng.random(50) < AT_WC.p_idle)).all()
-        p_busy = np.where(idle[i], AT_WC.p_false_alarm,
-                          1.0 - AT_WC.p_missed_detection)
-        assert (kh[i] == rng.binomial(AT_WC.n_honest, p_busy)).all()
-        assert (ka[i] == rng.binomial(AT_WC.n_attackers, p_busy)).all()
+def _reference_draws(config, r):
+    """Replication r's draws straight from numpy: random, then the honest
+    and the attacker binomial over the whole horizon."""
+    params = config.params
+    base = params.base
+    p_busy_a = ((params.p_false_alarm_attacker,
+                 1.0 - params.p_missed_detection_attacker)
+                if isinstance(params, HeteroParams)
+                else (base.p_false_alarm, 1.0 - base.p_missed_detection))
+    rng = _replication_rng(config.base_seed, r)
+    idle = rng.random(config.horizon) < base.p_idle
+    m = 1 if isinstance(params, HeteroParams) else base.n_attackers
+    kh = rng.binomial(base.n_total - m, np.where(
+        idle, base.p_false_alarm, 1.0 - base.p_missed_detection))
+    ka = rng.binomial(m, np.where(idle, *p_busy_a))
+    return idle, kh, ka
+
+
+def _assert_reference_draws(config, reps):
+    idle, kh, ka = _block_draws(config, reps)
+    for i, r in enumerate(reps):
+        ref_idle, ref_kh, ref_ka = _reference_draws(config, r)
+        assert (idle[i] == ref_idle).all(), f"replication {r}"
+        assert (kh[i] == ref_kh).all(), f"replication {r}"
+        assert (ka[i] == ref_ka).all(), f"replication {r}"
+
+
+# mid-range values put large n past the inversion limit, into BTPE
+_PROBABILITY = st.one_of(st.floats(1e-300, 1.0, exclude_max=True),
+                         st.floats(0.3, 0.7),
+                         st.sampled_from([0.5, 1e-12, 1.0 - 1e-12]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_honest=st.integers(1, 80), n_attackers=st.integers(1, 6),
+       p_idle=st.floats(0.01, 0.99), p_fa=_PROBABILITY, p_md=_PROBABILITY,
+       p_fa_att=_PROBABILITY, p_md_att=_PROBABILITY, hetero=st.booleans(),
+       horizon=st.integers(1, 300), seed=st.integers(0, 2**32 - 1))
+# AT_WC's draws
+@example(n_honest=4, n_attackers=2, p_idle=0.6, p_fa=0.08, p_md=0.08,
+         p_fa_att=0.08, p_md_att=0.08, hetero=False, horizon=50, seed=9)
+# the inversion limit n * min(p, 1-p) <= 30: at it, and just past it
+@example(n_honest=60, n_attackers=2, p_idle=0.5, p_fa=0.1, p_md=0.5,
+         p_fa_att=0.1, p_md_att=0.5, hetero=False, horizon=300, seed=1)
+@example(n_honest=61, n_attackers=2, p_idle=0.5, p_fa=0.1, p_md=0.5,
+         p_fa_att=0.1, p_md_att=0.5, hetero=False, horizon=300, seed=1)
+def test_block_draws_follow_replication_streams(n_honest, n_attackers, p_idle,
+                                                p_fa, p_md, p_fa_att, p_md_att,
+                                                hetero, horizon, seed):
+    m = 1 if hetero else n_attackers
+    params = ScenarioParams(n_honest + m, m, p_idle, p_fa, p_md, 1.0)
+    if hetero:
+        params = HeteroParams(base=params, p_false_alarm_attacker=p_fa_att,
+                              p_missed_detection_attacker=p_md_att)
+        assume(not validate_hetero(params))
+    else:
+        assume(not validate(params))
+    config = SimConfig(params=params, horizon=horizon, replications=3,
+                       base_seed=seed)
+    _assert_reference_draws(config, range(1, 4))
+
+
+@pytest.mark.parametrize("n,p", [(1, 0.05), (4, 0.657), (8, 0.5), (60, 0.5),
+                                 (30, 1e-9), (1000, 0.01), (7, 1.0 - 1e-12),
+                                 (5, 0.999)])
+def test_cut_points_classify_like_the_inversion_loop(n, p):
+    cuts, counts = _inversion_table(n, p)
+    flip = p > 0.5
+    p_inv = 1.0 - p if flip else p
+    bound = len(cuts) - 1
+    for cut in cuts:
+        for u in (cut, np.nextafter(cut, 1.0)):
+            if u >= 1.0:  # never drawn
+                continue
+            x = _inversion_count(u, n, p_inv)
+            expected = -1 if x > bound else (n - x if flip else x)
+            assert counts[_cut_index(np.array([u]), cuts)[0]] == expected, u
+
+
+def test_redraw_rows_fall_back_to_numpy(monkeypatch):
+    # numpy redraws only uniforms within a few ulps of 1; keeping each
+    # table's first cut point alone makes every uniform above it a redraw
+    inversion_table, binomial_draws = sim._inversion_table, sim._binomial_draws
+
+    def first_cut_only(n, p):
+        cuts, counts = inversion_table(n, p)
+        return cuts[:1], np.append(counts[:1], -1)
+
+    fallback_rows = []
+
+    def counting_fallback(config, reps):
+        fallback_rows.extend(reps)
+        return binomial_draws(config, reps)
+
+    monkeypatch.setattr(sim, "_inversion_table", first_cut_only)
+    monkeypatch.setattr(sim, "_binomial_draws", counting_fallback)
+    config = SimConfig(params=AT_WC, horizon=3, replications=40, base_seed=4)
+    _assert_reference_draws(config, range(40))
+    assert 0 < len(fallback_rows) < 40
 
 
 def test_runs_are_deterministic():
