@@ -13,6 +13,11 @@ binomial sampler changes method: LARGE draws its busy honest counts with
 BTPE (n * min(p, 1-p) > 30), flip_boundary has a busy probability of
 exactly 0.5 (numpy flips p above 0.5), and HETERO_FLIP's attacker senses
 busy with probability below 0.5 where the honest SUs sense it above.
+
+The cases in SEED_BASES add their base seed to every shape's seed, so
+their streams come from seeds past one 32-bit word: SeedSequence
+coerces 2**32 + 5 to two words and 2**127 + 1 to four, and a seed of
+2**128 or more takes the simulator's SeedSequence fallback.
 """
 
 import dataclasses
@@ -75,7 +80,13 @@ CASES = {
     "flip_boundary": (dataclasses.replace(SCENARIO, p_missed_detection=0.5),
                       "indirect", "optimal"),
     "hetero_flip": (HETERO_FLIP, "none", "optimal"),
+    "two_word_seed": (SCENARIO, "indirect", "optimal"),
+    "four_word_seed": (LARGE, "direct", "optimal"),
+    "wide_seed": (HETERO, "direct", "optimal"),
 }
+
+SEED_BASES = {"two_word_seed": 2**32 + 5, "four_word_seed": 2**127 + 1,
+              "wide_seed": 2**128 + 3}
 
 GOLDEN = {
     "none":
@@ -96,6 +107,12 @@ GOLDEN = {
         "c3cff291d6071d146d8b6c81efd4967a58984f4107a9fe7b3f48c921d4f0de4c",
     "hetero_flip":
         "a64231d407d737c98fa5b63a16e7dde398f0de9f5c63c9c05ddb889aacd90e71",
+    "two_word_seed":
+        "c02e2a232a03b5d0911e9b79cdc4a368b1b3abe875ba3cf36d253d1fb338d93d",
+    "four_word_seed":
+        "195ff7c97b870d4753957a9db5f969818a39cfedfa5581f1333ee90c9c959f7f",
+    "wide_seed":
+        "0db4b97bf66fb8a852aab8b7f64032c131515acdab9d47dbf505742ae0c74df2",
 }
 
 
@@ -106,7 +123,8 @@ def test_golden_sim_stats(name):
     for seed, (horizon, replications) in enumerate(SHAPES):
         config = SimConfig(params=params, punishment_mode=mode,
                            attacker_policy=policy, horizon=horizon,
-                           replications=replications, base_seed=seed)
+                           replications=replications,
+                           base_seed=SEED_BASES.get(name, 0) + seed)
         single = run_experiment(config, workers=1)
         assert run_experiment(config, workers=3) == single, \
             (horizon, replications)
