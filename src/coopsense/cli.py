@@ -62,6 +62,10 @@ def _integer(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _natural(value: Any) -> bool:
+    return _integer(value) and value >= 0
+
+
 def _number(value: Any) -> bool:
     return _integer(value) or isinstance(value, float)
 
@@ -88,7 +92,7 @@ _OPTION_TYPES = {
     "trace_slots": (_or_null(_integer), "an integer"),
     "instances": (_integer, "an integer"),
     "sim_instances": (_integer, "an integer"),
-    "seed": (_integer, "an integer"),
+    "seed": (_natural, "a non-negative integer"),
 }
 
 
@@ -209,8 +213,21 @@ def _scenario_echo(run: RunConfig) -> dict:
 
 # -- analyze ---------------------------------------------------------------
 
+def _swept(params: ScenarioParams, n: int) -> ScenarioParams:
+    # an n_sweep point keeps the attackers, at most n - 1 of them
+    return dataclasses.replace(params, n_total=n,
+                               n_attackers=min(params.n_attackers, n - 1))
+
+
 def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
     params = run.params
+    sweep = run.options.get("n_sweep")
+    # validate every sweep point before writing anything
+    problems = [f"n_total={n}: {problem}" for n in sweep or []
+                for problem in validate(_swept(params, n))]
+    if problems:
+        print("invalid n_sweep:\n  " + "\n  ".join(problems), file=sys.stderr)
+        return 2
     window = fusion.condition_i_bounds(params)
     table = []
     for k in range(params.n_total + 1):
@@ -236,13 +253,10 @@ def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
     }
     if "json" in run.formats:
         _write_json(run.out_dir / "analysis.json", report)
-    sweep = run.options.get("n_sweep")
     if sweep is not None and "csv" in run.formats:
         rows = []
         for n in sweep:
-            swept = dataclasses.replace(
-                params, n_total=n, n_attackers=min(params.n_attackers, n - 1))
-            w = fusion.condition_i_bounds(swept)
+            w = fusion.condition_i_bounds(_swept(params, n))
             rows.append((n, w.lower_bound, w.upper_bound))
         _write_csv(run.out_dir / "collision_penalty_window.csv",
                    ("n_total", "lower_bound", "upper_bound"), rows)
@@ -600,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", default=None,
                         help="output directory (overrides the config)")
     common.add_argument("--seed", type=int, default=0,
-                        help="base seed for stochastic commands")
+                        help="non-negative base seed for stochastic commands")
     common.add_argument("--workers", type=int, default=_default_workers(),
                         help=f"worker threads (default ${WORKERS_ENV_VAR} or 1)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -614,6 +628,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.workers < 1:
         print("--workers must be at least 1", file=sys.stderr)
+        return 2
+    if args.seed < 0:
+        print("--seed must be non-negative", file=sys.stderr)
         return 2
     try:
         with open(args.config) as fh:

@@ -7,10 +7,13 @@ kernel evaluates the outcome rules once on the small grid of (idle,
 honest busy count, attacker busy count) cells and gathers each slot's
 rewards from it; a test pins it to the scalar path on shared draws.
 
-Determinism contract: replication r draws from a stream derived from
-(base_seed, r), the block size depends on the horizon only, and block
-outputs are merged in replication order, so results are bit-identical
-for any worker count.
+Determinism contract: replication r draws from
+PCG64(SeedSequence(base_seed, spawn_key=(r,))), the block size depends on
+the horizon only, and block outputs are merged in replication order, so
+results are bit-identical for any worker count.  The streams' seed words
+are computed for all replications at once (_stream_words) and handed to
+numpy's PCG64 seeding; a seed of 2**128 or more, or a replication index
+of 2**32 or more, takes SeedSequence itself.
 
 Draws: each row's stream gives the channel uniforms, then the honest and
 then the attacker busy counts, exactly as Generator.random and
@@ -31,6 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import mdp as mdp_mod
 from . import oneshot
@@ -47,6 +51,13 @@ BLOCK_SLOTS = 8192
 # numpy's Generator.binomial (random_binomial in its distributions.c)
 # samples by inversion where n * min(p, 1-p) is at most this, else by BTPE.
 INVERSION_LIMIT = 30.0
+
+# numpy's SeedSequence constants (bit_generator.pyx): the hash multipliers
+# of the pool and of generate_state, and the two of mix
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,6 +172,8 @@ def validate_config(config: SimConfig) -> list[str]:
         problems.append("horizon must be >= 1")
     if config.replications < 1:
         problems.append("replications must be >= 1")
+    if config.base_seed < 0:
+        problems.append("base_seed must be >= 0")
     return problems
 
 
@@ -338,22 +351,76 @@ def run_slot(rng: np.random.Generator, runtime: SlotRuntime) -> SlotTrace:
                      runtime.punishment_on)
 
 
-def _replication_rng(base_seed: int, r: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence(base_seed, spawn_key=(r,))))
+def _stream_words(base_seed: int, reps: range) -> np.ndarray:
+    """SeedSequence(base_seed, spawn_key=(r,)).generate_state(4, np.uint64)
+    for every r in reps, one row each.
+
+    SeedSequence hashes the seed's words into a 4-word pool, stirs it,
+    then mixes each spawn-key word into every pool word.  A seed below
+    2**128 fills the pool as the unspawned SeedSequence(base_seed) does
+    (the spawned one pads it with zero words, which hash like the filler),
+    and the 16 hashes so far fix the hash constant, so only the last
+    mixing and generate_state depend on r: uint32 arithmetic over all rows
+    at once.  Wider seeds, and indices of 2**32 or more (two key words),
+    go through SeedSequence one row at a time.
+    """
+    if base_seed >= 2**128 or reps.start < 0 or reps.stop > 2**32:
+        return np.array(
+            [np.random.SeedSequence(base_seed, spawn_key=(r,))
+             .generate_state(4, np.uint64) for r in reps],
+            dtype=np.uint64).reshape(len(reps), 4)
+    key = np.arange(reps.start, reps.stop, dtype=np.uint32)
+    hash_const = _INIT_A * pow(_MULT_A, 16, 2**32) & _MASK32
+    pool = []
+    for word in np.random.SeedSequence(base_seed).pool.tolist():
+        # mix(word, hashmix(key))
+        value = key ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> 16
+        value = np.uint32(_MIX_MULT_L * word & _MASK32) \
+            - np.uint32(_MIX_MULT_R) * value
+        pool.append(value ^ (value >> 16))
+    state = np.empty((len(key), 8), dtype=np.uint32)
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= np.uint32(hash_const)
+        state[:, i] = value ^ (value >> 16)
+    # numpy pairs the uint32 words little end first
+    return state.astype("<u4").view("<u8").astype(np.uint64)
 
 
-def _binomial_draws(config: SimConfig, reps: range
+class _Words(ISeedSequence):
+    """Seed sequence of precomputed words: PCG64 asks for 4 uint64 words
+    and seeds itself from them in numpy's own code."""
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.words
+
+
+def _stream(words: np.ndarray) -> np.random.Generator:
+    """The generator of a replication stream, from its row of
+    _stream_words."""
+    return np.random.Generator(np.random.PCG64(_Words(words)))
+
+
+def _binomial_draws(config: SimConfig, words: np.ndarray
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Channel and busy-count draws of replications reps, one row each,
-    straight from numpy's samplers.
+    """Channel and busy-count draws of the replication streams whose
+    _stream_words rows are words, one row each, straight from numpy's
+    samplers.
 
     Every row draws from its own replication stream in the order random,
     honest binomial, attacker binomial, each over the whole horizon.
     """
     params = config.params.base
-    shape = (len(reps), config.horizon)
-    rngs = [_replication_rng(config.base_seed, r) for r in reps]
+    shape = (len(words), config.horizon)
+    rngs = [_stream(row) for row in words]
     uniform = np.empty(shape)
     for rng, row in zip(rngs, uniform):
         rng.random(out=row)
@@ -477,7 +544,7 @@ def _invert(uniform: np.ndarray, idle: np.ndarray,
     return np.concatenate((busy_counts, idle_counts))[index.astype(np.intp)]
 
 
-def _block_draws(config: SimConfig, reps: range
+def _block_draws(config: SimConfig, words: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The draws of _binomial_draws, by inversion of one uniform call per
     row.
@@ -494,24 +561,24 @@ def _block_draws(config: SimConfig, reps: range
     honest = _inversion_table(n_h, h_idle), _inversion_table(n_h, h_busy)
     attacker = _inversion_table(m, a_idle), _inversion_table(m, a_busy)
     if None in honest + attacker:
-        return _binomial_draws(config, reps)
+        return _binomial_draws(config, words)
     h = config.horizon
-    uniform = np.empty((len(reps), 3 * h))
-    for r, row in zip(reps, uniform):
-        _replication_rng(config.base_seed, r).random(out=row)
+    uniform = np.empty((len(words), 3 * h))
+    for stream_words, row in zip(words, uniform):
+        _stream(stream_words).random(out=row)
     idle = uniform[:, :h] < config.params.base.p_idle
     kh = _invert(uniform[:, h:2 * h], idle, *honest)
     ka = _invert(uniform[:, 2 * h:], idle, *attacker)
     redrawn = (kh.min(axis=1) < 0) | (ka.min(axis=1) < 0)
     for i in np.flatnonzero(redrawn):
         # numpy reads more uniforms for this row than the one call holds
-        _, kh[i:i + 1], ka[i:i + 1] = _binomial_draws(config, reps[i:i + 1])
+        _, kh[i:i + 1], ka[i:i + 1] = _binomial_draws(config, words[i:i + 1])
     return idle, kh, ka
 
 
-def _run_block(reps: range, config: SimConfig, tables: PolicyTables,
+def _run_block(words: np.ndarray, config: SimConfig, tables: PolicyTables,
                grid: tuple[np.ndarray, ...], weights: np.ndarray) -> tuple:
-    idle, kh, ka = _block_draws(config, reps)
+    idle, kh, ka = _block_draws(config, words)
     att, hon, collision, triggers = _block_outcomes(idle, kh, ka, config,
                                                     tables, grid)
     return (att.mean(axis=1), hon.mean(axis=1),
@@ -539,16 +606,17 @@ def run_experiment(config: SimConfig, workers: int = 1) -> SimStats:
     delta = params.discount
     weights = delta ** np.arange(config.horizon)
     size = max(1, BLOCK_SLOTS // config.horizon)
-    blocks = [range(start, min(start + size, config.replications))
+    words = _stream_words(config.base_seed, range(config.replications))
+    blocks = [words[start:start + size]
               for start in range(0, config.replications, size)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(
-                lambda reps: _run_block(reps, config, tables, grid, weights),
+                lambda block: _run_block(block, config, tables, grid, weights),
                 blocks))
     else:
-        rows = [_run_block(reps, config, tables, grid, weights)
-                for reps in blocks]
+        rows = [_run_block(block, config, tables, grid, weights)
+                for block in blocks]
 
     cols = list(zip(*rows))
     per_att, per_hon, disc_att, disc_hon, triggers = (
@@ -580,5 +648,6 @@ def run_trace(config: SimConfig, slots: int, replication: int = 0) -> list[SlotT
     if problems:
         raise ValueError("; ".join(problems))
     runtime = SlotRuntime(config, build_policy_tables(config))
-    rng = _replication_rng(config.base_seed, replication)
+    rng = _stream(_stream_words(config.base_seed,
+                                range(replication, replication + 1))[0])
     return [run_slot(rng, runtime) for _ in range(slots)]

@@ -247,6 +247,38 @@ def test_option_types_are_config_errors(tmp_path, capsys, command, options,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,options,argv,message", [
+    # used to exit 3 with "expected non-negative integer" from numpy,
+    # leaving an empty output directory behind
+    ("simulate", {"horizon": 5, "replications": 2}, ["--seed", "-1"],
+     "--seed must be non-negative"),
+    ("verify", {"instances": 1, "seed": -5}, [],
+     "seed must be a non-negative integer, not -5"),
+    ("verify", {"instances": 1}, ["--seed", "-2"],
+     "--seed must be non-negative"),
+], ids=["simulate_flag", "verify_option", "verify_flag"])
+def test_negative_seed_is_config_error(tmp_path, capsys, command, options,
+                                       argv, message):
+    doc = _doc(command, options=options, out_dir=str(tmp_path / "out"))
+    assert cli.main([command, "--config", _write_config(tmp_path, doc)]
+                    + argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_invalid_sweep_is_config_error(tmp_path, capsys):
+    # used to write analysis.json, then exit 3 on a math domain error
+    doc = _doc("analyze", options={"n_sweep": [1, 0, 4]},
+               out_dir=str(tmp_path))
+    assert cli.main(["analyze", "--config", _write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "n_total=1: n_total must be an integer >= 2" in err
+    assert "n_total=0: n_total must be an integer >= 2" in err
+    assert "n_total=4" not in err
+    assert not (tmp_path / "analysis.json").exists()
+    assert not (tmp_path / "collision_penalty_window.csv").exists()
+
+
 def test_internal_failure_exits_3(tmp_path, capsys, monkeypatch):
     def broken(run, args):
         raise ZeroDivisionError("float division\nby zero")

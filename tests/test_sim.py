@@ -12,7 +12,7 @@ from coopsense.oneshot import expected_slot_rewards
 from coopsense.sim import (PolicyTables, SimConfig, SlotRuntime,
                            _block_draws, _block_outcomes, _cut_index,
                            _inversion_count, _inversion_table, _outcome_grid,
-                           _replication_rng, build_policy_tables,
+                           _stream, _stream_words, build_policy_tables,
                            run_experiment, run_slot, run_trace,
                            validate_config)
 
@@ -52,7 +52,8 @@ def test_scalar_and_vector_paths_agree(mode, cb):
     config = SimConfig(params=params, punishment_mode=mode, horizon=400,
                        replications=6, base_seed=9)
     tables = build_policy_tables(config)
-    idle, kh, ka = _block_draws(config, range(config.replications))
+    idle, kh, ka = _block_draws(
+        config, _stream_words(config.base_seed, range(config.replications)))
     # the last row never sees a busy slot, so it never triggers
     idle[-1] = True
     att, hon, collision, triggers = _block_outcomes(
@@ -75,6 +76,11 @@ def test_scalar_and_vector_paths_agree(mode, cb):
         assert seen_trigger == triggers[row], f"row {row}"
 
 
+def _numpy_stream(seed, r):
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=(r,))))
+
+
 def _reference_draws(config, r):
     """Replication r's draws straight from numpy: random, then the honest
     and the attacker binomial over the whole horizon."""
@@ -84,7 +90,7 @@ def _reference_draws(config, r):
                  1.0 - params.p_missed_detection_attacker)
                 if isinstance(params, HeteroParams)
                 else (base.p_false_alarm, 1.0 - base.p_missed_detection))
-    rng = _replication_rng(config.base_seed, r)
+    rng = _numpy_stream(config.base_seed, r)
     idle = rng.random(config.horizon) < base.p_idle
     m = 1 if isinstance(params, HeteroParams) else base.n_attackers
     kh = rng.binomial(base.n_total - m, np.where(
@@ -94,7 +100,7 @@ def _reference_draws(config, r):
 
 
 def _assert_reference_draws(config, reps):
-    idle, kh, ka = _block_draws(config, reps)
+    idle, kh, ka = _block_draws(config, _stream_words(config.base_seed, reps))
     for i, r in enumerate(reps):
         ref_idle, ref_kh, ref_ka = _reference_draws(config, r)
         assert (idle[i] == ref_idle).all(), f"replication {r}"
@@ -165,15 +171,42 @@ def test_redraw_rows_fall_back_to_numpy(monkeypatch):
 
     fallback_rows = []
 
-    def counting_fallback(config, reps):
-        fallback_rows.extend(reps)
-        return binomial_draws(config, reps)
+    def counting_fallback(config, words):
+        fallback_rows.extend(words)
+        return binomial_draws(config, words)
 
     monkeypatch.setattr(sim, "_inversion_table", first_cut_only)
     monkeypatch.setattr(sim, "_binomial_draws", counting_fallback)
     config = SimConfig(params=AT_WC, horizon=3, replications=40, base_seed=4)
     _assert_reference_draws(config, range(40))
     assert 0 < len(fallback_rows) < 40
+
+
+_NEAR_KEY_LIMIT = 2**32 - 1  # the last index of one spawn-key word
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**140),
+       start=st.one_of(st.integers(0, 2**20),
+                       st.integers(_NEAR_KEY_LIMIT - 40, _NEAR_KEY_LIMIT)),
+       count=st.integers(1, 40))
+@example(seed=0, start=0, count=3)
+@example(seed=2**32 - 1, start=_NEAR_KEY_LIMIT - 2, count=3)
+@example(seed=2**32, start=7, count=2)
+@example(seed=2**128 - 1, start=_NEAR_KEY_LIMIT - 1, count=2)
+# past the fast path: a fifth seed word, and a second key word
+@example(seed=2**128, start=0, count=2)
+@example(seed=5, start=_NEAR_KEY_LIMIT - 1, count=3)
+def test_stream_words_match_seed_sequence(seed, start, count):
+    reps = range(start, start + count)
+    words = _stream_words(seed, reps)
+    assert words.shape == (count, 4) and words.dtype == np.uint64
+    for r, row in zip(reps, words):
+        sequence = np.random.SeedSequence(seed, spawn_key=(r,))
+        assert (row == sequence.generate_state(4, np.uint64)).all(), r
+        ours, fresh = _stream(row), _numpy_stream(seed, r)
+        assert ours.bit_generator.state == fresh.bit_generator.state, r
+        assert (ours.random(8) == fresh.random(8)).all(), r
 
 
 def test_runs_are_deterministic():
@@ -276,6 +309,16 @@ def test_validate_config_collects_problems():
                        attacker_policy="greedy", horizon=0, replications=0)
     problems = validate_config(config)
     assert len(problems) == 4
+
+
+def test_negative_seed_is_a_config_problem():
+    # SeedSequence used to reject it deep inside the first block
+    config = SimConfig(params=AT_WC, horizon=5, replications=2, base_seed=-1)
+    assert validate_config(config) == ["base_seed must be >= 0"]
+    with pytest.raises(ValueError, match="base_seed must be >= 0"):
+        run_experiment(config)
+    with pytest.raises(ValueError, match="base_seed must be >= 0"):
+        run_trace(config, 3)
 
 
 @pytest.mark.parametrize("tables", [
