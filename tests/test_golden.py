@@ -6,6 +6,10 @@ a non-unit rate) and heterogeneous single attackers, each with a direct
 punishment at 0.3-2x its closed-form threshold.  Any change to a reward
 bit, a tie-break or a policy decision changes them; a change meant to
 alter these outputs says so and pins new digests.
+
+The direct-threshold oracle and action_order are pinned over every
+attacker count 1..N-1 of region-II scenarios with N from 3 to 20, half
+of them at a non-unit rate.
 """
 
 import dataclasses
@@ -14,10 +18,11 @@ import hashlib
 import numpy as np
 import pytest
 
-from coopsense.direct import direct_threshold_hetero
+from coopsense.direct import direct_threshold_hetero, direct_threshold_oracle
 from coopsense.mdp import build_mdp
 from coopsense.model import HeteroParams
-from coopsense.oneshot import behavior_table, expected_slot_rewards
+from coopsense.oneshot import (action_order, behavior_table,
+                               expected_slot_rewards)
 from coopsense.sim import SimConfig, build_policy_tables
 
 from conftest import fined_scenarios, region_ii_scenario
@@ -39,6 +44,35 @@ def _hetero():
         fine = direct_threshold_hetero(h).value
         out.append(dataclasses.replace(h, base=dataclasses.replace(
             h.base, direct_punishment=fine * float(rng.uniform(0.3, 2.0)))))
+    return out
+
+
+def _oracle_scenarios():
+    rng = np.random.default_rng(2026)
+    out = []
+    for i, n in enumerate((3, 5, 8, 12, 16, 20)):
+        params = region_ii_scenario(rng, n_range=(n, n))
+        if i % 2:
+            rate = float(rng.uniform(0.5, 4.0))
+            params = dataclasses.replace(
+                params, total_rate=rate,
+                collision_penalty=params.collision_penalty * rate)
+        out.extend(dataclasses.replace(params, n_attackers=m)
+                   for m in range(1, n))
+    return out
+
+
+def _oracle_thresholds():
+    return [direct_threshold_oracle(p.n_attackers, p)
+            for p in _oracle_scenarios()]
+
+
+def _action_orders():
+    out = []
+    for p in _oracle_scenarios():
+        order = action_order(p)
+        out.append((order.shape, order.dtype.str,
+                    hashlib.sha256(order.tobytes()).hexdigest()))
     return out
 
 
@@ -85,6 +119,10 @@ def _hetero_tables():
 
 
 GOLDEN = {
+    "action_order": (_action_orders,
+        "333d112b675b73a39b82e747d2f5ce1073dc87b19a4c461d33971586f610953c"),
+    "direct_threshold_oracle": (_oracle_thresholds,
+        "1460e72a5cae29f403129fff0fd96552c62cb65f6d33e7ca20602be31fc8b341"),
     "behavior_table": (_behavior_tables,
         "a78cb6fb6a672fa41cb913acb7487dd958e6db9818120aad7f6ac599cf083103"),
     "expected_slot_rewards": (_slot_rewards,
