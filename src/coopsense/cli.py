@@ -185,7 +185,10 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
+# the writers create the output directory, so a run that stops before its
+# first output (a config error) leaves no directory behind
 def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
@@ -196,6 +199,7 @@ def _write_csv(path: Path, header: tuple[str, ...], rows: list[tuple]) -> None:
 def _write_json(path: Path, payload: dict) -> None:
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(payload, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -652,7 +656,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     if args.out is not None:
         run = dataclasses.replace(run, out_dir=Path(args.out))
-    run.out_dir.mkdir(parents=True, exist_ok=True)
     try:
         return _COMMANDS[run.command](run, args)
     except Exception as exc:  # a fault of the program, not of its input

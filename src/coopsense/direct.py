@@ -74,16 +74,15 @@ def direct_threshold_oracle(m_attackers: int, params: ScenarioParams) -> float:
     Meaningful inside the OR-rule penalty window; outside it some attacks
     are immune to C_b (no busy announcement is involved) and no finite
     charge empties the attack set.
+
+    The scan is oneshot.attack_scan: the tie-break order, the posteriors
+    and every reward but the busy-announcement grabs are built once per
+    call, so a bisection step recomputes only the C_b-dependent entries.
     """
     n = params.n_total
     if not 1 <= m_attackers < n:
         raise ValueError(f"m_attackers {m_attackers} outside [1, {n - 1}]")
-
-    def attacked(cb: float) -> bool:
-        order, best, _ = oneshot.best_profiles(
-            replace(params, n_attackers=m_attackers, direct_punishment=cb), True)
-        return bool((best != order[..., 0]).any())
-
+    attacked = oneshot.attack_scan(replace(params, n_attackers=m_attackers))
     if not attacked(0.0):
         return 0.0
     hi = max(params.collision_penalty, params.total_rate)

@@ -7,13 +7,15 @@ many nodes transmit, never on which ones.
 
 reward_tensors prices every state and profile at once and action_order
 fixes the tie-break; every best response in the package is the first
-maximum of the attacker tensor in that order.  evaluate_profile is the
-scalar reference for the tensor.  A heterogeneous single attacker plays
+maximum of the attacker tensor in that order; attack_scan re-prices only
+the entries a direct punishment reaches, for the threshold oracle's
+bisection.  evaluate_profile is the scalar reference for the tensor.  A heterogeneous single attacker plays
 the same game with M = 1, its own decision taking the attacker axis.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,14 +125,10 @@ class RewardTensors:
     trigger: np.ndarray
 
 
-def reward_tensors(params: ScenarioParams | HeteroParams,
-                   include_direct_punishment: bool) -> RewardTensors:
-    """evaluate_profile's rewards for every state and profile at once.
-
-    For a heterogeneous attacker the posteriors are posterior_idle_hetero
-    and the rate is rate_attacker; the penalties are charges, so they are
-    converted to that rate.
-    """
+def _posteriors(params: ScenarioParams | HeteroParams
+                ) -> tuple[np.ndarray, np.ndarray, float]:
+    # P(idle) and P(busy) given every state's decisions, shaped
+    # [honest_busy, attacker_busy, 1, 1], and the attackers' rate
     group = params.base
     n_h, m = group.n_honest, group.n_attackers
     if isinstance(params, HeteroParams):
@@ -145,22 +143,51 @@ def reward_tensors(params: ScenarioParams | HeteroParams,
                    for row in posts])[:, :, None, None]
     pb = np.array([[p.p_busy_given_reports for p in row]
                    for row in posts])[:, :, None, None]
-    cp = group.collision_penalty / rate
-    cb = group.direct_punishment / rate if include_direct_punishment else 0.0
+    return pi, pb, rate
+
+
+def _action_grid(n_h: int, m: int
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # M_T, the busy announcement and the grab mask, broadcast over
+    # [honest_busy, attacker_busy, b, M_T]; a grab transmits through a
+    # busy announcement, the only event a direct punishment fines
     kh = np.arange(n_h + 1)[:, None, None, None]
     b = np.arange(m + 1)[:, None]
     mt = np.arange(m + 1)
     announced_busy = (kh >= 1) | (b >= 1)
-    grab = announced_busy & (mt >= 1)
+    return mt, announced_busy, announced_busy & (mt >= 1)
+
+
+def _grab_reward(pi: np.ndarray, pb: np.ndarray, m: int, cp: float,
+                 cb: float, rate: float) -> np.ndarray:
+    # the attackers' aggregate reward on a grab entry; cp and cb are the
+    # penalties at the attackers' rate
+    return rate * (pi - m * pb * (cp + cb))
+
+
+def reward_tensors(params: ScenarioParams | HeteroParams,
+                   include_direct_punishment: bool) -> RewardTensors:
+    """evaluate_profile's rewards for every state and profile at once.
+
+    For a heterogeneous attacker the posteriors are posterior_idle_hetero
+    and the rate is rate_attacker; the penalties are charges, so they are
+    converted to that rate.
+    """
+    group = params.base
+    n_h, m = group.n_honest, group.n_attackers
+    pi, pb, rate = _posteriors(params)
+    cp = group.collision_penalty / rate
+    cb = group.direct_punishment / rate if include_direct_punishment else 0.0
+    mt, announced_busy, grab = _action_grid(n_h, m)
     # on an idle announcement every honest SU transmits alongside the M_T
     # attackers; a busy channel collides all of them and fines all N SUs
     share = pi / (n_h + mt)
-    attacker = np.where(grab, pi - m * pb * (cp + cb),
-                        np.where(announced_busy, 0.0, mt * share - m * pb * cp))
+    attacker = np.where(grab, _grab_reward(pi, pb, m, cp, cb, rate),
+                        rate * np.where(announced_busy, 0.0,
+                                        mt * share - m * pb * cp))
     honest = np.where(grab, -pb * (cp + cb),
                       np.where(announced_busy, 0.0, share - pb * cp))
-    return RewardTensors(rate * attacker, rate * honest,
-                         np.where(grab, pb, 0.0))
+    return RewardTensors(attacker, rate * honest, np.where(grab, pb, 0.0))
 
 
 def profile_at(flat: int, m: int) -> ActionProfile:
@@ -176,16 +203,25 @@ def action_order(params: ScenarioParams) -> np.ndarray:
     strict, so a state where honesty ties the best attack counts as
     deterred.  The others follow by least report distortion
     |b - attacker_busy|, then most transmitters, then fewest busy reports.
+
+    One array expression of (n_honest, M): the honest-equivalent profile
+    of state (kh, ka) is flat index ka*(M+1), plus M transmitters in the
+    unanimous-idle state, so no per-state profile is built.  The result,
+    (n_honest+1)(M+1)^3 int64, is rebuilt on every call, not cached.
     """
     m = params.n_attackers
     flat = np.arange((m + 1) ** 2)
     b, mt = np.divmod(flat, m + 1)
-    key = (np.abs(b - np.arange(m + 1)[:, None]) * (m + 1) + m - mt) * (m + 1) + b
-    profiles = [honest_equivalent_profile(SensingState(kh, ka), params)
-                for kh in range(params.n_honest + 1) for ka in range(m + 1)]
-    honest = np.reshape([p.busy_reports * (m + 1) + p.transmitters
-                         for p in profiles], (-1, m + 1, 1))
+    ka = np.arange(m + 1)[:, None]
+    key = (np.abs(b - ka) * (m + 1) + m - mt) * (m + 1) + b
+    kh = np.arange(params.n_honest + 1)[:, None, None]
+    honest = ka * (m + 1) + np.where(kh + ka == 0, m, 0)
     return np.argsort(np.where(flat == honest, -1, key), axis=-1)
+
+
+def _rank(table: np.ndarray, order: np.ndarray) -> np.ndarray:
+    # table's profile axes flattened and put in action_order
+    return np.take_along_axis(table.reshape(order.shape), order, axis=-1)
 
 
 def _pick(table: np.ndarray, index: np.ndarray) -> np.ndarray:
@@ -202,9 +238,37 @@ def best_profiles(params: ScenarioParams | HeteroParams,
     attackers' aggregate reward in action_order."""
     order = action_order(params.base)
     tensors = reward_tensors(params, include_direct_punishment)
-    ranked = np.take_along_axis(tensors.attacker.reshape(order.shape), order,
-                                axis=-1)
+    ranked = _rank(tensors.attacker, order)
     return order, _pick(order, ranked.argmax(axis=-1)), tensors
+
+
+def attack_scan(params: ScenarioParams) -> Callable[[float], bool]:
+    """attacked(C_b): whether some state's best response at direct
+    punishment C_b is an attack, that is, whether best_profiles on params
+    with direct_punishment C_b picks anything but rank 0 of action_order.
+
+    Only the grab entries (a busy announcement and M_T >= 1) depend on
+    C_b.  The order, the posteriors, every other reward and the grab mask
+    are built once; each call recomputes the grab entries with
+    reward_tensors' expression and takes the first maximum in
+    action_order, so its verdicts are best_profiles' bit for bit.
+    """
+    m = params.n_attackers
+    order = action_order(params)
+    pi, pb, rate = _posteriors(params)
+    cp = params.collision_penalty / rate
+    attacker = reward_tensors(params, False).attacker
+    fixed = _rank(attacker, order)
+    grab = _rank(np.broadcast_to(_action_grid(params.n_honest, m)[2],
+                                 attacker.shape), order)
+    pi, pb = pi[..., 0], pb[..., 0]
+
+    def attacked(direct_punishment: float) -> bool:
+        grabbed = _grab_reward(pi, pb, m, cp, direct_punishment / rate, rate)
+        ranked = np.where(grab, grabbed, fixed)
+        return bool((ranked.argmax(axis=-1) != 0).any())
+
+    return attacked
 
 
 def best_response(state: SensingState, params: ScenarioParams,

@@ -106,12 +106,12 @@ def test_thresholds_invalid_grid_is_config_error(tmp_path, capsys, options,
                                                  message):
     scenario = dict(SCENARIO, n_attackers=1, p_false_alarm_attacker=0.05,
                     p_missed_detection_attacker=0.3)
-    doc = _doc("thresholds", options=options, out_dir=str(tmp_path),
+    doc = _doc("thresholds", options=options, out_dir=str(tmp_path / "out"),
                scenario=scenario)
     assert cli.main(["thresholds", "--config",
                      _write_config(tmp_path, doc)]) == 2
     assert message in capsys.readouterr().err
-    assert not list(tmp_path.glob("*.csv"))
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_outputs_and_reference(tmp_path):
@@ -151,11 +151,11 @@ def test_simulate_hetero_indirect_optimal_is_config_error(tmp_path, capsys):
     doc = _doc("simulate",
                options={"punishment_mode": "indirect", "horizon": 10,
                         "replications": 1},
-               out_dir=str(tmp_path), scenario=scenario)
+               out_dir=str(tmp_path / "out"), scenario=scenario)
     assert cli.main(["simulate", "--config",
                      _write_config(tmp_path, doc)]) == 2
     assert "homogeneous attackers" in capsys.readouterr().err
-    assert not (tmp_path / "simulation.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_bad_workers_creates_no_directory(tmp_path):
@@ -268,15 +268,23 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command, options,
 
 def test_analyze_invalid_sweep_is_config_error(tmp_path, capsys):
     # used to write analysis.json, then exit 3 on a math domain error
+    out_dir = tmp_path / "out"
     doc = _doc("analyze", options={"n_sweep": [1, 0, 4]},
-               out_dir=str(tmp_path))
-    assert cli.main(["analyze", "--config", _write_config(tmp_path, doc)]) == 2
+               out_dir=str(out_dir))
+    config = _write_config(tmp_path, doc)
+    assert cli.main(["analyze", "--config", config]) == 2
     err = capsys.readouterr().err
     assert "n_total=1: n_total must be an integer >= 2" in err
     assert "n_total=0: n_total must be an integer >= 2" in err
     assert "n_total=4" not in err
-    assert not (tmp_path / "analysis.json").exists()
-    assert not (tmp_path / "collision_penalty_window.csv").exists()
+    # used to leave the empty directory behind
+    assert not out_dir.exists()
+    # a directory that was there before is left as it was
+    out_dir.mkdir()
+    (out_dir / "kept.txt").write_text("kept")
+    assert cli.main(["analyze", "--config", config]) == 2
+    assert [p.name for p in out_dir.iterdir()] == ["kept.txt"]
+    assert (out_dir / "kept.txt").read_text() == "kept"
 
 
 def test_internal_failure_exits_3(tmp_path, capsys, monkeypatch):

@@ -1,15 +1,19 @@
 import dataclasses
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from coopsense.direct import direct_threshold_hetero
-from coopsense.fusion import Announcement
-from coopsense.model import HeteroParams, ScenarioParams
+from coopsense.direct import (direct_threshold, direct_threshold_hetero,
+                              direct_threshold_oracle)
+from coopsense.fusion import Announcement, Region, condition_i_bounds
+from coopsense.model import HeteroParams, ScenarioParams, validate
 from coopsense.oneshot import (ActionProfile, SensingState, action_order,
-                               behavior_table, best_response, csv_record,
-                               evaluate_profile, expected_slot_rewards,
+                               attack_scan, behavior_table, best_profiles,
+                               best_response, csv_record, evaluate_profile,
+                               expected_slot_rewards,
                                honest_equivalent_profile, profile_at,
                                reward_tensors, CSV_COLUMNS)
 from coopsense.posterior import (posterior_idle, posterior_idle_hetero,
@@ -241,6 +245,88 @@ def test_best_response_matches_exhaustive_scan():
                 for flag in (False, True):
                     profile, _ = best_response(state, params, flag)
                     assert profile == _exhaustive_best(state, params, flag)
+
+
+@pytest.mark.parametrize("n_honest", range(1, 6))
+@pytest.mark.parametrize("m", range(1, 7))
+def test_action_order_is_the_documented_tie_break(n_honest, m):
+    params = ScenarioParams(n_honest + m, m, 0.5, 0.1, 0.1, 1.0)
+    order = action_order(params)
+    assert order.shape == (n_honest + 1, m + 1, (m + 1) ** 2)
+    profiles = [ActionProfile(b, mt)
+                for b in range(m + 1) for mt in range(m + 1)]
+    for kh in range(n_honest + 1):
+        for ka in range(m + 1):
+            honest = honest_equivalent_profile(SensingState(kh, ka), params)
+            want = sorted(profiles, key=lambda p: (
+                p != honest, abs(p.busy_reports - ka), -p.transmitters,
+                p.busy_reports))
+            assert [profile_at(f, m) for f in order[kh, ka]] == want
+
+
+@st.composite
+def region_ii_scenarios(draw):
+    n = draw(st.integers(2, 9))
+    draft = ScenarioParams(
+        n_total=n,
+        n_attackers=draw(st.integers(1, n - 1)),
+        p_idle=draw(st.floats(0.05, 0.95)),
+        p_false_alarm=draw(st.floats(0.001, 0.3)),
+        p_missed_detection=draw(st.floats(0.001, 0.5)),
+        collision_penalty=1.0,
+        total_rate=draw(st.sampled_from([1.0, 0.37, 2.5])))
+    window = condition_i_bounds(draft)
+    u = draw(st.floats(0.001, 0.999))
+    params = dataclasses.replace(draft, collision_penalty=math.exp(
+        window.log_lower_bound
+        + u * (window.log_upper_bound - window.log_lower_bound)))
+    assume(not validate(params))
+    assume(condition_i_bounds(params).region is Region.II)
+    return params
+
+
+def _tie_charges(params, ulps=4):
+    # the charges at which a state's grab value meets its honest value,
+    # each with a few float neighbours, so that some land on exact ties
+    order = action_order(params)
+    attacker = reward_tensors(params, False).attacker.reshape(order.shape)
+    honest = np.take_along_axis(attacker, order[..., :1], axis=-1)[..., 0]
+    charges = []
+    for kh in range(params.n_honest + 1):
+        for ka in range(params.n_attackers + 1):
+            post = posterior_idle(params.n_total, kh + ka, params)
+            grab = attacker[kh, ka, -1]  # b = M_T = M, a grab in any state
+            root = ((grab - honest[kh, ka])
+                    / (params.n_attackers * post.p_busy_given_reports))
+            if not (math.isfinite(root) and root > 0.0):
+                continue
+            charge = root
+            for _ in range(ulps):
+                charge = math.nextafter(charge, 0.0)
+            for _ in range(2 * ulps + 1):
+                charges.append(charge)
+                charge = math.nextafter(charge, math.inf)
+    return charges
+
+
+def _attacked_by_best_profiles(params, charge):
+    order, best, _ = best_profiles(
+        dataclasses.replace(params, direct_punishment=charge), True)
+    return bool((best != order[..., 0]).any())
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=region_ii_scenarios(),
+       scale=st.floats(0.0, 4.0))
+def test_attack_scan_matches_best_profiles(params, scale):
+    attacked = attack_scan(params)
+    oracle = direct_threshold_oracle(params.n_attackers, params)
+    closed = direct_threshold(params.n_attackers, params).value
+    charges = [0.0, oracle, math.nextafter(oracle, 0.0), closed,
+               scale * closed] + _tie_charges(params)
+    for charge in charges:
+        assert attacked(charge) == _attacked_by_best_profiles(params, charge), \
+            charge
 
 
 def test_hetero_tensor_prices_the_single_attacker():
