@@ -9,7 +9,8 @@ alter these outputs says so and pins new digests.
 
 The direct-threshold oracle and action_order are pinned over every
 attacker count 1..N-1 of region-II scenarios with N from 3 to 20, half
-of them at a non-unit rate.
+of them at a non-unit rate.  The MDP solve is pinned over the
+homogeneous scenarios at their own discount and at 0.99 and 0.999.
 """
 
 import dataclasses
@@ -19,7 +20,10 @@ import numpy as np
 import pytest
 
 from coopsense.direct import direct_threshold_hetero, direct_threshold_oracle
-from coopsense.mdp import build_mdp
+from coopsense.indirect import lr_dishonest
+from coopsense.mdp import (build_mdp, honest_policy, policy_value,
+                           start_value, threshold_policy, value_iteration,
+                           verify_threshold_structure)
 from coopsense.model import HeteroParams
 from coopsense.oneshot import (action_order, behavior_table,
                                expected_slot_rewards)
@@ -102,6 +106,24 @@ def _mdp_arrays():
     return out
 
 
+def _mdp_solves():
+    out = []
+    for p in _homogeneous():
+        for discount in (p.discount, 0.99, 0.999):
+            model = build_mdp(dataclasses.replace(p, discount=discount))
+            values, policy = value_iteration(model, 1e-12)
+            pinned = [honest_policy(model)]
+            z_star = lr_dishonest(model.params).z_star
+            if z_star is not None:
+                pinned.append(threshold_policy(model, z_star))
+            pinned_values = [policy_value(model, pi) for pi in pinned]
+            out.append((values.tolist(), policy, start_value(model, values),
+                        [(v.tolist(), start_value(model, v))
+                         for v in pinned_values],
+                        verify_threshold_structure(model)))
+    return out
+
+
 def _homogeneous_tables():
     return [_tables(SimConfig(params=p, punishment_mode=mode,
                               attacker_policy=policy))
@@ -129,6 +151,8 @@ GOLDEN = {
         "27ecc62a31590943ad3ee8892c11bdf76d40d4151ef8ad47cd01c582ee7302b3"),
     "mdp_arrays": (_mdp_arrays,
         "9bc9e360eefd6e91f77036d1d40c736753e8a04c34a0a30219d34457a6dc033b"),
+    "mdp_solves": (_mdp_solves,
+        "b6be11edda63c811e3ca4af5b5b491de06a5d6d2bbdad2239b57a9afa2080d3b"),
     "homogeneous_policy_tables": (_homogeneous_tables,
         "82fc6263c1e9578877a9c572229a428f2f2bdbece625990102056cddc2d9382d"),
     "hetero_policy_tables": (_hetero_tables,
