@@ -195,6 +195,16 @@ def profile_at(flat: int, m: int) -> ActionProfile:
     return ActionProfile(*divmod(int(flat), m + 1))
 
 
+def honest_flat(params: ScenarioParams) -> np.ndarray:
+    """Flat index b*(M+1) + M_T of every state's honest-equivalent
+    profile, indexed [honest_busy, attacker_busy]: ka*(M+1), plus M
+    transmitters in the unanimous-idle state."""
+    m = params.n_attackers
+    kh = np.arange(params.n_honest + 1)[:, None]
+    ka = np.arange(m + 1)
+    return ka * (m + 1) + np.where(kh + ka == 0, m, 0)
+
+
 def action_order(params: ScenarioParams) -> np.ndarray:
     """Every state's profiles in tie-break order, as flat indices
     b*(M+1) + M_T, indexed [honest_busy, attacker_busy, rank].
@@ -204,9 +214,8 @@ def action_order(params: ScenarioParams) -> np.ndarray:
     deterred.  The others follow by least report distortion
     |b - attacker_busy|, then most transmitters, then fewest busy reports.
 
-    One array expression of (n_honest, M): the honest-equivalent profile
-    of state (kh, ka) is flat index ka*(M+1), plus M transmitters in the
-    unanimous-idle state, so no per-state profile is built.  The result,
+    One array expression of (n_honest, M) with the honest profile from
+    honest_flat, so no per-state profile is built.  The result,
     (n_honest+1)(M+1)^3 int64, is rebuilt on every call, not cached.
     """
     m = params.n_attackers
@@ -214,8 +223,7 @@ def action_order(params: ScenarioParams) -> np.ndarray:
     b, mt = np.divmod(flat, m + 1)
     ka = np.arange(m + 1)[:, None]
     key = (np.abs(b - ka) * (m + 1) + m - mt) * (m + 1) + b
-    kh = np.arange(params.n_honest + 1)[:, None, None]
-    honest = ka * (m + 1) + np.where(kh + ka == 0, m, 0)
+    honest = honest_flat(params)[..., None]
     return np.argsort(np.where(flat == honest, -1, key), axis=-1)
 
 

@@ -186,13 +186,11 @@ def _post_transmit_table(params: ScenarioParams) -> np.ndarray:
 def _mdp_tables(params: ScenarioParams) -> PolicyTables:
     # long-run optimum: greedy policy of the termination-game MDP
     model = mdp_mod.build_mdp(params)
-    _, policy = mdp_mod.value_iteration(model, 1e-10)
-    acts = [policy[s] for s in model.states]
-    pre, shape = acts[:model.n_pre], (params.n_honest + 1, params.n_attackers + 1)
-    return PolicyTables(
-        np.reshape([a.busy_reports for a in pre], shape).astype(np.int64),
-        np.reshape([a.transmitters for a in pre], shape).astype(np.int64),
-        np.array(acts[model.n_pre:], dtype=np.int64))
+    _, ranks = mdp_mod.optimal_ranks(model, 1e-10)
+    flat, post = model.actions_at(ranks)
+    m = params.n_attackers
+    b, mt = np.divmod(flat.reshape(params.n_honest + 1, m + 1), m + 1)
+    return PolicyTables(b, mt, post)
 
 
 def build_policy_tables(config: SimConfig) -> PolicyTables:
@@ -208,7 +206,7 @@ def build_policy_tables(config: SimConfig) -> PolicyTables:
         return _mdp_tables(params)
     group = params.base
     if policy == "honest":
-        flat = oneshot.action_order(group)[..., 0]
+        flat = oneshot.honest_flat(group)
     else:
         _, flat, _ = oneshot.best_profiles(params, mode == "direct")
     b, mt = np.divmod(flat, group.n_attackers + 1)

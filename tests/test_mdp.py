@@ -1,14 +1,15 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from coopsense.indirect import lr_dishonest, lr_honest
-from coopsense.mdp import (build_mdp, bellman_backup, honest_policy,
-                           policy_value, start_distribution, start_value,
-                           threshold_policy, value_iteration,
+from coopsense.mdp import (_solve, build_mdp, bellman_backup, honest_policy,
+                           optimal_ranks, policy_value, start_distribution,
+                           start_value, threshold_policy, value_iteration,
                            verify_threshold_structure)
 from coopsense.model import ScenarioParams, validate
 from coopsense.oneshot import ActionProfile
@@ -105,8 +106,8 @@ def test_bellman_backup_fixed_point():
     assert float(np.max(np.abs(backed - values))) / scale < 1e-11
 
 
-@settings(max_examples=100, deadline=None)
-@given(params=st.builds(
+# small scenarios across the validated space, discounts up to 1 - 1e-9
+VALIDATED_SPACE = st.builds(
     ScenarioParams,
     n_total=st.integers(2, 8),
     n_attackers=st.integers(1, 4),
@@ -114,7 +115,11 @@ def test_bellman_backup_fixed_point():
     p_false_alarm=st.floats(0.001, 0.999),
     p_missed_detection=st.floats(0.001, 0.999),
     collision_penalty=st.sampled_from([0.0, math.ulp(0.0), 1e300]),
-    discount=st.floats(1e-9, 1.0 - 1e-9)))
+    discount=st.floats(1e-9, 1.0 - 1e-9))
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=VALIDATED_SPACE)
 # the honest start policy's value overflows here; the optimum is finite
 @example(params=ScenarioParams(2, 1, 0.05, 0.01, 0.9, 1e300,
                                discount=1.0 - 1e-9))
@@ -128,6 +133,71 @@ def test_policy_iteration_is_exact_everywhere(params):
             <= 1e-12 * np.max(np.abs(values)))
     assert rel_err(start_value(model, policy_value(model, policy)),
                    start_value(model, values)) <= 1e-12
+
+
+def _reference_policy_value(model, policy):
+    # each state's action looked up in its actions_per_state tuple
+    scaled, scale = _solve(model, [acts.index(policy[s]) for s, acts
+                                   in zip(model.states, model.actions_per_state)])
+    return scaled * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=VALIDATED_SPACE, data=st.data())
+def test_rank_native_policies_match_action_lists(params, data):
+    assume(not validate(params))
+    model = build_mdp(params)
+    acts = model.actions_per_state
+    assert repr(honest_policy(model)) == repr(
+        {s: a[0] for s, a in zip(model.states, acts)})
+    _, ranks = optimal_ranks(model, 1e-12)
+    _, policy = value_iteration(model, 1e-12)
+    assert repr(policy) == repr(
+        {s: a[r] for s, a, r in zip(model.states, acts, ranks.tolist())})
+    drawn = {s: data.draw(st.sampled_from(a)) for s, a in zip(model.states, acts)}
+    z = data.draw(st.integers(-1, params.n_total))
+    for pi in (honest_policy(model), policy, threshold_policy(model, z), drawn):
+        np.testing.assert_array_equal(policy_value(model, pi),
+                                      _reference_policy_value(model, pi))
+
+
+def _bad_policies():
+    model = build_mdp(AT_WC)
+    good = honest_policy(model)
+    pre, post = ("pre", 1, 1), ("post", 2)
+    m = AT_WC.n_attackers
+    missing = {s: a for s, a in good.items() if s != pre}
+    yield "missing", missing, "policy has no action for state ('pre', 1, 1)"
+    for name, state, action in (
+            ("reports_high", pre, ActionProfile(m + 1, 0)),
+            ("transmitters_negative", pre, ActionProfile(1, -1)),
+            ("bool_profile", pre, ActionProfile(True, 0)),
+            ("tuple", pre, (1, 0)),
+            ("count_at_pre", pre, 1),
+            ("count_high", post, m + 1),
+            ("count_negative", post, -1),
+            ("bool_count", post, True),
+            ("float_count", post, 1.0),
+            ("profile_at_post", post, ActionProfile(0, 0))):
+        yield name, {**good, state: action}, f"{action!r} in state {state}"
+
+
+@pytest.mark.parametrize("policy, message",
+                         [case[1:] for case in _bad_policies()],
+                         ids=[case[0] for case in _bad_policies()])
+def test_policy_value_rejects_bad_policies(policy, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        policy_value(build_mdp(AT_WC), policy)
+
+
+def test_policy_value_takes_numpy_counts():
+    model = build_mdp(AT_WC)
+    policy = threshold_policy(model, 3)
+    as_numpy = {s: np.int64(a) if s[0] == "post" else ActionProfile(
+        np.int64(a.busy_reports), np.int64(a.transmitters))
+        for s, a in policy.items()}
+    np.testing.assert_array_equal(policy_value(model, as_numpy),
+                                  policy_value(model, policy))
 
 
 def test_threshold_scan_peaks_at_reported_cutoff():
@@ -151,8 +221,9 @@ def test_threshold_structure_holds_in_window():
 
 def test_value_iteration_rejects_bad_tolerance():
     model = build_mdp(AT_WC)
-    with pytest.raises(ValueError):
-        value_iteration(model, 0.0)
+    for tolerance in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tolerance must be positive"):
+            value_iteration(model, tolerance)
 
 
 def test_values_scale_with_rate():
