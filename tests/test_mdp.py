@@ -143,20 +143,30 @@ def _reference_policy_value(model, policy):
 
 
 @settings(max_examples=60, deadline=None)
-@given(params=VALIDATED_SPACE, data=st.data())
-def test_rank_native_policies_match_action_lists(params, data):
+@given(params=VALIDATED_SPACE, z=st.integers(-1, 9), seed=st.integers(0, 2**32))
+# policy iteration cycles here; both paths must raise
+@example(params=ScenarioParams(5, 3, 0.5, 0.0078125, 0.25, 0.0,
+                               discount=0.9999999989999999), z=2, seed=0)
+def test_rank_native_policies_match_action_lists(params, z, seed):
     assume(not validate(params))
     model = build_mdp(params)
     acts = model.actions_per_state
     assert repr(honest_policy(model)) == repr(
         {s: a[0] for s, a in zip(model.states, acts)})
-    _, ranks = optimal_ranks(model, 1e-12)
-    _, policy = value_iteration(model, 1e-12)
-    assert repr(policy) == repr(
-        {s: a[r] for s, a, r in zip(model.states, acts, ranks.tolist())})
-    drawn = {s: data.draw(st.sampled_from(a)) for s, a in zip(model.states, acts)}
-    z = data.draw(st.integers(-1, params.n_total))
-    for pi in (honest_policy(model), policy, threshold_policy(model, z), drawn):
+    rng = np.random.default_rng(seed)
+    drawn = {s: a[rng.integers(len(a))] for s, a in zip(model.states, acts)}
+    pinned = [honest_policy(model), threshold_policy(model, z), drawn]
+    try:
+        _, ranks = optimal_ranks(model, 1e-12)
+    except ValueError:
+        with pytest.raises(ValueError, match="did not converge"):
+            value_iteration(model, 1e-12)
+    else:
+        _, policy = value_iteration(model, 1e-12)
+        assert repr(policy) == repr(
+            {s: a[r] for s, a, r in zip(model.states, acts, ranks.tolist())})
+        pinned.append(policy)
+    for pi in pinned:
         np.testing.assert_array_equal(policy_value(model, pi),
                                       _reference_policy_value(model, pi))
 
@@ -167,7 +177,8 @@ def _bad_policies():
     pre, post = ("pre", 1, 1), ("post", 2)
     m = AT_WC.n_attackers
     missing = {s: a for s, a in good.items() if s != pre}
-    yield "missing", missing, "policy has no action for state ('pre', 1, 1)"
+    yield pytest.param(missing, "policy has no action for state ('pre', 1, 1)",
+                       id="missing")
     for name, state, action in (
             ("reports_high", pre, ActionProfile(m + 1, 0)),
             ("transmitters_negative", pre, ActionProfile(1, -1)),
@@ -179,12 +190,11 @@ def _bad_policies():
             ("bool_count", post, True),
             ("float_count", post, 1.0),
             ("profile_at_post", post, ActionProfile(0, 0))):
-        yield name, {**good, state: action}, f"{action!r} in state {state}"
+        yield pytest.param({**good, state: action},
+                           f"{action!r} in state {state}", id=name)
 
 
-@pytest.mark.parametrize("policy, message",
-                         [case[1:] for case in _bad_policies()],
-                         ids=[case[0] for case in _bad_policies()])
+@pytest.mark.parametrize("policy, message", _bad_policies())
 def test_policy_value_rejects_bad_policies(policy, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         policy_value(build_mdp(AT_WC), policy)
