@@ -216,8 +216,6 @@ def build_policy_tables(config: SimConfig) -> PolicyTables:
             group, p_false_alarm=params.p_false_alarm_attacker,
             p_missed_detection=params.p_missed_detection_attacker,
             total_rate=params.rate_attacker))
-    elif policy == "honest":
-        post = np.zeros(group.n_attackers + 1, dtype=np.int64)
     else:
         post = _post_transmit_table(params)
     return PolicyTables(b, mt, post)

@@ -154,7 +154,7 @@ GOLDEN = {
     "mdp_solves": (_mdp_solves,
         "b6be11edda63c811e3ca4af5b5b491de06a5d6d2bbdad2239b57a9afa2080d3b"),
     "homogeneous_policy_tables": (_homogeneous_tables,
-        "82fc6263c1e9578877a9c572229a428f2f2bdbece625990102056cddc2d9382d"),
+        "c74529744b829f1c547967cb6e36cf05bb1299be3dd1ba27a5219038e875f69b"),
     "hetero_policy_tables": (_hetero_tables,
         "c043acb80db1adde42da91fe19f0cbd9a2d3b2b448040f95114f1fb0260d74da"),
 }

@@ -16,7 +16,7 @@ from coopsense.sim import (PolicyTables, SimConfig, SlotRuntime,
                            run_experiment, run_slot, run_trace,
                            validate_config)
 
-from conftest import observable_scenario, rel_err
+from conftest import observable_scenario, region_ii_scenario, rel_err
 
 AT_WC = ScenarioParams(6, 2, 0.6, 0.08, 0.08, 100.0, discount=0.9)
 
@@ -302,6 +302,25 @@ def test_custom_tables_respected():
                        base_seed=1)
     stats = run_experiment(config)
     assert stats.per_slot_attacker.mean <= 0.0
+
+
+def test_honest_tables_never_hit_exclusively():
+    # an honest attacker transmits only into a unanimous idle announcement,
+    # so it never ends collaboration and its post_transmit table is unseen
+    rng = np.random.default_rng(8)
+    scenarios = []
+    for _ in range(6):
+        scenarios.append(region_ii_scenario(rng))
+        scenarios.append(HeteroParams(
+            base=region_ii_scenario(rng, max_attackers=1),
+            p_false_alarm_attacker=float(rng.uniform(0.01, 0.1)),
+            p_missed_detection_attacker=float(rng.uniform(0.1, 0.45))))
+    for params in scenarios:
+        config = SimConfig(params=params, punishment_mode="indirect",
+                           attacker_policy="honest")
+        tables = build_policy_tables(config)
+        *_, exclusive_hit = _outcome_grid(config, tables)
+        assert not exclusive_hit.any(), params
 
 
 def test_validate_config_collects_problems():
