@@ -31,7 +31,7 @@ from .model import (HeteroParams, ScenarioParams, check_a4,
                     classify_cooperation_case, classify_transmission_case,
                     validate, validate_hetero)
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 WORKERS_ENV_VAR = "COOPSENSE_WORKERS"
 
 _SCENARIO_KEYS = {
@@ -395,6 +395,9 @@ def cmd_simulate(run: RunConfig, args: argparse.Namespace) -> int:
         base_seed=args.seed,
     )
     problems = sim.validate_config(config)
+    trace_slots = run.options.get("trace_slots")
+    if trace_slots is not None:
+        problems += sim.validate_trace(config, trace_slots)
     if problems:
         print("invalid simulation options:\n  " + "\n  ".join(problems),
               file=sys.stderr)
@@ -416,7 +419,6 @@ def cmd_simulate(run: RunConfig, args: argparse.Namespace) -> int:
     }
     if "json" in run.formats:
         _write_json(run.out_dir / "simulation.json", payload)
-    trace_slots = run.options.get("trace_slots")
     if trace_slots is not None and "csv" in run.formats:
         traces = sim.run_trace(config, trace_slots)
         rows = [(i, t.channel_busy, t.honest_busy, t.attacker_busy,

@@ -2,10 +2,13 @@
 
 run_experiment cuts the replications into contiguous blocks of about
 BLOCK_SLOTS slots and runs the outcome kernel once per (rows x horizon)
-block; run_slot is the scalar reference for traces and tests.  The block
-kernel evaluates the outcome rules once on the small grid of (idle,
-honest busy count, attacker busy count) cells and gathers each slot's
-rewards from it; a test pins it to the scalar path on shared draws.
+block.  The kernel evaluates the slot rules (_slot_rules) once on the
+small grid of (idle, honest busy count, attacker busy count) cells and
+gathers each slot's rewards from it, then applies the indirect
+punishment from each row's first exclusive hit on.  run_trace lists
+replication 0's slots from the same draws, grid and kernel, so a trace
+is an episode that the estimate averages.  The tests hold a scalar
+reference of the slot rules and pin the kernel and the trace to it.
 
 Determinism contract: replication r draws from
 PCG64(SeedSequence(base_seed, spawn_key=(r,))), the block size depends on
@@ -31,7 +34,7 @@ import functools
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -105,15 +108,6 @@ class SimStats:
     pu_utility: float
     punishment_trigger_slots: dict[int, int]
     punishment_never_count: int
-
-
-@dataclass
-class SlotRuntime:
-    """Mutable per-episode state threaded through run_slot."""
-
-    config: SimConfig
-    tables: PolicyTables
-    punishment_on: bool = False
 
 
 @dataclass(frozen=True)
@@ -239,10 +233,12 @@ def _reward_constants(config: SimConfig) -> tuple[float, float, float, float, in
 
 def _slot_rules(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
                 config: SimConfig, tables: PolicyTables
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+                ) -> tuple[np.ndarray, ...]:
     """Elementwise outcome of slots before any punishment: realized
-    rewards (attacker aggregate, honest per-SU), collision flags and the
-    exclusive hits (a collision after a busy announcement)."""
+    rewards (attacker aggregate, honest per-SU), collision flags, the
+    exclusive hits (a collision after a busy announcement), then the
+    busy announcements, transmitter counts and per-SU penalties that
+    only traces read."""
     r_att, r_hon, cp, cb, m, n_h = _reward_constants(config)
     busy = ~idle
     b = tables.b[kh, ka]
@@ -254,25 +250,36 @@ def _slot_rules(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
 
     att = np.zeros(idle.shape)
     hon = np.zeros(idle.shape)
+    penalty = np.zeros(idle.shape)
     shared = idle & h0
     att[shared] = r_att * mt[shared] / t_total[shared]
     hon[shared] = r_hon / t_total[shared]
     att[idle & announced & (mt >= 1)] = r_att
     att[busy & h0] = -m * cp
     hon[busy & h0] = -cp
+    penalty[busy & h0] = cp
     exclusive_hit = busy & announced & (mt >= 1)
     att[exclusive_hit] = -m * (cp + cb)
     hon[exclusive_hit] = -(cp + cb)
-    return att, hon, collision, exclusive_hit
+    penalty[exclusive_hit] = cp + cb
+    return att, hon, collision, exclusive_hit, announced, t_total, penalty
 
 
 def _outcome_grid(config: SimConfig, tables: PolicyTables
                   ) -> tuple[np.ndarray, ...]:
-    """_slot_rules on every (idle, honest_busy, attacker_busy) cell,
-    flattened as (idle * (n_h + 1) + honest_busy) * (M + 1) + attacker_busy."""
+    """_slot_rules on every (idle, honest_busy, attacker_busy) cell, in
+    the order of _cells."""
     *_, m, n_h = _reward_constants(config)
     idle, kh, ka = np.indices((2, n_h + 1, m + 1)).reshape(3, -1)
     return _slot_rules(idle.astype(bool), kh, ka, config, tables)
+
+
+def _cells(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
+           config: SimConfig) -> np.ndarray:
+    """Each slot's _outcome_grid cell,
+    (idle * (n_h + 1) + honest_busy) * (M + 1) + attacker_busy."""
+    *_, m, n_h = _reward_constants(config)
+    return (idle * (n_h + 1) + kh) * (m + 1) + ka
 
 
 def _block_outcomes(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
@@ -282,9 +289,9 @@ def _block_outcomes(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
     """Per-slot realized rewards (attacker aggregate, honest per-SU) and
     collision flags of a (rows x horizon) block, and each row's punishment
     trigger slot (-1 when none).  grid is _outcome_grid(config, tables)."""
-    r_att, _, cp, _, m, n_h = _reward_constants(config)
-    cell = (idle * (n_h + 1) + kh) * (m + 1) + ka
-    att, hon, collision, exclusive_hit = (column[cell] for column in grid)
+    r_att, _, cp, _, m, _ = _reward_constants(config)
+    cell = _cells(idle, kh, ka, config)
+    att, hon, collision, exclusive_hit = (column[cell] for column in grid[:4])
 
     triggered = exclusive_hit.any(axis=1)
     if config.punishment_mode != "indirect" or not triggered.any():
@@ -297,54 +304,6 @@ def _block_outcomes(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
     hon[after] = 0.0
     collision = np.where(after, ~idle & transmit, collision)
     return att, hon, collision, np.where(triggered, first, -1)
-
-
-def run_slot(rng: np.random.Generator, runtime: SlotRuntime) -> SlotTrace:
-    """One slot, scalar path: sense, report, fuse, transmit, settle.
-
-    Draws channel, honest count and attacker count in turn each slot; the
-    block kernel draws each over the whole horizon instead, so a trace
-    follows the estimator's rules but not its episodes.
-    """
-    config = runtime.config
-    r_att, r_hon, cp, cb, m, n_h = _reward_constants(config)
-    idle = rng.random() < config.params.base.p_idle
-    honest, attacker = _busy_probabilities(config)
-    kh = int(rng.binomial(n_h, honest[0] if idle else honest[1]))
-    ka = int(rng.binomial(m, attacker[0] if idle else attacker[1]))
-
-    if runtime.punishment_on:
-        pmt = int(runtime.tables.post_transmit[ka])
-        collision = (not idle) and pmt >= 1
-        att = (r_att if idle else -m * cp) if pmt >= 1 else 0.0
-        return SlotTrace(not idle, kh, ka, None, pmt, collision, att,
-                         0.0, 0.0, True)
-
-    b = int(runtime.tables.b[kh, ka])
-    mt = int(runtime.tables.transmit[kh, ka])
-    announced = kh >= 1 or b >= 1
-    t_total = mt if announced else n_h + mt
-    collision = (not idle) and t_total >= 1
-    penalty = 0.0
-    if announced and mt >= 1:
-        att = r_att if idle else -m * (cp + cb)
-        hon = 0.0 if idle else -(cp + cb)
-        penalty = 0.0 if idle else cp + cb
-        if config.punishment_mode == "indirect" and not idle:
-            runtime.punishment_on = True
-    elif announced:
-        att = hon = 0.0
-    elif idle:
-        att = r_att * mt / t_total
-        hon = r_hon / t_total
-    else:
-        att = -m * cp
-        hon = -cp
-        penalty = cp
-    return SlotTrace(not idle, kh, ka,
-                     Announcement.H1 if announced else Announcement.H0,
-                     t_total, collision, att, hon, penalty,
-                     runtime.punishment_on)
 
 
 def _stream_words(base_seed: int, reps: range) -> np.ndarray:
@@ -637,13 +596,48 @@ def run_experiment(config: SimConfig, workers: int = 1) -> SimStats:
                     trigger_hist, never)
 
 
-def run_trace(config: SimConfig, slots: int, replication: int = 0) -> list[SlotTrace]:
-    """Scalar-path trace of one episode prefix (its own stream; traces are
-    diagnostics, not the estimator)."""
-    problems = validate_config(config)
+def validate_trace(config: SimConfig, slots: int) -> list[str]:
+    """The bound on a trace's length: a trace lists slots of one episode
+    of config.horizon slots."""
+    if 0 <= slots <= config.horizon:
+        return []
+    return [f"trace_slots must lie in [0, horizon] = [0, {config.horizon}], "
+            f"not {slots}"]
+
+
+def run_trace(config: SimConfig, slots: int) -> list[SlotTrace]:
+    """The first slots slots of replication 0, as run_experiment draws
+    and settles them: the same _block_draws, outcome grid and
+    _block_outcomes, so the trace is an episode that the estimate
+    averages.  From the slot after the trigger on, reporting has stopped:
+    the announcement is None and the attackers' post_transmit count
+    transmits."""
+    problems = validate_config(config) + validate_trace(config, slots)
     if problems:
         raise ValueError("; ".join(problems))
-    runtime = SlotRuntime(config, build_policy_tables(config))
-    rng = _stream(_stream_words(config.base_seed,
-                                range(replication, replication + 1))[0])
-    return [run_slot(rng, runtime) for _ in range(slots)]
+    tables = build_policy_tables(config)
+    grid = _outcome_grid(config, tables)
+    idle, kh, ka = _block_draws(config, _stream_words(config.base_seed,
+                                                      range(1)))
+    att, hon, collision, triggers = _block_outcomes(idle, kh, ka, config,
+                                                    tables, grid)
+    cell = _cells(idle, kh, ka, config)
+    announced, transmitters, penalty = (column[cell] for column in grid[4:])
+    first = int(triggers[0]) if triggers[0] >= 0 else config.horizon
+    post = tables.post_transmit.tolist()
+    rows = zip(*(column[0, :slots].tolist()
+                 for column in (idle, kh, ka, att, hon, collision, announced,
+                                transmitters, penalty)))
+    traces = []
+    for t, (idle_t, kh_t, ka_t, att_t, hon_t, collision_t, announced_t,
+            transmitters_t, penalty_t) in enumerate(rows):
+        if t > first:
+            traces.append(SlotTrace(not idle_t, kh_t, ka_t, None, post[ka_t],
+                                    collision_t, att_t, hon_t, 0.0, True))
+        else:
+            traces.append(SlotTrace(
+                not idle_t, kh_t, ka_t,
+                Announcement.H1 if announced_t else Announcement.H0,
+                transmitters_t, collision_t, att_t, hon_t, penalty_t,
+                t == first))
+    return traces

@@ -71,7 +71,7 @@ def test_analyze_outputs(tmp_path):
     code = cli.main(["analyze", "--config", _write_config(tmp_path, doc)])
     assert code == 0
     report = json.loads((tmp_path / "analysis.json").read_text())
-    assert report["schema_version"] == 2
+    assert report["schema_version"] == 3
     assert report["collision_penalty_window"]["region"] == "II"
     assert report["transmission_case"] == "AT"
     assert len(report["posterior_table"]) == 7
@@ -129,6 +129,20 @@ def test_simulate_outputs_and_reference(tmp_path):
     assert "mean" in payload["stats"]["per_slot_attacker"]
     trace = list(csv.DictReader(open(tmp_path / "trace.csv")))
     assert len(trace) == 4
+
+
+@pytest.mark.parametrize("slots", [-1, 501], ids=["negative", "past_horizon"])
+def test_simulate_trace_slots_out_of_bounds(tmp_path, capsys, slots):
+    # a negative length used to write a trace.csv of its header alone
+    doc = _doc("simulate",
+               options={"horizon": 500, "replications": 3,
+                        "trace_slots": slots},
+               out_dir=str(tmp_path / "out"))
+    assert cli.main(["simulate", "--config",
+                     _write_config(tmp_path, doc)]) == 2
+    assert "trace_slots must lie in [0, horizon] = [0, 500]" \
+        in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_hetero_reports_attacker_reference(tmp_path):

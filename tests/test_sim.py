@@ -9,14 +9,14 @@ from coopsense import sim
 from coopsense.model import (HeteroParams, ScenarioParams, validate,
                              validate_hetero)
 from coopsense.oneshot import expected_slot_rewards
-from coopsense.sim import (PolicyTables, SimConfig, SlotRuntime,
-                           _block_draws, _block_outcomes, _cut_index,
-                           _inversion_count, _inversion_table, _outcome_grid,
-                           _stream, _stream_words, build_policy_tables,
-                           run_experiment, run_slot, run_trace,
-                           validate_config)
+from coopsense.sim import (PolicyTables, SimConfig, _block_draws,
+                           _block_outcomes, _cut_index, _inversion_count,
+                           _inversion_table, _outcome_grid, _stream,
+                           _stream_words, build_policy_tables,
+                           run_experiment, run_trace, validate_config)
 
 from conftest import observable_scenario, region_ii_scenario, rel_err
+from oracles import SlotRuntime, run_slot
 
 AT_WC = ScenarioParams(6, 2, 0.6, 0.08, 0.08, 100.0, discount=0.9)
 
@@ -54,6 +54,17 @@ def test_scalar_and_vector_paths_agree(mode, cb):
     tables = build_policy_tables(config)
     idle, kh, ka = _block_draws(
         config, _stream_words(config.base_seed, range(config.replications)))
+    # every field of run_trace, by repr so that -0.0 differs from 0.0; at
+    # seed 19 the indirect punishment starts in slot 121 and a later slot
+    # is an exclusive hit by the slot rules, at seed 9 it never starts
+    for seed in (19, 9):
+        trace_config = dataclasses.replace(config, base_seed=seed)
+        row = _block_draws(trace_config, _stream_words(seed, range(1)))
+        replay = _Replay(*(column[0] for column in row), params.p_idle)
+        runtime = SlotRuntime(config, tables)
+        for t, trace in enumerate(run_trace(trace_config, config.horizon)):
+            assert repr(trace) == repr(run_slot(replay, runtime)), (seed, t)
+        assert runtime.punishment_on == (mode == "indirect" and seed == 19)
     # the last row never sees a busy slot, so it never triggers
     idle[-1] = True
     att, hon, collision, triggers = _block_outcomes(
@@ -290,6 +301,47 @@ def test_trace_fields():
             assert t.honest_reward_per_su == 0.0
 
 
+@pytest.mark.parametrize("mode,cb,hetero", [
+    ("none", 0.0, False), ("direct", 40.0, False), ("indirect", 0.0, False),
+    ("direct", 40.0, True)])
+def test_trace_is_the_estimators_episode(mode, cb, hetero):
+    params = dataclasses.replace(
+        observable_scenario(np.random.default_rng(0)), discount=0.8,
+        direct_punishment=cb)
+    if hetero:
+        params = HeteroParams(
+            base=dataclasses.replace(params, n_attackers=1),
+            p_false_alarm_attacker=0.05, p_missed_detection_attacker=0.3)
+    # at seed 7 replication 0's indirect punishment starts in slot 4
+    config = SimConfig(params=params, punishment_mode=mode, horizon=400,
+                       replications=1, base_seed=7)
+    stats = run_experiment(config)
+    traces = run_trace(config, config.horizon)
+    weights = params.base.discount ** np.arange(config.horizon)
+    for block, discounted, rewards in (
+            (stats.per_slot_attacker, stats.discounted_attacker,
+             np.array([t.attacker_reward for t in traces])),
+            (stats.per_slot_honest, stats.discounted_honest,
+             np.array([t.honest_reward_per_su for t in traces]))):
+        assert block.mean == rewards.mean()
+        assert discounted.mean == (rewards * weights).sum()
+    assert stats.collision_count == sum(t.collision for t in traces)
+    assert stats.busy_slot_count == sum(t.channel_busy for t in traces)
+    on = [t for t, trace in enumerate(traces) if trace.punishment_on]
+    assert stats.punishment_trigger_slots == ({on[0]: 1} if on else {})
+    assert on == ([] if mode != "indirect" else list(range(4, 400)))
+
+
+@pytest.mark.parametrize("slots", [-1, 51])
+def test_trace_length_is_bounded_by_the_horizon(slots):
+    # a negative length used to give an empty trace
+    config = SimConfig(params=AT_WC, horizon=50, replications=1)
+    with pytest.raises(ValueError, match=r"\[0, horizon\] = \[0, 50\]"):
+        run_trace(config, slots)
+    assert len(run_trace(config, 50)) == 50
+    assert run_trace(config, 0) == []
+
+
 def test_custom_tables_respected():
     # silent attackers: report truthfully, never transmit
     m, n_h = AT_WC.n_attackers, AT_WC.n_honest
@@ -319,7 +371,7 @@ def test_honest_tables_never_hit_exclusively():
         config = SimConfig(params=params, punishment_mode="indirect",
                            attacker_policy="honest")
         tables = build_policy_tables(config)
-        *_, exclusive_hit = _outcome_grid(config, tables)
+        _, _, _, exclusive_hit, *_ = _outcome_grid(config, tables)
         assert not exclusive_hit.any(), params
 
 
