@@ -45,10 +45,6 @@ class RewardBreakdown:
     is_attack: bool
 
 
-CSV_COLUMNS = ("honest_busy", "attacker_busy", "b", "M_T", "announcement",
-               "attacker_reward", "honest_reward", "is_attack")
-
-
 def _check_state(state: SensingState, params: ScenarioParams) -> None:
     if not 0 <= state.honest_busy <= params.n_honest:
         raise ValueError(f"honest_busy {state.honest_busy} outside [0, {params.n_honest}]")
@@ -341,12 +337,3 @@ def lone_sensing_pays(attacker_busy: int, params: ScenarioParams) -> bool:
     """Whether the attackers transmit on their own sensing; the boundary
     does not pay."""
     return lone_sensing_value(attacker_busy, params) > 0.0
-
-
-def csv_record(state: SensingState, profile: ActionProfile,
-               breakdown: RewardBreakdown) -> tuple:
-    return (state.honest_busy, state.attacker_busy,
-            profile.busy_reports, profile.transmitters,
-            breakdown.announcement.value,
-            breakdown.attacker_aggregate, breakdown.honest_per_su,
-            breakdown.is_attack)

@@ -12,10 +12,10 @@ from coopsense.fusion import Announcement, Region, condition_i_bounds
 from coopsense.model import HeteroParams, ScenarioParams, validate
 from coopsense.oneshot import (ActionProfile, SensingState, action_order,
                                attack_scan, behavior_table, best_profiles,
-                               best_response, csv_record, evaluate_profile,
+                               best_response, evaluate_profile,
                                expected_slot_rewards,
                                honest_equivalent_profile, profile_at,
-                               reward_tensors, CSV_COLUMNS)
+                               reward_tensors)
 from coopsense.posterior import (posterior_idle, posterior_idle_hetero,
                                  report_split_pmf)
 
@@ -164,8 +164,6 @@ def test_behavior_table_shape_and_columns(fig_params):
     states = [r[0] for r in rows]
     assert states == sorted(states,
                             key=lambda s: (s.honest_busy, s.attacker_busy))
-    record = csv_record(*rows[0])
-    assert len(record) == len(CSV_COLUMNS)
 
 
 def test_expected_rewards_weighting(fig_params):
