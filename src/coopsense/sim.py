@@ -621,23 +621,16 @@ def run_trace(config: SimConfig, slots: int) -> list[SlotTrace]:
                                                       range(1)))
     att, hon, collision, triggers = _block_outcomes(idle, kh, ka, config,
                                                     tables, grid)
-    cell = _cells(idle, kh, ka, config)
-    announced, transmitters, penalty = (column[cell] for column in grid[4:])
-    first = int(triggers[0]) if triggers[0] >= 0 else config.horizon
-    post = tables.post_transmit.tolist()
-    rows = zip(*(column[0, :slots].tolist()
-                 for column in (idle, kh, ka, att, hon, collision, announced,
-                                transmitters, penalty)))
-    traces = []
-    for t, (idle_t, kh_t, ka_t, att_t, hon_t, collision_t, announced_t,
-            transmitters_t, penalty_t) in enumerate(rows):
-        if t > first:
-            traces.append(SlotTrace(not idle_t, kh_t, ka_t, None, post[ka_t],
-                                    collision_t, att_t, hon_t, 0.0, True))
-        else:
-            traces.append(SlotTrace(
-                not idle_t, kh_t, ka_t,
-                Announcement.H1 if announced_t else Announcement.H0,
-                transmitters_t, collision_t, att_t, hon_t, penalty_t,
-                t == first))
-    return traces
+    announced, transmitters, penalty = (
+        column[_cells(idle, kh, ka, config)] for column in grid[4:])
+    slot = np.arange(config.horizon)
+    first = triggers[0] if triggers[0] >= 0 else config.horizon
+    stopped = slot > first
+    columns = (~idle, kh, ka,
+               np.where(stopped, None, np.where(announced, Announcement.H1,
+                                                Announcement.H0)),
+               np.where(stopped, tables.post_transmit[ka], transmitters),
+               collision, att, hon, np.where(stopped, 0.0, penalty),
+               slot >= first)
+    return [SlotTrace(*fields) for fields in zip(
+        *(np.reshape(column, -1)[:slots].tolist() for column in columns))]
