@@ -19,8 +19,7 @@ from .oneshot import (ActionProfile, RewardBreakdown, SensingState,
                       behavior_table, best_response, evaluate_profile,
                       expected_slot_rewards, honest_equivalent_profile)
 from .direct import (DirectThreshold, direct_threshold,
-                     direct_threshold_hetero, direct_threshold_oracle,
-                     threshold_sweep, worst_case_threshold)
+                     direct_threshold_hetero, direct_threshold_oracle)
 from .indirect import (DeltaThreshold, LongTermRewards, delta_threshold,
                        delta_threshold_oracle, delta_threshold_sc,
                        delta_threshold_wc, delta_threshold_worst_case,
@@ -51,6 +50,6 @@ __all__ = [
     "policy_value", "posterior_idle", "posterior_idle_hetero",
     "report_count_pmf", "report_split_pmf", "require_valid",
     "run_experiment", "run_trace", "start_value", "threshold_policy",
-    "threshold_sweep", "validate", "validate_hetero", "value_iteration",
-    "verify_threshold_structure", "worst_case_threshold",
+    "validate", "validate_hetero", "value_iteration",
+    "verify_threshold_structure",
 ]

@@ -19,7 +19,6 @@ import dataclasses
 import itertools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -27,22 +26,14 @@ from typing import Any, Callable
 import numpy as np
 
 from . import direct, fusion, indirect, mdp, oneshot, posterior, sim
-from .model import (HeteroParams, ScenarioParams, check_a4,
-                    classify_cooperation_case, classify_transmission_case,
-                    validate, validate_hetero)
+from .model import (HeteroParams, ScenarioParams, _is_count, _is_real,
+                    check_a4, classify_cooperation_case,
+                    classify_transmission_case, validate, validate_hetero)
 
 SCHEMA_VERSION = 3
-WORKERS_ENV_VAR = "COOPSENSE_WORKERS"
 
-_SCENARIO_KEYS = {
-    "n_total", "n_attackers", "p_idle", "p_false_alarm",
-    "p_missed_detection", "collision_penalty", "direct_punishment",
-    "discount", "total_rate",
-}
-_HETERO_KEYS = {
-    "p_false_alarm_attacker", "p_missed_detection_attacker",
-    "rate_attacker", "rates_honest",
-}
+_SCENARIO_KEYS = {f.name for f in dataclasses.fields(ScenarioParams)}
+_HETERO_KEYS = {f.name for f in dataclasses.fields(HeteroParams)} - {"base"}
 _OPTION_KEYS = {
     "analyze": {"n_sweep"},
     "thresholds": {"n_values", "p_idle_values", "c_p_values",
@@ -58,16 +49,16 @@ class ConfigError(Exception):
     pass
 
 
-def _integer(value: Any) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def _natural(value: Any) -> bool:
-    return _integer(value) and value >= 0
+    return _is_count(value) and value >= 0
 
 
-def _number(value: Any) -> bool:
-    return _integer(value) or isinstance(value, float)
+def _string(value: Any) -> bool:
+    return isinstance(value, str)
+
+
+def _boolean(value: Any) -> bool:
+    return isinstance(value, bool)
 
 
 def _list_of(item: Callable[[Any], bool]) -> Callable[[Any], bool]:
@@ -80,19 +71,28 @@ def _or_null(check: Callable[[Any], bool]) -> Callable[[Any], bool]:
     return lambda value: value is None or check(value)
 
 
-# JSON types of the typed command options; the commands rely on them
-_OPTION_TYPES = {
-    "n_sweep": (_or_null(_list_of(_integer)), "a list of integers"),
-    "n_values": (_list_of(_integer), "a list of integers"),
-    "p_idle_values": (_list_of(_number), "a list of numbers"),
-    "c_p_values": (_list_of(_number), "a list of numbers"),
-    "attacker_error_values": (_or_null(_list_of(_number)), "a list of numbers"),
-    "horizon": (_integer, "an integer"),
-    "replications": (_integer, "an integer"),
-    "trace_slots": (_or_null(_integer), "an integer"),
-    "instances": (_integer, "an integer"),
-    "sim_instances": (_integer, "an integer"),
+# JSON type of every config value that is not a scenario number (those are
+# model.validate's); key names are unique across the config's blocks, and
+# the commands rely on these types
+_TYPES = {
+    "rates_honest": (_list_of(_is_real), "a list of numbers"),
+    "name": (_string, "a string"),
+    "n_sweep": (_or_null(_list_of(_is_count)), "a list of integers"),
+    "n_values": (_list_of(_is_count), "a list of integers"),
+    "p_idle_values": (_list_of(_is_real), "a list of numbers"),
+    "c_p_values": (_list_of(_is_real), "a list of numbers"),
+    "attacker_error_values": (_or_null(_list_of(_is_real)), "a list of numbers"),
+    "punishment_mode": (_string, "a string"),
+    "attacker_policy": (_string, "a string"),
+    "horizon": (_is_count, "an integer"),
+    "replications": (_is_count, "an integer"),
+    "trace_slots": (_or_null(_is_count), "an integer"),
+    "instances": (_is_count, "an integer"),
+    "sim_instances": (_is_count, "an integer"),
     "seed": (_natural, "a non-negative integer"),
+    "perturb_direct_threshold": (_boolean, "a boolean"),
+    "directory": (_string, "a string"),
+    "formats": (_list_of(_string), "a list of strings"),
 }
 
 
@@ -106,24 +106,34 @@ class RunConfig:
     formats: tuple[str, ...]
 
 
-def _reject_unknown(block: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(block) - allowed)
+def _block(value: Any, what: str, allowed: set[str]) -> dict:
+    """value as a config block: an object with no key outside allowed and
+    every value of the type _TYPES gives it."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} block must be an object")
+    unknown = sorted(set(value) - allowed)
     if unknown:
-        raise ConfigError(f"unknown {where} keys: {', '.join(unknown)}")
+        raise ConfigError(f"unknown {what} keys: {', '.join(unknown)}")
+    for key in value:
+        if key in _TYPES and not _TYPES[key][0](value[key]):
+            raise ConfigError(f"{what} {key} must be {_TYPES[key][1]}, "
+                              f"not {json.dumps(value[key])}")
+    return value
+
+
+def _reject(what: str, problems: list[str]) -> None:
+    if problems:
+        raise ConfigError(f"invalid {what}:\n  " + "\n  ".join(problems))
 
 
 def parse_config(doc: Any) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("top-level JSON value must be an object")
-    _reject_unknown(doc, {"scenario", "command", "output"}, "top-level")
+    _block(doc, "top-level", {"scenario", "command", "output"})
     for key in ("scenario", "command"):
         if key not in doc:
             raise ConfigError(f"missing required key: {key}")
 
-    scenario = doc["scenario"]
-    if not isinstance(scenario, dict):
-        raise ConfigError("scenario must be an object")
-    _reject_unknown(scenario, _SCENARIO_KEYS | _HETERO_KEYS, "scenario")
+    scenario = _block(doc["scenario"], "scenario",
+                      _SCENARIO_KEYS | _HETERO_KEYS)
     base_fields = {k: v for k, v in scenario.items() if k in _SCENARIO_KEYS}
     try:
         params = ScenarioParams(**base_fields)
@@ -139,32 +149,18 @@ def parse_config(doc: Any) -> RunConfig:
             hetero = HeteroParams(base=params, **hetero_fields)
         except TypeError as exc:
             raise ConfigError(f"bad scenario block: {exc}") from exc
-        violations = validate_hetero(hetero)
+        _reject("scenario", validate_hetero(hetero))
     else:
-        violations = validate(params)
-    if violations:
-        raise ConfigError("invalid scenario:\n  " + "\n  ".join(violations))
+        _reject("scenario", validate(params))
 
-    command = doc["command"]
-    if not isinstance(command, dict):
-        raise ConfigError("command must be an object")
-    _reject_unknown(command, {"name", "options"}, "command")
+    command = _block(doc["command"], "command", {"name", "options"})
     name = command.get("name")
     if name not in _OPTION_KEYS:
         raise ConfigError(f"unknown command name: {name!r}")
-    options = command.get("options", {})
-    if not isinstance(options, dict):
-        raise ConfigError("command options must be an object")
-    _reject_unknown(options, _OPTION_KEYS[name], f"{name} option")
-    for key, (check, expected) in _OPTION_TYPES.items():
-        if key in options and not check(options[key]):
-            raise ConfigError(f"{name} option {key} must be {expected}, "
-                              f"not {json.dumps(options[key])}")
+    options = _block(command.get("options", {}), f"{name} option",
+                     _OPTION_KEYS[name])
 
-    output = doc.get("output", {})
-    if not isinstance(output, dict):
-        raise ConfigError("output must be an object")
-    _reject_unknown(output, {"directory", "formats"}, "output")
+    output = _block(doc.get("output", {}), "output", {"directory", "formats"})
     out_dir = Path(output.get("directory", "."))
     formats = tuple(output.get("formats", ("json", "csv")))
     bad = sorted(set(formats) - {"json", "csv"})
@@ -227,11 +223,8 @@ def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
     params = run.params
     sweep = run.options.get("n_sweep")
     # validate every sweep point before writing anything
-    problems = [f"n_total={n}: {problem}" for n in sweep or []
-                for problem in validate(_swept(params, n))]
-    if problems:
-        print("invalid n_sweep:\n  " + "\n  ".join(problems), file=sys.stderr)
-        return 2
+    _reject("n_sweep", [f"n_total={n}: {problem}" for n in sweep or []
+                        for problem in validate(_swept(params, n))])
     window = fusion.condition_i_bounds(params)
     table = []
     for k in range(params.n_total + 1):
@@ -298,10 +291,7 @@ def cmd_thresholds(run: RunConfig, args: argparse.Namespace) -> int:
         f"attacker errors ({h.p_false_alarm_attacker}, "
         f"{h.p_missed_detection_attacker}): {problem}"
         for h in hetero_points for problem in validate_hetero(h)]
-    if problems:
-        print("invalid thresholds grid:\n  " + "\n  ".join(problems),
-              file=sys.stderr)
-        return 2
+    _reject("thresholds grid", problems)
 
     direct_rows = []
     indirect_rows = []
@@ -364,20 +354,19 @@ def cmd_thresholds(run: RunConfig, args: argparse.Namespace) -> int:
 def _analytic_reference(config: sim.SimConfig) -> dict:
     params = config.params
     reference: dict[str, Any] = {}
-    if isinstance(config.attacker_policy, str):
-        honest = config.attacker_policy == "honest"
-        if config.punishment_mode in ("none", "direct"):
-            att, hon = oneshot.expected_slot_rewards(
-                params, config.punishment_mode == "direct", honest=honest)
-            reference["per_slot_attacker"] = att
-            if not isinstance(params, HeteroParams):
-                # heterogeneous honest SUs have no common per-SU rate
-                reference["per_slot_honest"] = hon
-        elif config.punishment_mode == "indirect" and not honest:
-            lr_h = indirect.lr_honest(params)
-            lr_d = indirect.lr_dishonest(params)
-            reference["discounted_attacker"] = max(lr_h, lr_d.lr_dishonest)
-            reference["attack_prevented"] = lr_d.attack_prevented
+    honest = config.attacker_policy == "honest"
+    if config.punishment_mode in ("none", "direct"):
+        att, hon = oneshot.expected_slot_rewards(
+            params, config.punishment_mode == "direct", honest=honest)
+        reference["per_slot_attacker"] = att
+        if not isinstance(params, HeteroParams):
+            # heterogeneous honest SUs have no common per-SU rate
+            reference["per_slot_honest"] = hon
+    elif config.punishment_mode == "indirect" and not honest:
+        lr_h = indirect.lr_honest(params)
+        lr_d = indirect.lr_dishonest(params)
+        reference["discounted_attacker"] = max(lr_h, lr_d.lr_dishonest)
+        reference["attack_prevented"] = lr_d.attack_prevented
     return reference
 
 
@@ -398,18 +387,13 @@ def cmd_simulate(run: RunConfig, args: argparse.Namespace) -> int:
     trace_slots = run.options.get("trace_slots")
     if trace_slots is not None:
         problems += sim.validate_trace(config, trace_slots)
-    if problems:
-        print("invalid simulation options:\n  " + "\n  ".join(problems),
-              file=sys.stderr)
-        return 2
+    _reject("simulation options", problems)
     stats = sim.run_experiment(config, workers=args.workers)
     payload = {
         "scenario": _scenario_echo(run),
         "simulation": {
             "punishment_mode": config.punishment_mode,
-            "attacker_policy": (config.attacker_policy
-                                if isinstance(config.attacker_policy, str)
-                                else "custom"),
+            "attacker_policy": config.attacker_policy,
             "horizon": config.horizon,
             "replications": config.replications,
             "base_seed": config.base_seed,
@@ -568,11 +552,12 @@ def _check_sim(rng: np.random.Generator, instances: int,
 def cmd_verify(run: RunConfig, args: argparse.Namespace) -> int:
     instances = run.options.get("instances", 12)
     sim_instances = run.options.get("sim_instances", 3)
-    if instances <= 0:
-        print("verify: empty instance grid", file=sys.stderr)
-        return 2
+    _reject("verify options", [
+        f"{key} must be >= {low}, not {value}" for key, value, low in
+        (("instances", instances, 1), ("sim_instances", sim_instances, 0))
+        if value < low])
     seed = run.options.get("seed", args.seed)
-    perturb = bool(run.options.get("perturb_direct_threshold", False))
+    perturb = run.options.get("perturb_direct_threshold", False)
     rng = np.random.default_rng(seed)
     checks = [
         _check_direct(rng, instances, perturb),
@@ -600,16 +585,6 @@ _COMMANDS = {
 }
 
 
-def _default_workers() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coopsense",
@@ -621,8 +596,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (overrides the config)")
     common.add_argument("--seed", type=int, default=0,
                         help="non-negative base seed for stochastic commands")
-    common.add_argument("--workers", type=int, default=_default_workers(),
-                        help=f"worker threads (default ${WORKERS_ENV_VAR} or 1)")
+    common.add_argument("--workers", type=int, default=1,
+                        help="worker threads (default 1)")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name in _COMMANDS:
         sub.add_parser(name, parents=[common])
@@ -630,36 +605,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.workers < 1:
-        print("--workers must be at least 1", file=sys.stderr)
-        return 2
-    if args.seed < 0:
-        print("--seed must be non-negative", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     try:
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return 2
-    except json.JSONDecodeError as exc:
-        print(f"config is not valid JSON: {exc}", file=sys.stderr)
-        return 2
-    try:
+        if args.workers < 1:
+            raise ConfigError("--workers must be at least 1")
+        if args.seed < 0:
+            raise ConfigError("--seed must be non-negative")
+        try:
+            with open(args.config) as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: not JSON or UTF-8
+            raise ConfigError(f"cannot read config: {exc}") from exc
         run = parse_config(doc)
+        if run.command != args.subcommand:
+            raise ConfigError(f"config names command {run.command!r} but "
+                              f"{args.subcommand!r} was requested")
+        if args.out is not None:
+            run = dataclasses.replace(run, out_dir=Path(args.out))
+        return _COMMANDS[run.command](run, args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if run.command != args.subcommand:
-        print(f"config names command {run.command!r} but "
-              f"{args.subcommand!r} was requested", file=sys.stderr)
-        return 2
-    if args.out is not None:
-        run = dataclasses.replace(run, out_dir=Path(args.out))
-    try:
-        return _COMMANDS[run.command](run, args)
     except Exception as exc:  # a fault of the program, not of its input
         print(f"internal error: {type(exc).__name__}: "
               f"{' '.join(str(exc).split())}", file=sys.stderr)

@@ -48,7 +48,7 @@ def direct_threshold(m_attackers: int, params: ScenarioParams) -> DirectThreshol
     n = params.n_total
     if not 1 <= m_attackers < n:
         raise ValueError(f"m_attackers {m_attackers} outside [1, {n - 1}]")
-    log_pref = posterior._log_all_idle_odds(n, params)
+    log_pref = posterior.log_odds_idle(n, 0, params)
     log_rate = math.log(params.total_rate)
     all_idle = _exp(log_pref + math.log(1.0 / m_attackers - 1.0 / n) + log_rate)
     single_busy = _exp_diff(
@@ -56,16 +56,6 @@ def direct_threshold(m_attackers: int, params: ScenarioParams) -> DirectThreshol
         posterior._log(params.collision_penalty))
     return _package({"all_idle_deviation": all_idle,
                      "single_busy_transmission": single_busy})
-
-
-def worst_case_threshold(params: ScenarioParams) -> DirectThreshold:
-    """Charge that deters any attacker count: the M=1 threshold (the
-    constraints are decreasing in M)."""
-    return direct_threshold(1, params)
-
-
-def threshold_sweep(params: ScenarioParams) -> list[tuple[int, DirectThreshold]]:
-    return [(m, direct_threshold(m, params)) for m in range(1, params.n_total)]
 
 
 def direct_threshold_oracle(m_attackers: int, params: ScenarioParams) -> float:
@@ -113,7 +103,7 @@ def direct_threshold_hetero(hparams: HeteroParams) -> DirectThreshold:
     n = base.n_total
     p_fa = hparams.p_false_alarm_attacker
     p_ma = hparams.p_missed_detection_attacker
-    log_honest = posterior._log_all_idle_odds(n - 1, base)
+    log_honest = posterior.log_odds_idle(n - 1, 0, base)
     log_rate_a = math.log(hparams.rate_attacker)
     log_cp = posterior._log(base.collision_penalty)
     all_idle = _exp(log_honest + math.log1p(-p_fa) - math.log(p_ma)

@@ -56,8 +56,7 @@ def condition_i_bounds(params: ScenarioParams) -> CpRegion:
     """
     n = params.n_total
     log_rate = math.log(params.total_rate)
-    log_upper = (posterior._log_all_idle_odds(n, params) - math.log(n)
-                 + log_rate)
+    log_upper = posterior.log_odds_idle(n, 0, params) - math.log(n) + log_rate
     log_lower = log_upper + posterior._log_q(params)
     log_cp = posterior._log(params.collision_penalty)
     if log_cp == log_lower or log_cp == log_upper:

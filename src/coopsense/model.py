@@ -109,8 +109,17 @@ class HeteroParams:
             )
 
 
+def _is_count(x) -> bool:
+    # bool is an int subclass, but true is no count
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return _is_count(x) or isinstance(x, float)
+
+
 def _is_prob_open(x) -> bool:
-    return isinstance(x, (int, float)) and 0.0 < x < 1.0
+    return _is_real(x) and 0.0 < x < 1.0
 
 
 def validate(params: ScenarioParams) -> list[str]:
@@ -121,11 +130,11 @@ def validate(params: ScenarioParams) -> list[str]:
     """
     v = []
     p = params
-    if not (isinstance(p.n_total, int) and p.n_total >= 2):
+    if not (_is_count(p.n_total) and p.n_total >= 2):
         v.append("n_total must be an integer >= 2")
-    if not (isinstance(p.n_attackers, int) and 1 <= p.n_attackers):
+    if not (_is_count(p.n_attackers) and 1 <= p.n_attackers):
         v.append("n_attackers must be an integer >= 1")
-    elif isinstance(p.n_total, int) and p.n_attackers > p.n_total - 1:
+    elif _is_count(p.n_total) and p.n_attackers > p.n_total - 1:
         v.append("n_attackers <= n_total - 1 (at least one honest SU)")
     if not _is_prob_open(p.p_idle):
         v.append("p_idle must lie in (0, 1)")
@@ -138,17 +147,17 @@ def validate(params: ScenarioParams) -> list[str]:
             v.append(
                 "p_false_alarm + p_missed_detection < 1 (informative sensing)"
             )
-    if not (isinstance(p.collision_penalty, (int, float))
+    if not (_is_real(p.collision_penalty)
             and p.collision_penalty >= 0.0
             and math.isfinite(p.collision_penalty)):
         v.append("collision_penalty must be finite and >= 0")
-    if not (isinstance(p.direct_punishment, (int, float))
+    if not (_is_real(p.direct_punishment)
             and p.direct_punishment >= 0.0
             and math.isfinite(p.direct_punishment)):
         v.append("direct_punishment must be finite and >= 0")
-    if not (isinstance(p.discount, (int, float)) and 0.0 < p.discount < 1.0):
+    if not (_is_real(p.discount) and 0.0 < p.discount < 1.0):
         v.append("discount must lie in (0, 1)")
-    if not (isinstance(p.total_rate, (int, float)) and p.total_rate > 0.0
+    if not (_is_real(p.total_rate) and p.total_rate > 0.0
             and math.isfinite(p.total_rate)):
         v.append("total_rate must be finite and > 0")
     return v
@@ -164,11 +173,11 @@ def validate_hetero(hparams: HeteroParams) -> list[str]:
         v.append("p_false_alarm_attacker must lie in (0, 1)")
     if not _is_prob_open(h.p_missed_detection_attacker):
         v.append("p_missed_detection_attacker must lie in (0, 1)")
-    if not (isinstance(h.rate_attacker, (int, float)) and h.rate_attacker > 0):
+    if not (_is_real(h.rate_attacker) and h.rate_attacker > 0):
         v.append("rate_attacker must be > 0")
     if len(h.rates_honest) != h.base.n_honest:
         v.append("rates_honest must list one rate per honest SU")
-    elif not all(isinstance(r, (int, float)) and r > 0 for r in h.rates_honest):
+    elif not all(_is_real(r) and r > 0 for r in h.rates_honest):
         v.append("every honest rate must be > 0")
     if h.base.total_rate != 1.0:
         v.append("per-SU rates replace total_rate; set base.total_rate = 1")

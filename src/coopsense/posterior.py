@@ -57,14 +57,6 @@ def _exp_diff(la: float, lb: float) -> float:
     return _exp(lb) * math.expm1(la - lb)
 
 
-def _log_all_idle_odds(group_size: int, params: ScenarioParams) -> float:
-    # log of P_I/(1-P_I) * ((1-P_f)/P_m)^group_size: the idle odds after
-    # group_size sensors all decide idle
-    p_i, p_f, p_m = params.p_idle, params.p_false_alarm, params.p_missed_detection
-    return (math.log(p_i) - math.log1p(-p_i)
-            + group_size * (math.log1p(-p_f) - math.log(p_m)))
-
-
 def _log_q(params: ScenarioParams) -> float:
     # log of the odds factor one busy decision takes away:
     # P_f P_m / ((1-P_f)(1-P_m))

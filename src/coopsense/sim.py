@@ -125,14 +125,18 @@ class SlotTrace:
 
 
 def _table_problems(tables: PolicyTables, params: ScenarioParams) -> list[str]:
-    """Shape, dtype and range violations: every table entry is a count of
-    attackers, so it must be an integer in [0, n_attackers]."""
+    """Type, shape, dtype and range violations: every table entry is a
+    count of attackers, so each table must be an integer array with
+    entries in [0, n_attackers]."""
     m, rows = params.n_attackers, params.n_honest + 1
     problems = []
     for name, shape in (("b", (rows, m + 1)), ("transmit", (rows, m + 1)),
                         ("post_transmit", (m + 1,))):
-        table = np.asarray(getattr(tables, name))
-        if table.shape != shape:
+        table = getattr(tables, name)
+        if not isinstance(table, np.ndarray):
+            problems.append(f"PolicyTables.{name} must be a numpy array, "
+                            f"not {type(table).__name__}")
+        elif table.shape != shape:
             problems.append(f"PolicyTables.{name} must have shape {shape}, "
                             f"not {table.shape}")
         elif not np.issubdtype(table.dtype, np.integer):
@@ -156,12 +160,14 @@ def validate_config(config: SimConfig) -> list[str]:
             and config.attacker_policy == "optimal":
         problems.append("the optimal indirect policy is only built for "
                         "homogeneous attackers (no heterogeneous MDP)")
-    if isinstance(config.attacker_policy, str) \
-            and config.attacker_policy not in ("optimal", "honest"):
-        problems.append("attacker_policy must be 'optimal', 'honest', or tables")
-    if isinstance(config.attacker_policy, PolicyTables) and not problems:
-        # the expected shapes are only defined for valid counts
-        problems += _table_problems(config.attacker_policy, config.params.base)
+    policy = config.attacker_policy
+    if isinstance(policy, PolicyTables):
+        if not problems:
+            # the expected shapes are only defined for valid counts
+            problems += _table_problems(policy, config.params.base)
+    elif not (isinstance(policy, str) and policy in ("optimal", "honest")):
+        problems.append("attacker_policy must be 'optimal', 'honest' or "
+                        f"PolicyTables, not {policy!r}")
     if config.horizon < 1:
         problems.append("horizon must be >= 1")
     if config.replications < 1:

@@ -280,6 +280,37 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command, options,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,mutate,message", [
+    # used to run the optimal policy and label it "custom"
+    ("simulate", lambda d: d["command"]["options"].update(attacker_policy=5),
+     "attacker_policy must be a string, not 5"),
+    # used to be read as bool("false"), fail the check and exit 1
+    ("verify", lambda d: d["command"]["options"].update(
+        perturb_direct_threshold="false"),
+     'perturb_direct_threshold must be a boolean, not "false"'),
+    # these three used to end in a TypeError traceback
+    ("analyze", lambda d: d["output"].update(directory=5),
+     "output directory must be a string, not 5"),
+    ("analyze", lambda d: d["output"].update(formats=5),
+     "output formats must be a list of strings, not 5"),
+    ("analyze", lambda d: d["scenario"].update(rates_honest=5),
+     "scenario rates_honest must be a list of numbers, not 5"),
+    # used to pass the simulation check over -1 instances
+    ("verify", lambda d: d["command"]["options"].update(sim_instances=-1),
+     "sim_instances must be >= 0, not -1"),
+], ids=["attacker_policy_number", "perturb_text", "directory_number",
+        "formats_number", "rates_honest_number", "sim_instances_negative"])
+def test_untyped_values_are_config_errors(tmp_path, capsys, command, mutate,
+                                          message):
+    doc = _doc(command)
+    mutate(doc)
+    out_dir = tmp_path / "out"
+    assert cli.main([command, "--config", _write_config(tmp_path, doc),
+                     "--out", str(out_dir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
 def test_analyze_invalid_sweep_is_config_error(tmp_path, capsys):
     # used to write analysis.json, then exit 3 on a math domain error
     out_dir = tmp_path / "out"
@@ -332,16 +363,6 @@ def test_out_flag_overrides_directory(tmp_path):
     assert code == 0
     assert (override / "analysis.json").exists()
     assert not (tmp_path / "ignored" / "analysis.json").exists()
-
-
-def test_workers_env_default(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.WORKERS_ENV_VAR, "5")
-    parser = cli.build_parser()
-    args = parser.parse_args(["analyze", "--config", "x"])
-    assert args.workers == 5
-    monkeypatch.setenv(cli.WORKERS_ENV_VAR, "junk")
-    args = cli.build_parser().parse_args(["analyze", "--config", "x"])
-    assert args.workers == 1
 
 
 def test_csv_format_function():

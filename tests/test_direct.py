@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from coopsense.direct import (direct_threshold, direct_threshold_hetero,
-                              direct_threshold_oracle, threshold_sweep,
-                              worst_case_threshold)
+                              direct_threshold_oracle)
 from coopsense.model import HeteroParams, ScenarioParams
 from coopsense.oneshot import (SensingState, best_response,
                                honest_equivalent_profile)
@@ -34,12 +33,8 @@ def test_m_range_enforced():
         direct_threshold(11, FIG4)
 
 
-def test_worst_case_is_single_attacker():
-    assert worst_case_threshold(FIG4).value == direct_threshold(1, FIG4).value
-
-
 def test_sweep_decreasing_in_m():
-    sweep = threshold_sweep(FIG4)
+    sweep = [(m, direct_threshold(m, FIG4)) for m in range(1, FIG4.n_total)]
     assert [m for m, _ in sweep] == list(range(1, 11))
     values = [t.value for _, t in sweep]
     assert all(a > b for a, b in zip(values, values[1:]))

@@ -41,6 +41,20 @@ def test_single_violations(fig_params, field, value, fragment):
         require_valid(broken)
 
 
+def test_bools_are_not_numbers(fig_params):
+    # true used to pass as 1: "n_attackers": true ran with M = 1
+    for field in dataclasses.fields(ScenarioParams):
+        broken = dataclasses.replace(fig_params, **{field.name: True})
+        assert any(p.startswith(field.name) for p in validate(broken)), \
+            field.name
+    h = HeteroParams(base=dataclasses.replace(fig_params, n_attackers=1),
+                     p_false_alarm_attacker=0.05,
+                     p_missed_detection_attacker=0.05, rate_attacker=True,
+                     rates_honest=(1.0, 1.0, True, 1.0, 1.0))
+    assert validate_hetero(h) == ["rate_attacker must be > 0",
+                                  "every honest rate must be > 0"]
+
+
 def test_uninformative_sensing_rejected(fig_params):
     broken = dataclasses.replace(fig_params, p_false_alarm=0.6,
                                  p_missed_detection=0.5)

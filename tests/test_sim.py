@@ -407,7 +407,14 @@ def test_negative_seed_is_a_config_problem():
     PolicyTables(b=np.zeros((5, 3), dtype=np.int64),
                  transmit=np.zeros((5, 3), dtype=np.int64),
                  post_transmit=np.array([0, -1, 2])),
-], ids=["shape", "too_many_transmitters", "float_dtype", "negative"])
+    # lists used to pass, then fail in the kernel with a TypeError
+    PolicyTables(b=[[0] * 3] * 5, transmit=[[0] * 3] * 5,
+                 post_transmit=[0] * 3),
+    # anything else used to run as the optimal policy
+    5,
+    None,
+], ids=["shape", "too_many_transmitters", "float_dtype", "negative",
+        "lists", "number", "none"])
 def test_bad_policy_tables_are_config_problems(tables):
     config = SimConfig(params=AT_WC, punishment_mode="indirect",
                        attacker_policy=tables, horizon=50, replications=2)
