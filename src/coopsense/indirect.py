@@ -3,8 +3,8 @@
 Closed forms for the attackers' discounted value when they stay honest
 versus when they attack below a busy-count threshold z, and the discount
 factors at which honesty takes over.  Everything here is an expectation
-over report counts; the mdp module re-derives the same numbers from an
-explicit transition model.
+over report counts; the mdp module re-derives the same numbers by
+policy iteration over every state and action, not over threshold sets.
 """
 
 from __future__ import annotations

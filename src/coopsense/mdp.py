@@ -1,4 +1,4 @@
-"""Explicit MDP for the collaboration-termination game.
+"""The collaboration-termination game as a Markov decision process.
 
 Pre-punishment states are the (honest busy, attacker busy) splits; the
 post-punishment states keep only the attackers' own count, with the flag
@@ -8,12 +8,14 @@ from entirely different computations.
 
 The action axis of a pre-punishment state is oneshot.action_order, the
 one-shot tie-break: the honest-equivalent profile first.  Actions of
-equal value produce bit-identical rows, so a first-wins argmax
+equal value get bit-identical values, so a first-wins argmax
 reproduces the one-shot tie-breaking exactly.
 
-The solver works on action ranks, positions in a state's action order.
-ActionProfile objects and Policy dicts are built only at the API edge:
-actions_per_state on first access, a policy once per solve.
+Sensing is independent across slots: the next state is drawn from the
+split pmf, or from the attackers-alone pmf once punishment triggers.  So
+a policy's value reduces to two scalars, and no matrix over state pairs
+is built.  The solver works on action ranks, positions in a state's action
+order; ActionProfile objects and Policy dicts exist only at the API edge.
 """
 
 from __future__ import annotations
@@ -36,11 +38,12 @@ Action = ActionProfile | int  # pre: report/transmit profile; post: transmitter 
 class MdpModel:
     params: ScenarioParams
     states: tuple[StateKey, ...]
-    order: np.ndarray       # (n_pre, A) flat profiles b*(M+1) + M_T by rank
-    split: np.ndarray       # (n_pre,) sensing-split pmf of every slot
-    alone: np.ndarray       # (M+1,) attackers-alone busy-count pmf
-    transition: np.ndarray  # (max_actions, n_states, n_states)
-    reward: np.ndarray      # (max_actions, n_states), -inf where padded
+    order: np.ndarray        # (n_pre, A) flat profiles b*(M+1) + M_T by rank
+    split: np.ndarray        # (n_pre,) sensing-split pmf of every slot
+    alone: np.ndarray        # (M+1,) attackers-alone busy-count pmf
+    reward: np.ndarray       # (n_pre, A) pre-punishment reward by rank
+    trigger: np.ndarray      # (n_pre, A) punishment probability by rank
+    post_reward: np.ndarray  # (M+1,) reward of transmitting after punishment
     discount: float
 
     @property
@@ -71,67 +74,60 @@ class MdpModel:
 
 
 Policy = dict  # StateKey -> Action
-MAX_SOLVES = 1000  # policy iteration needs a handful; this only stops a cycle
+MAX_SOLVES = 1000  # policy iteration needs a handful; this only bounds a runaway
 
 
 def build_mdp(params: ScenarioParams) -> MdpModel:
-    """Assemble states, per-state action orders, transitions and rewards.
+    """Assemble states, per-state action orders, rewards and triggers.
 
-    Sensing is independent across slots, so every pre-to-pre row is the
-    same split distribution and every row into punishment is the
-    attackers-alone count distribution; only the trigger probability
-    (busy posterior when they transmit through a busy announcement)
-    depends on the current state and action.
+    The trigger is the busy posterior when the attackers transmit
+    through a busy announcement.  After punishment every transmitter
+    count of at least one earns the same lone-sensing reward.
     """
-    m, rate = params.n_attackers, params.total_rate
+    m = params.n_attackers
     pre_states = [("pre", kh, ka)
                   for kh in range(params.n_honest + 1) for ka in range(m + 1)]
-    post_states = [("post", ka) for ka in range(m + 1)]
-    states = tuple(pre_states + post_states)
-    n_pre, n_states = len(pre_states), len(states)
+    states = tuple(pre_states + [("post", ka) for ka in range(m + 1)])
+    n_pre = len(pre_states)
 
     split = np.array([posterior.report_split_pmf(kh, ka, params)
                       for _, kh, ka in pre_states])
     alone = np.array([posterior.report_count_pmf(m, ka, params)
                       for ka in range(m + 1)])
-
-    # pre-punishment [action, state] arrays in each state's action order
     order = oneshot.action_order(params).reshape(n_pre, -1)
     tensors = oneshot.reward_tensors(params, False)
-    pre_reward, trigger = (np.take_along_axis(t.reshape(n_pre, -1), order, 1).T
-                           for t in (tensors.attacker, tensors.trigger))
-    max_actions, n_post_acts = order.shape[1], m + 1
-
-    transition = np.zeros((max_actions, n_states, n_states))
-    reward = np.full((max_actions, n_states), -math.inf)
-    reward[:, :n_pre] = pre_reward
-    transition[:, :n_pre, :n_pre] = (1.0 - trigger)[:, :, None] * split
-    transition[:, :n_pre, n_pre:] = trigger[:, :, None] * alone
-    reward[0, n_pre:] = 0.0  # wait
-    reward[1:n_post_acts, n_pre:] = [rate * oneshot.lone_sensing_value(ka, params)
-                                     for ka in range(m + 1)]
-    transition[:n_post_acts, n_pre:, n_pre:] = alone
-    post = np.arange(n_pre, n_states)
-    transition[n_post_acts:, post, post] = 1.0  # padded action: self-loop, -inf reward
-    return MdpModel(params, states, order, split, alone, transition, reward,
-                    params.discount)
+    reward, trigger = (np.take_along_axis(t.reshape(n_pre, -1), order, 1)
+                       for t in (tensors.attacker, tensors.trigger))
+    post_reward = np.array([params.total_rate
+                            * oneshot.lone_sensing_value(ka, params)
+                            for ka in range(m + 1)])
+    return MdpModel(params, states, order, split, alone, reward, trigger,
+                    post_reward, params.discount)
 
 
-def bellman_backup(model: MdpModel, values: np.ndarray) -> np.ndarray:
-    """One optimality sweep: per state, best action value."""
-    q = model.reward + model.discount * (model.transition @ values)
-    return q.max(axis=0)
+def _q(model: MdpModel, ranks: np.ndarray
+       ) -> tuple[np.ndarray, np.ndarray, float]:
+    """(q, v, scale) for the policy taking action ranks[s] in state s:
+    every pre state's action values q (n_pre, A) and every state's value
+    v, in units of the power of two scale, finite past the float range.
 
-
-def _solve(model: MdpModel, idx: list | np.ndarray) -> tuple[np.ndarray, float]:
-    """(v / scale, scale) for the policy taking action idx[s] in state s:
-    (I - d*T_pi) v = r_pi solved in power-of-two units, exact for an
-    in-range v and finite for one past the float range."""
-    rows = np.arange(len(model.states))
-    r_pi = model.reward[idx, rows]
-    scale = 2.0 ** math.frexp(float(np.max(np.abs(r_pi))))[1]
-    system = np.eye(len(rows)) - model.discount * model.transition[idx, rows]
-    return np.linalg.solve(system, r_pi / scale), scale
+    w = alone.V_post = alone.r_post / (1-d), and x = split.V_pre =
+    (R + d*T*w) / ((1-d) + d*T), with R and T the split means of the
+    policy's rewards and triggers; then q = r + d*((1-t)*x + t*w) and
+    V_post = r_post + d*w.
+    """
+    n_pre, d = model.n_pre, model.discount
+    pre = np.arange(n_pre), ranks[:n_pre]
+    r_post = np.where(ranks[n_pre:] > 0, model.post_reward, 0.0)
+    scale = 2.0 ** math.frexp(max(np.max(np.abs(model.reward[pre])),
+                                  np.max(np.abs(r_post))))[1]
+    w = model.alone @ r_post / scale / (1.0 - d)
+    t = model.split @ model.trigger[pre]
+    x = ((model.split @ model.reward[pre] / scale + d * t * w)
+         / ((1.0 - d) + d * t))
+    q = model.reward / scale + d * ((1.0 - model.trigger) * x
+                                    + model.trigger * w)
+    return q, np.concatenate([q[pre], r_post / scale + d * w]), scale
 
 
 def optimal_ranks(model: MdpModel, tolerance: float
@@ -139,23 +135,29 @@ def optimal_ranks(model: MdpModel, tolerance: float
     """Optimal values and each state's optimal action rank, by Howard
     policy iteration.
 
-    From the honest policy (rank 0), each exactly valued policy moves a
-    state to its first-wins greedy action only on strict improvement.  The
-    values are exact, so they meet any tolerance > 0; the ranks are the
-    first-wins argmax of the final action values.
+    No post action changes the next state, so after punishment the
+    attackers transmit (rank 1, all M) exactly when that pays.  From the
+    honest pre policy (rank 0), each exactly valued policy moves a pre
+    state to its first-wins greedy action only on strict improvement; a
+    policy valued twice means ties lost to rounding, and stops the loop.
+    The values are exact, so they meet any tolerance > 0; the pre ranks
+    are the first-wins argmax of the final action values.
     """
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
-    rows = np.arange(len(model.states))
-    idx = np.zeros(len(rows), dtype=np.intp)
+    n_pre = model.n_pre
+    rows = np.arange(n_pre)
+    ranks = np.concatenate([np.zeros(n_pre, dtype=np.intp),
+                            (model.post_reward > 0.0).astype(np.intp)])
+    valued = set()
     for _ in range(MAX_SOLVES):
-        scaled, scale = _solve(model, idx)
-        q = model.reward / scale + model.discount * (model.transition @ scaled)
-        greedy = q.argmax(axis=0)
-        better = q[greedy, rows] > q[idx, rows]
-        if not better.any():
-            return scaled * scale, greedy
-        idx = np.where(better, greedy, idx)
+        q, v, scale = _q(model, ranks)
+        greedy = q.argmax(axis=1)
+        better = q[rows, greedy] > q[rows, ranks[:n_pre]]
+        if not better.any() or ranks.tobytes() in valued:
+            return v * scale, np.concatenate([greedy, ranks[n_pre:]])
+        valued.add(ranks.tobytes())
+        ranks[:n_pre] = np.where(better, greedy, ranks[:n_pre])
     raise ValueError(
         f"policy iteration did not converge in {MAX_SOLVES} solves")
 
@@ -207,37 +209,35 @@ def _ranks(model: MdpModel, policy: Policy) -> np.ndarray:
 
 
 def policy_value(model: MdpModel, policy: Policy) -> np.ndarray:
-    """Fixed-policy value, solving (I - d*T_pi) v = r_pi directly.
+    """Fixed-policy value of every state, from the renewal scalars x and w.
 
-    Raises ValueError naming the state when policy misses a state or maps
-    it to something that is not one of its actions.
+    Every state lies within 1e-13 * max|exact| of the exact value of the
+    model's float arrays and discount; a value past the float range is an
+    inf of the exact value's sign.  Raises ValueError naming the state
+    when policy misses a state or maps it to something that is not one
+    of its actions.
     """
-    scaled, scale = _solve(model, _ranks(model, policy))
-    return scaled * scale
+    _, v, scale = _q(model, _ranks(model, policy))
+    with np.errstate(over="ignore"):  # past the float range: inf
+        return v * scale
 
 
 def honest_policy(model: MdpModel) -> Policy:
     """Every pre state's honest-equivalent profile (its rank 0); wait
     after termination."""
-    m = model.params.n_attackers
-    pre = [oneshot.profile_at(f, m)
-           for f in oneshot.honest_flat(model.params).ravel().tolist()]
-    return dict(zip(model.states, pre + [0] * (m + 1)))
+    return _policy(model, np.zeros(len(model.states), dtype=np.intp))
 
 
 def threshold_policy(model: MdpModel, z: int) -> Policy:
     """Attack when at most z sensors saw busy, else report busy and wait;
     after termination transmit exactly when the lone-sensing value is
     positive."""
-    params = model.params
-    m = params.n_attackers
-    out: Policy = {}
-    for s in model.states:
-        if s[0] == "pre":  # s = ("pre", kh, ka)
-            out[s] = ActionProfile(max(s[2], 1), m if s[1] + s[2] <= z else 0)
-        else:
-            out[s] = m if oneshot.lone_sensing_pays(s[1], params) else 0
-    return out
+    m = model.params.n_attackers
+    pre = [ActionProfile(max(ka, 1), m if kh + ka <= z else 0)
+           for _, kh, ka in model.states[:model.n_pre]]
+    post = [m if oneshot.lone_sensing_pays(ka, model.params) else 0
+            for ka in range(m + 1)]
+    return dict(zip(model.states, pre + post))
 
 
 def start_distribution(model: MdpModel) -> np.ndarray:

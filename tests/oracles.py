@@ -4,15 +4,23 @@ run_slot plays one slot at a time, with plain Python arithmetic, by the
 slot rules that sim._slot_rules and sim._block_outcomes evaluate on whole
 arrays; test_scalar_and_vector_paths_agree feeds it a replication's draws
 and asserts that every field agrees.
+
+dense_arrays builds the termination-game MDP explicitly, as a transition
+tensor and reward matrix over every state and action, and bellman_backup
+sweeps it; exact_policy_values values a policy in exact rationals.  The
+package solves the same model on two renewal scalars and builds neither.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from coopsense.fusion import Announcement
+from coopsense.mdp import MdpModel
 from coopsense.sim import (PolicyTables, SimConfig, SlotTrace,
                            _busy_probabilities, _reward_constants)
 
@@ -71,3 +79,58 @@ def run_slot(rng: np.random.Generator, runtime: SlotRuntime) -> SlotTrace:
                      Announcement.H1 if announced else Announcement.H0,
                      t_total, collision, att, hon, penalty,
                      runtime.punishment_on)
+
+
+def dense_arrays(model: MdpModel) -> tuple[np.ndarray, np.ndarray]:
+    """(transition, reward) of the explicit MDP: (A, S, S) and (A, S).
+
+    A pre row is (1-t)*split into the pre states plus t*alone into the
+    post states; every post action's row is alone.  Post states have
+    fewer actions than A; a padded action loops on its state at -inf
+    reward, so no maximum ever picks it.
+    """
+    n_pre, n_states = model.n_pre, len(model.states)
+    max_actions, n_post_acts = model.order.shape[1], len(model.post_reward)
+    transition = np.zeros((max_actions, n_states, n_states))
+    reward = np.full((max_actions, n_states), -math.inf)
+    reward[:, :n_pre] = model.reward.T
+    trigger = model.trigger.T
+    transition[:, :n_pre, :n_pre] = (1.0 - trigger)[:, :, None] * model.split
+    transition[:, :n_pre, n_pre:] = trigger[:, :, None] * model.alone
+    reward[0, n_pre:] = 0.0  # wait
+    reward[1:n_post_acts, n_pre:] = model.post_reward
+    transition[:n_post_acts, n_pre:, n_pre:] = model.alone
+    post = np.arange(n_pre, n_states)
+    transition[n_post_acts:, post, post] = 1.0
+    return transition, reward
+
+
+def bellman_backup(model: MdpModel, values: np.ndarray) -> np.ndarray:
+    """One optimality sweep of the explicit MDP: per state, best action
+    value."""
+    transition, reward = dense_arrays(model)
+    return (reward + model.discount * (transition @ values)).max(axis=0)
+
+
+def exact_policy_values(model: MdpModel, ranks: np.ndarray) -> list[Fraction]:
+    """Every state's value under the policy taking rank ranks[s] in state
+    s, in exact rationals over the model's float arrays and discount.
+
+    w = alone.r_post / (1-d) and x = (R + d*T*w) / ((1-d) + d*T), with R
+    and T the split means of the policy's rewards and triggers; a pre
+    state is worth r + d*((1-t)*x + t*w) and a post state r_post + d*w.
+    """
+    n_pre, d = model.n_pre, Fraction(model.discount)
+    rows = range(n_pre)
+    r = [Fraction(model.reward[s, ranks[s]]) for s in rows]
+    t = [Fraction(model.trigger[s, ranks[s]]) for s in rows]
+    r_post = [Fraction(g) if a > 0 else Fraction(0)
+              for g, a in zip(model.post_reward.tolist(),
+                              ranks[n_pre:].tolist())]
+    split = [Fraction(p) for p in model.split.tolist()]
+    w = sum(Fraction(p) * g for p, g in zip(model.alone.tolist(), r_post)) / (1 - d)
+    big_r = sum(p * x for p, x in zip(split, r))
+    big_t = sum(p * x for p, x in zip(split, t))
+    x = (big_r + d * big_t * w) / ((1 - d) + d * big_t)
+    return ([r[s] + d * ((1 - t[s]) * x + t[s] * w) for s in rows]
+            + [g + d * w for g in r_post])

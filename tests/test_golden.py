@@ -30,6 +30,7 @@ from coopsense.oneshot import (action_order, behavior_table,
 from coopsense.sim import SimConfig, build_policy_tables
 
 from conftest import fined_scenarios, region_ii_scenario
+from oracles import dense_arrays
 
 
 def _homogeneous():
@@ -101,8 +102,9 @@ def _mdp_arrays():
     out = []
     for p in _homogeneous():
         model = build_mdp(p)
+        transition, reward = dense_arrays(model)
         out.append((model.states, model.actions_per_state,
-                    model.reward.tolist(), model.transition.tolist()))
+                    reward.tolist(), transition.tolist()))
     return out
 
 

@@ -1,20 +1,23 @@
 import dataclasses
 import math
 import re
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from coopsense.indirect import lr_dishonest, lr_honest
-from coopsense.mdp import (_solve, build_mdp, bellman_backup, honest_policy,
-                           optimal_ranks, policy_value, start_distribution,
-                           start_value, threshold_policy, value_iteration,
+from coopsense.mdp import (_q, build_mdp, honest_policy, optimal_ranks,
+                           policy_value, start_distribution, start_value,
+                           threshold_policy, value_iteration,
                            verify_threshold_structure)
 from coopsense.model import ScenarioParams, validate
 from coopsense.oneshot import ActionProfile
 
 from conftest import region_ii_scenario, rel_err
+from oracles import bellman_backup, dense_arrays, exact_policy_values
 
 AT_WC = ScenarioParams(6, 2, 0.6, 0.08, 0.08, 1e4, discount=0.9)
 
@@ -34,23 +37,25 @@ def test_state_space_layout():
 
 def test_transition_rows_are_distributions():
     model = build_mdp(AT_WC)
+    transition, reward = dense_arrays(model)
     for si in range(len(model.states)):
         for ai, _ in enumerate(model.actions_per_state[si]):
-            row = model.transition[ai, si]
+            row = transition[ai, si]
             assert abs(row.sum() - 1.0) < 1e-12
             assert (row >= 0.0).all()
         for ai in range(len(model.actions_per_state[si]),
-                        model.transition.shape[0]):
-            assert model.transition[ai, si, si] == 1.0
-            assert model.reward[ai, si] == -math.inf
+                        transition.shape[0]):
+            assert transition[ai, si, si] == 1.0
+            assert reward[ai, si] == -math.inf
 
 
 def test_post_states_absorb():
     model = build_mdp(AT_WC)
+    transition, _ = dense_arrays(model)
     n_pre = model.n_pre
     for si in range(n_pre, len(model.states)):
         for ai, _ in enumerate(model.actions_per_state[si]):
-            assert model.transition[ai, si, :n_pre].sum() == 0.0
+            assert transition[ai, si, :n_pre].sum() == 0.0
 
 
 def test_start_distribution_sums_to_one():
@@ -123,6 +128,12 @@ VALIDATED_SPACE = st.builds(
 # the honest start policy's value overflows here; the optimum is finite
 @example(params=ScenarioParams(2, 1, 0.05, 0.01, 0.9, 1e300,
                                discount=1.0 - 1e-9))
+# within 1e-9 of discount 1, where a dense linear solve of each policy
+# missed the optimum (4 attackers) or did not converge (3)
+@example(params=ScenarioParams(5, 3, 0.5, 0.0078125, 0.25, 0.0,
+                               discount=0.9999999989999999))
+@example(params=ScenarioParams(5, 4, 0.5, 0.0078125, 0.25, 0.0,
+                               discount=0.9999999989999999))
 def test_policy_iteration_is_exact_everywhere(params):
     assume(not validate(params))
     model = build_mdp(params)
@@ -135,16 +146,62 @@ def test_policy_iteration_is_exact_everywhere(params):
                    start_value(model, values)) <= 1e-12
 
 
+FLOAT_MAX = Fraction(sys.float_info.max)
+
+
+def _assert_near_exact(model, ranks, values):
+    # policy_value's stated bound against exact rationals, and the dense
+    # model's fixed-policy equation v = r_pi + d*T_pi*v at the same bound
+    exact = exact_policy_values(model, ranks)
+    bound = Fraction(1e-13) * max(abs(e) for e in exact)
+    for v, e in zip(values.tolist(), exact):
+        if math.isinf(v):
+            assert (v > 0) == (e > 0) and abs(e) >= FLOAT_MAX - bound
+        else:
+            assert abs(Fraction(v) - e) <= bound
+    if np.isfinite(values).all():
+        transition, reward = dense_arrays(model)
+        states = np.arange(len(model.states))
+        residual = (reward[ranks, states] - values + model.discount
+                    * (transition[ranks, states] @ values))
+        assert np.max(np.abs(residual)) <= 1e-13 * np.max(np.abs(values))
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=VALIDATED_SPACE, seed=st.integers(0, 2**32))
+# the drawn policy's value is past the float range here
+@example(params=ScenarioParams(2, 1, 0.05, 0.01, 0.9, 1e300,
+                               discount=1.0 - 1e-9), seed=1)
+@example(params=ScenarioParams(5, 3, 0.5, 0.0078125, 0.25, 0.0,
+                               discount=0.9999999989999999), seed=0)
+# a tie at the all-busy state that rounding flips from policy to policy:
+# policy iteration must stop there, not switch back and forth
+@example(params=ScenarioParams(7, 1, 0.19634315016254003, 0.001,
+                               0.00390625, 0.0, discount=0.001), seed=0)
+def test_policy_values_match_exact_rationals(params, seed):
+    assume(not validate(params))
+    model = build_mdp(params)
+    values, ranks = optimal_ranks(model, 1e-12)
+    _assert_near_exact(model, ranks, values)
+    rng = np.random.default_rng(seed)
+    drawn = np.array([rng.integers(len(a)) for a in model.actions_per_state])
+    policy = {s: a[r] for s, a, r in zip(model.states, model.actions_per_state,
+                                         drawn.tolist())}
+    _assert_near_exact(model, drawn, policy_value(model, policy))
+
+
 def _reference_policy_value(model, policy):
     # each state's action looked up in its actions_per_state tuple
-    scaled, scale = _solve(model, [acts.index(policy[s]) for s, acts
-                                   in zip(model.states, model.actions_per_state)])
-    return scaled * scale
+    _, values, scale = _q(model, np.array(
+        [acts.index(policy[s])
+         for s, acts in zip(model.states, model.actions_per_state)]))
+    return values * scale
 
 
 @settings(max_examples=60, deadline=None)
 @given(params=VALIDATED_SPACE, z=st.integers(-1, 9), seed=st.integers(0, 2**32))
-# policy iteration cycles here; both paths must raise
+# within 1e-9 of discount 1, where policy iteration on a dense linear
+# solve of each policy cycled; if it ever fails, both paths must raise
 @example(params=ScenarioParams(5, 3, 0.5, 0.0078125, 0.25, 0.0,
                                discount=0.9999999989999999), z=2, seed=0)
 def test_rank_native_policies_match_action_lists(params, z, seed):
