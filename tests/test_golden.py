@@ -154,7 +154,7 @@ GOLDEN = {
     "mdp_arrays": (_mdp_arrays,
         "9bc9e360eefd6e91f77036d1d40c736753e8a04c34a0a30219d34457a6dc033b"),
     "mdp_solves": (_mdp_solves,
-        "b6be11edda63c811e3ca4af5b5b491de06a5d6d2bbdad2239b57a9afa2080d3b"),
+        "09b466ece2b2aec958ec6d7eab19a134284670e39b41b7f9ba586b3ace491c7a"),
     "homogeneous_policy_tables": (_homogeneous_tables,
         "c74529744b829f1c547967cb6e36cf05bb1299be3dd1ba27a5219038e875f69b"),
     "hetero_policy_tables": (_hetero_tables,
