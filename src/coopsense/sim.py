@@ -42,7 +42,8 @@ from numpy.random.bit_generator import ISeedSequence
 from . import mdp as mdp_mod
 from . import oneshot
 from .fusion import Announcement
-from .model import HeteroParams, ScenarioParams, validate, validate_hetero
+from .model import (HeteroParams, ScenarioParams, _is_count, validate,
+                    validate_hetero)
 
 MODES = ("none", "direct", "indirect")
 
@@ -168,12 +169,12 @@ def validate_config(config: SimConfig) -> list[str]:
     elif not (isinstance(policy, str) and policy in ("optimal", "honest")):
         problems.append("attacker_policy must be 'optimal', 'honest' or "
                         f"PolicyTables, not {policy!r}")
-    if config.horizon < 1:
-        problems.append("horizon must be >= 1")
-    if config.replications < 1:
-        problems.append("replications must be >= 1")
-    if config.base_seed < 0:
-        problems.append("base_seed must be >= 0")
+    for name, low in (("horizon", 1), ("replications", 1), ("base_seed", 0)):
+        value = getattr(config, name)
+        if not _is_count(value):
+            problems.append(f"{name} must be an integer, not {value!r}")
+        elif value < low:
+            problems.append(f"{name} must be >= {low}")
     return problems
 
 
@@ -604,8 +605,9 @@ def run_experiment(config: SimConfig, workers: int = 1) -> SimStats:
 
 def validate_trace(config: SimConfig, slots: int) -> list[str]:
     """The bound on a trace's length: a trace lists slots of one episode
-    of config.horizon slots."""
-    if 0 <= slots <= config.horizon:
+    of config.horizon slots; validate_config reports a horizon that is no
+    integer."""
+    if not _is_count(config.horizon) or 0 <= slots <= config.horizon:
         return []
     return [f"trace_slots must lie in [0, horizon] = [0, {config.horizon}], "
             f"not {slots}"]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -380,6 +381,23 @@ def test_validate_config_collects_problems():
                        attacker_policy="greedy", horizon=0, replications=0)
     problems = validate_config(config)
     assert len(problems) == 4
+
+
+@pytest.mark.parametrize("field, value", [
+    # these two used to raise TypeError inside the validator
+    ("horizon", "x"), ("base_seed", None),
+    # and these two used to pass as valid counts
+    ("replications", 2.5), ("horizon", True),
+])
+def test_validate_config_types_its_counts(field, value):
+    config = dataclasses.replace(SimConfig(params=AT_WC, horizon=5,
+                                           replications=2), **{field: value})
+    message = f"{field} must be an integer, not {value!r}"
+    assert validate_config(config) == [message]
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_experiment(config)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_trace(config, 3)
 
 
 def test_negative_seed_is_a_config_problem():
