@@ -30,7 +30,7 @@ from .model import (HeteroParams, ScenarioParams, _is_count, _is_real,
                     check_a4, classify_cooperation_case,
                     classify_transmission_case, validate, validate_hetero)
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 _SCENARIO_KEYS = {f.name for f in dataclasses.fields(ScenarioParams)}
 _HETERO_KEYS = {f.name for f in dataclasses.fields(HeteroParams)} - {"base"}
@@ -553,9 +553,9 @@ def cmd_verify(run: RunConfig, args: argparse.Namespace) -> int:
     instances = run.options.get("instances", 12)
     sim_instances = run.options.get("sim_instances", 3)
     _reject("verify options", [
-        f"{key} must be >= {low}, not {value}" for key, value, low in
-        (("instances", instances, 1), ("sim_instances", sim_instances, 0))
-        if value < low])
+        f"{key} must be >= 1, not {value}" for key, value in
+        (("instances", instances), ("sim_instances", sim_instances))
+        if value < 1])
     seed = run.options.get("seed", args.seed)
     perturb = run.options.get("perturb_direct_threshold", False)
     rng = np.random.default_rng(seed)

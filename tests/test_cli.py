@@ -71,7 +71,7 @@ def test_analyze_outputs(tmp_path):
     code = cli.main(["analyze", "--config", _write_config(tmp_path, doc)])
     assert code == 0
     report = json.loads((tmp_path / "analysis.json").read_text())
-    assert report["schema_version"] == 3
+    assert report["schema_version"] == 4
     assert report["collision_penalty_window"]["region"] == "II"
     assert report["transmission_case"] == "AT"
     assert len(report["posterior_table"]) == 7
@@ -297,9 +297,13 @@ def test_negative_seed_is_config_error(tmp_path, capsys, command, options,
      "scenario rates_honest must be a list of numbers, not 5"),
     # used to pass the simulation check over -1 instances
     ("verify", lambda d: d["command"]["options"].update(sim_instances=-1),
-     "sim_instances must be >= 0, not -1"),
+     "sim_instances must be >= 1, not -1"),
+    # used to print "ok" for a simulation check that ran no instance
+    ("verify", lambda d: d["command"]["options"].update(sim_instances=0),
+     "sim_instances must be >= 1, not 0"),
 ], ids=["attacker_policy_number", "perturb_text", "directory_number",
-        "formats_number", "rates_honest_number", "sim_instances_negative"])
+        "formats_number", "rates_honest_number", "sim_instances_negative",
+        "sim_instances_zero"])
 def test_untyped_values_are_config_errors(tmp_path, capsys, command, mutate,
                                           message):
     doc = _doc(command)
