@@ -121,16 +121,16 @@ def exact_policy_values(model: MdpModel, ranks: np.ndarray) -> list[Fraction]:
     state is worth r + d*((1-t)*x + t*w) and a post state r_post + d*w.
     """
     n_pre, d = model.n_pre, Fraction(model.discount)
-    rows = range(n_pre)
-    r = [Fraction(model.reward[s, ranks[s]]) for s in rows]
-    t = [Fraction(model.trigger[s, ranks[s]]) for s in rows]
+    r = [Fraction(model.reward[s, ranks[s]]) for s in range(n_pre)]
+    t = [Fraction(model.trigger[s, ranks[s]]) for s in range(n_pre)]
     r_post = [Fraction(g) if a > 0 else Fraction(0)
               for g, a in zip(model.post_reward.tolist(),
                               ranks[n_pre:].tolist())]
     split = [Fraction(p) for p in model.split.tolist()]
-    w = sum(Fraction(p) * g for p, g in zip(model.alone.tolist(), r_post)) / (1 - d)
-    big_r = sum(p * x for p, x in zip(split, r))
-    big_t = sum(p * x for p, x in zip(split, t))
-    x = (big_r + d * big_t * w) / ((1 - d) + d * big_t)
-    return ([r[s] + d * ((1 - t[s]) * x + t[s] * w) for s in rows]
+    alone = [Fraction(p) for p in model.alone.tolist()]
+    w = sum(p * g for p, g in zip(alone, r_post)) / (1 - d)
+    mean_r = sum(p * v for p, v in zip(split, r))
+    mean_t = sum(p * v for p, v in zip(split, t))
+    x = (mean_r + d * mean_t * w) / ((1 - d) + d * mean_t)
+    return ([rs + d * ((1 - ts) * x + ts * w) for rs, ts in zip(r, t)]
             + [g + d * w for g in r_post])

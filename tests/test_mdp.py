@@ -195,7 +195,8 @@ def _reference_policy_value(model, policy):
     _, values, scale = _q(model, np.array(
         [acts.index(policy[s])
          for s, acts in zip(model.states, model.actions_per_state)]))
-    return values * scale
+    with np.errstate(over="ignore"):
+        return values * scale
 
 
 @settings(max_examples=60, deadline=None)
