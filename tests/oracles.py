@@ -9,6 +9,13 @@ dense_arrays builds the termination-game MDP explicitly, as a transition
 tensor and reward matrix over every state and action, and bellman_backup
 sweeps it; exact_policy_values values a policy in exact rationals.  The
 package solves the same model on two renewal scalars and builds neither.
+
+The exact_* references redo the report-count distributions and the
+values built from them in fractions.Fraction arithmetic on the
+scenario's own float fields, each of which is a dyadic rational.  Each
+returns the exact value with its scale S: the same expression summed
+over absolute values, the measure a float path's rounding error is
+bounded by even where the value itself cancels.
 """
 
 from __future__ import annotations
@@ -21,6 +28,8 @@ import numpy as np
 
 from coopsense.fusion import Announcement
 from coopsense.mdp import MdpModel
+from coopsense.model import HeteroParams, ScenarioParams
+from coopsense.oneshot import best_profiles
 from coopsense.sim import (PolicyTables, SimConfig, SlotTrace,
                            _busy_probabilities, _reward_constants)
 
@@ -134,3 +143,89 @@ def exact_policy_values(model: MdpModel, ranks: np.ndarray) -> list[Fraction]:
     x = (mean_r + d * mean_t * w) / ((1 - d) + d * mean_t)
     return ([rs + d * ((1 - ts) * x + ts * w) for rs, ts in zip(r, t)]
             + [g + d * w for g in r_post])
+
+
+def _binomial(n: int, k: int, p: Fraction) -> Fraction:
+    return math.comb(n, k) * p**k * (1 - p) ** (n - k)
+
+
+def exact_count_masses(n: int, params: ScenarioParams
+                       ) -> list[tuple[Fraction, Fraction]]:
+    """(Pr[idle and count=k], Pr[busy and count=k]) for k = 0..n busy
+    decisions among n sensors.  Every mass is its own scale."""
+    p_i, p_f, p_m = (Fraction(x) for x in (
+        params.p_idle, params.p_false_alarm, params.p_missed_detection))
+    return [(p_i * _binomial(n, k, p_f), (1 - p_i) * _binomial(n, k, 1 - p_m))
+            for k in range(n + 1)]
+
+
+def exact_split_pmf(params: ScenarioParams | HeteroParams
+                    ) -> list[list[Fraction]]:
+    """Pr[honest busy count kh, attacker busy count ka], indexed [kh][ka];
+    a heterogeneous attacker is a group of one at its own rates."""
+    base = params.base
+    n_h, m = base.n_honest, base.n_attackers
+    p_i, p_f, p_m = (Fraction(x) for x in (
+        base.p_idle, base.p_false_alarm, base.p_missed_detection))
+    if isinstance(params, HeteroParams):
+        p_fa = Fraction(params.p_false_alarm_attacker)
+        p_ma = Fraction(params.p_missed_detection_attacker)
+    else:
+        p_fa, p_ma = p_f, p_m
+    return [[p_i * _binomial(n_h, kh, p_f) * _binomial(m, ka, p_fa)
+             + (1 - p_i) * _binomial(n_h, kh, 1 - p_m)
+             * _binomial(m, ka, 1 - p_ma)
+             for ka in range(m + 1)] for kh in range(n_h + 1)]
+
+
+def _cp_rate1(params: ScenarioParams) -> Fraction:
+    return Fraction(params.collision_penalty) / Fraction(params.total_rate)
+
+
+def exact_lr_honest(params: ScenarioParams) -> tuple[Fraction, Fraction]:
+    """(value, scale) of lr_honest: rate * M * (m_idle/N - c_p*m_busy)
+    / (1-d) at the unanimous idle vote."""
+    n, m = params.n_total, params.n_attackers
+    idle, busy = exact_count_masses(n, params)[0]
+    cp = _cp_rate1(params)
+    factor = Fraction(params.total_rate) * m / (1 - Fraction(params.discount))
+    return (factor * (idle / n - cp * busy),
+            factor * (idle / n + cp * busy))
+
+
+def exact_lr_dishonest(params: ScenarioParams, z: int
+                       ) -> tuple[Fraction, Fraction]:
+    """(value, scale) of attacking whenever at most z sensors say busy:
+    rate * (R + d/(1-d)*T*w) / (1 - d*(1-T)), with R and T the reward and
+    trigger mass of counts 0..z and w the attackers' lone-sensing gain."""
+    n, m = params.n_total, params.n_attackers
+    cp, d = _cp_rate1(params), Fraction(params.discount)
+    masses = exact_count_masses(n, params)[:z + 1]
+    reward = sum(idle - m * cp * busy for idle, busy in masses)
+    reward_abs = sum(idle + m * cp * busy for idle, busy in masses)
+    trigger = sum(busy for _, busy in masses)
+    w = sum(max(idle - m * cp * busy, Fraction(0))
+            for idle, busy in exact_count_masses(m, params))
+    factor = Fraction(params.total_rate) / (1 - d * (1 - trigger))
+    tail = d / (1 - d) * trigger * w
+    return factor * (reward + tail), factor * (reward_abs + tail)
+
+
+def exact_slot_rewards(params: ScenarioParams | HeteroParams,
+                       include_direct_punishment: bool, honest: bool
+                       ) -> tuple[tuple[Fraction, Fraction],
+                                  tuple[Fraction, Fraction]]:
+    """((value, scale) of the attacker aggregate, (value, scale) of the
+    honest per-SU reward) of expected_slot_rewards: exact split weights
+    over the package's float reward tensor and chosen profiles."""
+    order, best, tensors = best_profiles(params, include_direct_punishment)
+    chosen = (order[..., 0] if honest else best)[..., None]
+    weights = exact_split_pmf(params)
+    out = []
+    for table in (tensors.attacker, tensors.honest):
+        picked = np.take_along_axis(table.reshape(*chosen.shape[:2], -1),
+                                    chosen, axis=-1)[..., 0].tolist()
+        terms = [w * Fraction(r) for w_row, r_row in zip(weights, picked)
+                 for w, r in zip(w_row, r_row)]
+        out.append((sum(terms), sum(abs(t) for t in terms)))
+    return out[0], out[1]
