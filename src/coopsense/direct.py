@@ -14,26 +14,27 @@ from dataclasses import dataclass, replace
 
 from . import oneshot, posterior
 from .model import HeteroParams, ScenarioParams
-from .posterior import _exp, _exp_diff
+from .posterior import _exp_diff
 
 
 @dataclass(frozen=True)
 class DirectThreshold:
     value: float
-    log_value: float
+    log_value: float  # finite where value saturates; -inf when it is 0
     binding_constraint: str
     per_constraint_values: dict[str, float]
 
 
-def _package(constraints: dict[str, float]) -> DirectThreshold:
-    value = max(0.0, max(constraints.values()))
-    binding = "none"
-    for name, c in constraints.items():
-        if c == value:
-            binding = name
-            break
-    log_value = math.log(value) if value > 0.0 else -math.inf
-    return DirectThreshold(value, log_value, binding, constraints)
+def _package(constraints: dict[str, tuple[float, float]]) -> DirectThreshold:
+    # name -> (la, lb) of exp(la) - exp(lb); logs break ties at inf
+    values = {k: _exp_diff(la, lb) for k, (la, lb) in constraints.items()}
+    logs = {k: la + math.log(-math.expm1(lb - la)) if la > lb else -math.inf
+            for k, (la, lb) in constraints.items()}
+    value = max(0.0, max(values.values()))
+    binding = max((k for k, v in values.items() if v == value),
+                  key=logs.__getitem__, default="none")
+    return DirectThreshold(value, logs.get(binding, -math.inf), binding,
+                           values)
 
 
 def direct_threshold(m_attackers: int, params: ScenarioParams) -> DirectThreshold:
@@ -50,8 +51,9 @@ def direct_threshold(m_attackers: int, params: ScenarioParams) -> DirectThreshol
         raise ValueError(f"m_attackers {m_attackers} outside [1, {n - 1}]")
     log_pref = posterior.log_odds_idle(n, 0, params)
     log_rate = math.log(params.total_rate)
-    all_idle = _exp(log_pref + math.log(1.0 / m_attackers - 1.0 / n) + log_rate)
-    single_busy = _exp_diff(
+    all_idle = (log_pref + math.log(1.0 / m_attackers - 1.0 / n) + log_rate,
+                -math.inf)
+    single_busy = (
         log_pref + posterior._log_q(params) - math.log(m_attackers) + log_rate,
         posterior._log(params.collision_penalty))
     return _package({"all_idle_deviation": all_idle,
@@ -106,14 +108,12 @@ def direct_threshold_hetero(hparams: HeteroParams) -> DirectThreshold:
     log_honest = posterior.log_odds_idle(n - 1, 0, base)
     log_rate_a = math.log(hparams.rate_attacker)
     log_cp = posterior._log(base.collision_penalty)
-    all_idle = _exp(log_honest + math.log1p(-p_fa) - math.log(p_ma)
-                    + math.log((n - 1) / n) + log_rate_a)
-    own_busy = _exp_diff(log_honest
-                         + math.log(p_fa) - math.log1p(-p_ma) + log_rate_a,
-                         log_cp)
-    honest_busy = _exp_diff(log_honest + posterior._log_q(base)
-                            + math.log1p(-p_fa) - math.log(p_ma) + log_rate_a,
-                            log_cp)
+    all_idle = (log_honest + math.log1p(-p_fa) - math.log(p_ma)
+                + math.log((n - 1) / n) + log_rate_a, -math.inf)
+    own_busy = (log_honest + math.log(p_fa) - math.log1p(-p_ma) + log_rate_a,
+                log_cp)
+    honest_busy = (log_honest + posterior._log_q(base)
+                   + math.log1p(-p_fa) - math.log(p_ma) + log_rate_a, log_cp)
     return _package({"all_idle_deviation": all_idle,
                      "own_busy_transmission": own_busy,
                      "honest_busy_transmission": honest_busy})

@@ -51,7 +51,8 @@ def _shared_slot_value(group_size: int, params: ScenarioParams) -> float:
 
 
 def lr_honest(params: ScenarioParams) -> float:
-    """Discounted aggregate attacker value of behaving honestly forever."""
+    """Discounted aggregate attacker value of behaving honestly forever.
+    Within 1e-13 * S of exact for N <= 24, S: the same over |terms|."""
     a = _shared_slot_value(params.n_total, params)
     return params.total_rate * params.n_attackers * a / (1.0 - params.discount)
 
@@ -66,50 +67,39 @@ def _post_punishment_gain(params: ScenarioParams) -> float:
     """
     m, cp = params.n_attackers, params.cp_rate1
     gain = 0.0
-    for ka in range(m + 1):
-        idle, busy = posterior.joint_report_mass(m, ka, params)
+    for idle, busy in zip(*posterior.count_masses(m, params)):
         gain += max(idle - m * cp * busy, 0.0)
     return gain
-
-
-def _attack_value(params: ScenarioParams, z: int) -> float:
-    """Unit-rate value of attacking whenever at most z sensors say busy."""
-    n, m = params.n_total, params.n_attackers
-    cp, delta = params.cp_rate1, params.discount
-    reward_sum = 0.0
-    trigger_sum = 0.0
-    for k in range(z + 1):
-        idle, busy = posterior.joint_report_mass(n, k, params)
-        reward_sum += idle - m * cp * busy
-        trigger_sum += busy
-    denom = 1.0 - delta * (1.0 - trigger_sum)
-    w = _post_punishment_gain(params)
-    return (reward_sum + delta / (1.0 - delta) * trigger_sum * w) / denom
 
 
 def lr_dishonest(params: ScenarioParams) -> LongTermRewards:
     """Optimal attacking value, with the attack-count threshold it uses.
 
     Transmission case NT pins the attack set to the unanimous-idle state;
-    case AT scans every busy-count cutoff and keeps the best (ties go to
-    the smallest cutoff, i.e. the fewest attacking states).
+    case AT scans every busy-count cutoff in one running sum and keeps
+    the best (ties go to the smallest cutoff, i.e. the fewest attacking
+    states).  Within 1e-13 * S of exact for N <= 24, S: the same over
+    |terms|; z_star is an exact argmax up to that error.
     """
     t_case = classify_transmission_case(params)
     c_case = classify_cooperation_case(params)
-    if t_case is TransmissionCase.NT:
-        z_star: int | None = None
-        value = _attack_value(params, 0)
-    else:
-        z_star = 0
-        value = _attack_value(params, 0)
-        for z in range(1, params.n_total + 1):
-            candidate = _attack_value(params, z)
-            if candidate > value:
-                value, z_star = candidate, z
+    scan = t_case is TransmissionCase.AT
+    n, m = params.n_total, params.n_attackers
+    cp, delta = params.cp_rate1, params.discount
+    w = _post_punishment_gain(params)
+    idle, busy = posterior.count_masses(n, params)
+    reward_sum = trigger_sum = 0.0
+    values = []
+    for k in range(n + 1 if scan else 1):
+        reward_sum += idle[k] - m * cp * busy[k]
+        trigger_sum += busy[k]
+        values.append((reward_sum + delta / (1.0 - delta) * trigger_sum * w)
+                      / (1.0 - delta * (1.0 - trigger_sum)))
+    z = max(range(len(values)), key=values.__getitem__)  # first of equals
     honest = lr_honest(params)
-    dishonest = params.total_rate * value
-    return LongTermRewards(honest, dishonest, c_case, t_case, z_star,
-                           honest >= dishonest)
+    dishonest = params.total_rate * values[z]
+    return LongTermRewards(honest, dishonest, c_case, t_case,
+                           z if scan else None, honest >= dishonest)
 
 
 def _log_mass_idle(group_size: int, params: ScenarioParams) -> float:

@@ -90,10 +90,8 @@ def build_mdp(params: ScenarioParams) -> MdpModel:
     states = tuple(pre_states + [("post", ka) for ka in range(m + 1)])
     n_pre = len(pre_states)
 
-    split = np.array([posterior.report_split_pmf(kh, ka, params)
-                      for _, kh, ka in pre_states])
-    alone = np.array([posterior.report_count_pmf(m, ka, params)
-                      for ka in range(m + 1)])
+    split = posterior.split_pmf(params).ravel()
+    alone = np.add(*posterior.count_masses(m, params))
     order = oneshot.action_order(params).reshape(n_pre, -1)
     tensors = oneshot.reward_tensors(params, False)
     reward, trigger = (np.take_along_axis(t.reshape(n_pre, -1), order, 1)

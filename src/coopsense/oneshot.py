@@ -15,6 +15,7 @@ the same game with M = 1, its own decision taking the attacker axis.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -307,20 +308,16 @@ def expected_slot_rewards(params: ScenarioParams | HeteroParams,
     under the best response, or under honest behavior when honest=True.
 
     For a heterogeneous attacker only the first value is meaningful: the
-    second prices honest SUs at the attacker's rate.
+    second prices honest SUs at the attacker's rate.  Within 1e-13 * S of
+    the exact weighting for N <= 24, S weighting the absolute rewards.
     """
     order, best, tensors = best_profiles(params, include_direct_punishment)
     chosen = order[..., 0] if honest else best
-    att = _pick(tensors.attacker, chosen).tolist()
-    hon = _pick(tensors.honest, chosen).tolist()
-    att_sum = hon_sum = 0.0
-    # summed state by state, kh-major, so the last bits never depend on
-    # numpy's reduction order
-    for kh, ka in np.ndindex(chosen.shape):
-        weight = posterior.report_split_pmf(kh, ka, params)
-        att_sum += weight * att[kh][ka]
-        hon_sum += weight * hon[kh][ka]
-    return att_sum, hon_sum
+    weights = posterior.split_pmf(params)
+    # fsum rounds once, so no bit depends on numpy's reduction order
+    att, hon = (math.fsum((weights * _pick(t, chosen)).ravel().tolist())
+                for t in (tensors.attacker, tensors.honest))
+    return att, hon
 
 
 def lone_sensing_value(attacker_busy: int, params: ScenarioParams) -> float:

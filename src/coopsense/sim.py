@@ -44,6 +44,7 @@ from . import oneshot
 from .fusion import Announcement
 from .model import (HeteroParams, ScenarioParams, _is_count, validate,
                     validate_hetero)
+from .posterior import _attacker_rates
 
 MODES = ("none", "direct", "indirect")
 
@@ -211,15 +212,11 @@ def build_policy_tables(config: SimConfig) -> PolicyTables:
     else:
         _, flat, _ = oneshot.best_profiles(params, mode == "direct")
     b, mt = np.divmod(flat, group.n_attackers + 1)
-    if hetero:
-        # the attacker sensing alone, at its own error rates and rate
-        post = _post_transmit_table(replace(
-            group, p_false_alarm=params.p_false_alarm_attacker,
-            p_missed_detection=params.p_missed_detection_attacker,
-            total_rate=params.rate_attacker))
-    else:
-        post = _post_transmit_table(params)
-    return PolicyTables(b, mt, post)
+    p_fa, p_ma = _attacker_rates(params)
+    # the attackers sensing alone, at their own error rates and rate
+    return PolicyTables(b, mt, _post_transmit_table(replace(
+        group, p_false_alarm=p_fa, p_missed_detection=p_ma,
+        total_rate=params.rate_attacker if hetero else group.total_rate)))
 
 
 def _reward_constants(config: SimConfig) -> tuple[float, float, float, float, int, int]:
@@ -403,13 +400,10 @@ def _busy_probabilities(config: SimConfig
                         ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Per-SU probability of sensing busy on an idle and on a busy channel,
     for the honest SUs and for the attackers."""
-    params = config.params
-    honest = (params.base.p_false_alarm,
-              1.0 - params.base.p_missed_detection)
-    if isinstance(params, HeteroParams):
-        return honest, (params.p_false_alarm_attacker,
-                        1.0 - params.p_missed_detection_attacker)
-    return honest, honest
+    base = config.params.base
+    p_fa, p_ma = _attacker_rates(config.params)
+    return ((base.p_false_alarm, 1.0 - base.p_missed_detection),
+            (p_fa, 1.0 - p_ma))
 
 
 def _inversion_start(n: int, p: float) -> tuple[float, float, int]:

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -71,7 +72,7 @@ def test_analyze_outputs(tmp_path):
     code = cli.main(["analyze", "--config", _write_config(tmp_path, doc)])
     assert code == 0
     report = json.loads((tmp_path / "analysis.json").read_text())
-    assert report["schema_version"] == 4
+    assert report["schema_version"] == 5
     assert report["collision_penalty_window"]["region"] == "II"
     assert report["transmission_case"] == "AT"
     assert len(report["posterior_table"]) == 7
@@ -143,6 +144,25 @@ def test_simulate_trace_slots_out_of_bounds(tmp_path, capsys, slots):
     assert "trace_slots must lie in [0, horizon] = [0, 500]" \
         in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mode", ["none", "direct", "indirect"])
+def test_simulate_large_group(tmp_path, mode):
+    # binomial coefficients past the float range from N = 1030 once made
+    # every mode exit 3 with an OverflowError
+    scenario = {"n_total": 1100, "n_attackers": 2, "p_idle": 0.6,
+                "p_false_alarm": 0.001, "p_missed_detection": 0.3,
+                "collision_penalty": 1e300, "direct_punishment": 1.0,
+                "discount": 0.9}
+    doc = _doc("simulate",
+               options={"punishment_mode": mode, "horizon": 100,
+                        "replications": 2},
+               out_dir=str(tmp_path), scenario=scenario)
+    assert cli.main(["simulate", "--config",
+                     _write_config(tmp_path, doc)]) == 0
+    payload = json.loads((tmp_path / "simulation.json").read_text())
+    assert payload["analytic"]
+    assert all(math.isfinite(v) for v in payload["analytic"].values())
 
 
 def test_simulate_hetero_reports_attacker_reference(tmp_path):

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -24,6 +25,21 @@ def test_pinned_thresholds(m, expected):
     th = direct_threshold(m, dataclasses.replace(FIG4, n_attackers=m))
     assert rel_err(th.value, expected) < 1e-13
     assert th.binding_constraint == "all_idle_deviation"
+
+
+def test_log_value_survives_saturation():
+    # N = 1100: every constraint saturates to inf, its log does not
+    big = ScenarioParams(1100, 2, 0.6, 0.001, 0.3, 1e300,
+                         direct_punishment=1.0, discount=0.9)
+    th = direct_threshold(1, big)
+    assert th.value == math.inf
+    assert th.binding_constraint == "all_idle_deviation"
+    want = (math.log(0.6 / 0.4) + 1100 * math.log(0.999 / 0.3)
+            + math.log(1.0 - 1.0 / 1100))
+    assert rel_err(th.log_value, want) < 1e-13
+    for m in range(1, FIG4.n_total):
+        finite = direct_threshold(m, dataclasses.replace(FIG4, n_attackers=m))
+        assert rel_err(finite.log_value, math.log(finite.value)) < 1e-13
 
 
 def test_m_range_enforced():

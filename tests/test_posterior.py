@@ -2,7 +2,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from coopsense.model import HeteroParams, ScenarioParams
 from coopsense.posterior import (joint_report_mass, log_odds_idle,
@@ -90,6 +90,8 @@ def test_joint_masses_compose_pmf(params, k):
 
 
 @given(params=scenario_st)
+# binomial coefficients past the float range: the pmf stays finite
+@example(params=ScenarioParams(1100, 2, 0.6, 0.001, 0.3, 1e300))
 def test_pmf_normalizes(params):
     total = sum(report_count_pmf(params.n_total, k, params)
                 for k in range(params.n_total + 1))
@@ -126,7 +128,8 @@ def test_impossible_pattern_raises():
 def test_large_group_falls_back_to_lgamma():
     p = ScenarioParams(80, 1, 0.5, 0.05, 0.05, 1.0)
     exact = ScenarioParams(40, 1, 0.5, 0.05, 0.05, 1.0)
-    # same binomial coefficient through both code paths
+    # the log-space pmf against the linear formula with an exact
+    # binomial coefficient
     big = report_count_pmf(80, 3, p)
     assert math.isfinite(big) and big > 0.0
     direct = (0.5 * math.comb(80, 3) * 0.05**3 * 0.95**77
