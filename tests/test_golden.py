@@ -150,11 +150,11 @@ GOLDEN = {
     "behavior_table": (_behavior_tables,
         "a78cb6fb6a672fa41cb913acb7487dd958e6db9818120aad7f6ac599cf083103"),
     "expected_slot_rewards": (_slot_rewards,
-        "27ecc62a31590943ad3ee8892c11bdf76d40d4151ef8ad47cd01c582ee7302b3"),
+        "d688b1fe801391d2e5ffbfc93054a720361a6ec63ad8c5fa0854c2bc707f7d1d"),
     "mdp_arrays": (_mdp_arrays,
-        "9bc9e360eefd6e91f77036d1d40c736753e8a04c34a0a30219d34457a6dc033b"),
+        "d3973fb09ad141dfafb819c687c71e4c298111781ea2faa5a80633b0f0f0f7e8"),
     "mdp_solves": (_mdp_solves,
-        "09b466ece2b2aec958ec6d7eab19a134284670e39b41b7f9ba586b3ace491c7a"),
+        "7d2e40474e4836466f8e9681f81aa1b72cc04d28d0126b3c1ba7157a68475ed5"),
     "homogeneous_policy_tables": (_homogeneous_tables,
         "c74529744b829f1c547967cb6e36cf05bb1299be3dd1ba27a5219038e875f69b"),
     "hetero_policy_tables": (_hetero_tables,
