@@ -159,9 +159,10 @@ def _binomial_pmf(n: int, p: float) -> tuple[float, ...]:
     so nothing overflows.  Log rounding, growing like n*ln(n), is the error:
     |sum - 1| reached 6.8e-13 at n = 1100, 2.5e-12 at 5000, 1.4e-10 at 1e5."""
     log_p, log_q, log_n = _log(p), _log1m(p), math.lgamma(n + 1)
-    return tuple(math.exp(log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1)
-                          + _nlog(k, log_p) + _nlog(n - k, log_q))
-                 for k in range(n + 1))
+    # from a list: a tuple grown from a generator fragments the heap
+    return tuple([math.exp(log_n - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                           + _nlog(k, log_p) + _nlog(n - k, log_q))
+                  for k in range(n + 1)])
 
 
 def count_masses(group_size: int, params: ScenarioParams
@@ -195,8 +196,7 @@ def report_count_pmf(group_size: int, busy_count: int, params: ScenarioParams) -
     return sum(joint_report_mass(group_size, busy_count, params))
 
 
-def _attacker_rates(params: ScenarioParams | HeteroParams
-                    ) -> tuple[float, float]:
+def _attacker_rates(params: ScenarioParams | HeteroParams) -> tuple[float, float]:
     if isinstance(params, HeteroParams):
         return params.p_false_alarm_attacker, params.p_missed_detection_attacker
     return params.p_false_alarm, params.p_missed_detection
