@@ -229,3 +229,53 @@ def exact_slot_rewards(params: ScenarioParams | HeteroParams,
                  for w, r in zip(w_row, r_row)]
         out.append((sum(terms), sum(abs(t) for t in terms)))
     return out[0], out[1]
+
+
+def _idle_odds(group_size: int, params: ScenarioParams) -> Fraction:
+    """p_I/(1-p_I) * ((1-P_f)/P_m)^n: the idle odds after n sensors all
+    decide idle."""
+    p_i, p_f, p_m = (Fraction(x) for x in (
+        params.p_idle, params.p_false_alarm, params.p_missed_detection))
+    return p_i / (1 - p_i) * ((1 - p_f) / p_m) ** group_size
+
+
+def _q(params: ScenarioParams) -> Fraction:
+    # the odds factor one busy decision takes away
+    p_f, p_m = Fraction(params.p_false_alarm), Fraction(params.p_missed_detection)
+    return p_f * p_m / ((1 - p_f) * (1 - p_m))
+
+
+def exact_direct_constraints(m_attackers: int, params: ScenarioParams
+                             ) -> dict[str, tuple[Fraction, Fraction]]:
+    """(value, scale) of each per_constraint_values entry of
+    direct_threshold(m_attackers, params), with pref the rate times the
+    all-idle odds of N sensors: all-idle pref*(1/M - 1/N) and single-busy
+    pref*q/M - C_p."""
+    n, m = params.n_total, m_attackers
+    pref = _idle_odds(n, params) * Fraction(params.total_rate)
+    busy = pref * _q(params) / m
+    cp = Fraction(params.collision_penalty)
+    return {"all_idle_deviation": (pref * (Fraction(1, m) - Fraction(1, n)),
+                                   pref * (Fraction(1, m) + Fraction(1, n))),
+            "single_busy_transmission": (busy - cp, busy + cp)}
+
+
+def exact_direct_constraints_hetero(hparams: HeteroParams
+                                    ) -> dict[str, tuple[Fraction, Fraction]]:
+    """(value, scale) of each per_constraint_values entry of
+    direct_threshold_hetero, with pref the attacker's rate times the
+    all-idle odds of the N-1 honest sensors: all-idle
+    pref*(1-P_fa)/P_ma*(N-1)/N, own-busy pref*P_fa/(1-P_ma) - C_p and
+    honest-busy pref*q*(1-P_fa)/P_ma - C_p."""
+    base = hparams.base
+    n = base.n_total
+    p_fa = Fraction(hparams.p_false_alarm_attacker)
+    p_ma = Fraction(hparams.p_missed_detection_attacker)
+    pref = _idle_odds(n - 1, base) * Fraction(hparams.rate_attacker)
+    own_idle = pref * (1 - p_fa) / p_ma
+    own_busy = pref * p_fa / (1 - p_ma)
+    honest_busy = own_idle * _q(base)
+    cp = Fraction(base.collision_penalty)
+    return {"all_idle_deviation": (own_idle * Fraction(n - 1, n),) * 2,
+            "own_busy_transmission": (own_busy - cp, own_busy + cp),
+            "honest_busy_transmission": (honest_busy - cp, honest_busy + cp)}

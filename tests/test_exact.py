@@ -5,7 +5,8 @@ tests/oracles.py, where S is the same expression summed over absolute
 values; that bound survives the cancellation in lr_honest's sharing
 value near the top of the collision-penalty window.  Scenarios are
 region II with N from 2 to 24, a third of them with the penalty in the
-top 0.1 % of the window, some at a non-unit rate.  count_masses and
+top 0.1 % of the window, some at a non-unit rate; the direct-threshold
+constraints are checked at every attacker count.  count_masses and
 split_pmf must also equal joint_report_mass and report_split_pmf bit
 for bit.
 """
@@ -25,8 +26,9 @@ from coopsense.posterior import (count_masses, joint_report_mass,
                                  split_pmf)
 
 from conftest import region_ii_scenario
-from oracles import (exact_count_masses, exact_lr_dishonest, exact_lr_honest,
-                     exact_slot_rewards, exact_split_pmf)
+from oracles import (exact_count_masses, exact_direct_constraints,
+                     exact_direct_constraints_hetero, exact_lr_dishonest,
+                     exact_lr_honest, exact_slot_rewards, exact_split_pmf)
 
 BOUND = Fraction(1e-13)
 
@@ -111,3 +113,25 @@ def test_slot_rewards_match_exact(params, include_direct_punishment, honest):
     exact = exact_slot_rewards(params, include_direct_punishment, honest)
     for value, reference in zip(got, exact):
         assert _near(value, reference)
+
+
+def _constraints_near(got: dict[str, float],
+                      exact: dict[str, tuple[Fraction, Fraction]]) -> None:
+    assert got.keys() == exact.keys()
+    for name, value in got.items():
+        assert _near(value, exact[name]), name
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=scenarios())
+def test_direct_constraints_match_exact(params):
+    for m in range(1, params.n_total):
+        _constraints_near(direct_threshold(m, params).per_constraint_values,
+                          exact_direct_constraints(m, params))
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=scenarios(hetero=True))
+def test_hetero_direct_constraints_match_exact(params):
+    _constraints_near(direct_threshold_hetero(params).per_constraint_values,
+                      exact_direct_constraints_hetero(params))
