@@ -309,10 +309,7 @@ def cmd_thresholds(run: RunConfig, args: argparse.Namespace) -> int:
                         th.value, th.binding_constraint))
                     coop = classify_cooperation_case(point)
                     trans = classify_transmission_case(point)
-                    if coop.name == "WC":
-                        dth = indirect.delta_threshold_wc(point)
-                    else:
-                        dth = indirect.delta_threshold_sc(point)
+                    dth = indirect._case_threshold(point)
                     z_star = indirect.lr_dishonest(point).z_star
                     indirect_rows.append((
                         n, m, p_idle, point.p_false_alarm,

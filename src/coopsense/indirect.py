@@ -157,6 +157,12 @@ def delta_threshold(params: ScenarioParams) -> DeltaThreshold:
     """
     if classify_transmission_case(params) is TransmissionCase.AT:
         raise ValueError("discount threshold closed forms require transmission case NT")
+    return _case_threshold(params)
+
+
+def _case_threshold(params: ScenarioParams) -> DeltaThreshold:
+    # the closed form of the scenario's cooperation case, in either
+    # transmission case
     if classify_cooperation_case(params) is CooperationCase.WC:
         return delta_threshold_wc(params)
     return delta_threshold_sc(params)

@@ -128,8 +128,7 @@ def _q(model: MdpModel, ranks: np.ndarray
     return q, np.concatenate([q[pre], r_post / scale + d * w]), scale
 
 
-def optimal_ranks(model: MdpModel, tolerance: float
-                  ) -> tuple[np.ndarray, np.ndarray]:
+def optimal_ranks(model: MdpModel) -> tuple[np.ndarray, np.ndarray]:
     """Optimal values and each state's optimal action rank, by Howard
     policy iteration.
 
@@ -138,11 +137,9 @@ def optimal_ranks(model: MdpModel, tolerance: float
     honest pre policy (rank 0), each exactly valued policy moves a pre
     state to its first-wins greedy action only on strict improvement; a
     policy valued twice means ties lost to rounding, and stops the loop.
-    The values are exact, so they meet any tolerance > 0; the pre ranks
-    are the first-wins argmax of the final action values.
+    The values are exact; the pre ranks are the first-wins argmax of the
+    final action values.
     """
-    if not tolerance > 0.0:
-        raise ValueError("tolerance must be positive")
     n_pre = model.n_pre
     rows = np.arange(n_pre)
     ranks = np.concatenate([np.zeros(n_pre, dtype=np.intp),
@@ -170,8 +167,11 @@ def _policy(model: MdpModel, ranks: np.ndarray) -> Policy:
 
 def value_iteration(model: MdpModel, tolerance: float
                     ) -> tuple[np.ndarray, Policy]:
-    """Optimal values and policy: optimal_ranks' ranks as a Policy."""
-    values, ranks = optimal_ranks(model, tolerance)
+    """Optimal values and policy: optimal_ranks' ranks as a Policy.  The
+    values are exact, so they meet any tolerance > 0."""
+    if not tolerance > 0.0:
+        raise ValueError("tolerance must be positive")
+    values, ranks = optimal_ranks(model)
     return values, _policy(model, ranks)
 
 
@@ -228,13 +228,11 @@ def honest_policy(model: MdpModel) -> Policy:
 
 def threshold_policy(model: MdpModel, z: int) -> Policy:
     """Attack when at most z sensors saw busy, else report busy and wait;
-    after termination transmit exactly when the lone-sensing value is
-    positive."""
+    after termination play oneshot.post_transmit."""
     m = model.params.n_attackers
     pre = [ActionProfile(max(ka, 1), m if kh + ka <= z else 0)
            for _, kh, ka in model.states[:model.n_pre]]
-    post = [m if oneshot.lone_sensing_pays(ka, model.params) else 0
-            for ka in range(m + 1)]
+    post = oneshot.post_transmit(model.params).tolist()
     return dict(zip(model.states, pre + post))
 
 
@@ -255,7 +253,7 @@ def verify_threshold_structure(model: MdpModel
     Returns (True, None), or (False, s) where s declines to attack while
     some state with at least as many busy sensors attacks.
     """
-    _, ranks = optimal_ranks(model, 1e-10)
+    _, ranks = optimal_ranks(model)
     pre = model.states[:model.n_pre]
     attacked = dict(zip(pre, (ranks[:model.n_pre] != 0).tolist()))
     max_attack_k = max((s[1] + s[2] for s in pre if attacked[s]), default=-1)

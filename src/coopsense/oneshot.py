@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -334,3 +334,18 @@ def lone_sensing_pays(attacker_busy: int, params: ScenarioParams) -> bool:
     """Whether the attackers transmit on their own sensing; the boundary
     does not pay."""
     return lone_sensing_value(attacker_busy, params) > 0.0
+
+
+def post_transmit(params: ScenarioParams | HeteroParams) -> np.ndarray:
+    """The attackers' transmitter count by own busy count once
+    collaboration has ended, (M+1,) int64: M where lone sensing pays,
+    else 0; a heterogeneous attacker at its own error rates and rate."""
+    alone = params
+    if isinstance(params, HeteroParams):
+        alone = replace(params.base,
+                        p_false_alarm=params.p_false_alarm_attacker,
+                        p_missed_detection=params.p_missed_detection_attacker,
+                        total_rate=params.rate_attacker)
+    m = alone.n_attackers
+    return np.array([m if lone_sensing_pays(ka, alone) else 0
+                     for ka in range(m + 1)], dtype=np.int64)

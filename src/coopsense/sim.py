@@ -2,13 +2,13 @@
 
 run_experiment cuts the replications into contiguous blocks of about
 BLOCK_SLOTS slots and runs the outcome kernel once per (rows x horizon)
-block.  The kernel evaluates the slot rules (_slot_rules) once on the
-small grid of (idle, honest busy count, attacker busy count) cells and
-gathers each slot's rewards from it, then applies the indirect
-punishment from each row's first exclusive hit on.  run_trace lists
-replication 0's slots from the same draws, grid and kernel, so a trace
-is an episode that the estimate averages.  The tests hold a scalar
-reference of the slot rules and pin the kernel and the trace to it.
+block.  The outcome grid settles every (idle, honest busy count,
+attacker busy count) cell twice: by _slot_rules while the SUs
+collaborate, and by oneshot.post_transmit after the indirect trigger.
+The kernel moves every slot after a row's first exclusive hit into the
+terminated half; the estimator and run_trace (replication 0) read both
+phases from the grid, so a trace is an episode that the estimate
+averages.  The tests pin the kernel and the trace to a scalar reference.
 
 Determinism contract: replication r draws from
 PCG64(SeedSequence(base_seed, spawn_key=(r,))), the block size depends on
@@ -34,7 +34,7 @@ import functools
 import math
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
@@ -179,70 +179,57 @@ def validate_config(config: SimConfig) -> list[str]:
     return problems
 
 
-def _post_transmit_table(params: ScenarioParams) -> np.ndarray:
-    m = params.n_attackers
-    return np.array([m if oneshot.lone_sensing_pays(ka, params) else 0
-                     for ka in range(m + 1)], dtype=np.int64)
-
-
-def _mdp_tables(params: ScenarioParams) -> PolicyTables:
-    # long-run optimum: greedy policy of the termination-game MDP
+def _mdp_flat(params: ScenarioParams) -> np.ndarray:
+    # long-run optimum: the termination-game MDP's greedy pre-punishment
+    # profiles, indexed [honest_busy, attacker_busy]
     model = mdp_mod.build_mdp(params)
-    _, ranks = mdp_mod.optimal_ranks(model, 1e-10)
-    flat, post = model.actions_at(ranks)
-    m = params.n_attackers
-    b, mt = np.divmod(flat.reshape(params.n_honest + 1, m + 1), m + 1)
-    return PolicyTables(b, mt, post)
+    flat, _ = model.actions_at(mdp_mod.optimal_ranks(model)[1])
+    return flat.reshape(params.n_honest + 1, params.n_attackers + 1)
 
 
 def build_policy_tables(config: SimConfig) -> PolicyTables:
+    """A built-in policy's tables; after termination every built-in
+    policy plays oneshot.post_transmit."""
     params, mode = config.params, config.punishment_mode
     policy = config.attacker_policy
     if isinstance(policy, PolicyTables):
         return policy
-    hetero = isinstance(params, HeteroParams)
+    group = params.base
     if mode == "indirect" and policy == "optimal":
-        if hetero:
+        if isinstance(params, HeteroParams):
             raise ValueError("optimal indirect policy is only built for "
                              "homogeneous attackers (no heterogeneous MDP)")
-        return _mdp_tables(params)
-    group = params.base
-    if policy == "honest":
+        flat = _mdp_flat(params)
+    elif policy == "honest":
         flat = oneshot.honest_flat(group)
     else:
         _, flat, _ = oneshot.best_profiles(params, mode == "direct")
     b, mt = np.divmod(flat, group.n_attackers + 1)
-    p_fa, p_ma = _attacker_rates(params)
-    # the attackers sensing alone, at their own error rates and rate
-    return PolicyTables(b, mt, _post_transmit_table(replace(
-        group, p_false_alarm=p_fa, p_missed_detection=p_ma,
-        total_rate=params.rate_attacker if hetero else group.total_rate)))
+    return PolicyTables(b, mt, oneshot.post_transmit(params))
 
 
 def _reward_constants(config: SimConfig) -> tuple[float, float, float, float, int, int]:
     """(rate_attacker_side, rate_honest_side, cp, cb, m, n_honest_transmitters)"""
-    if isinstance(config.params, HeteroParams):
-        base = config.params.base
-        r_att = config.params.rate_attacker
-        r_hon = float(np.mean(config.params.rates_honest))
-        m = 1
+    params = config.params
+    base = params.base
+    if isinstance(params, HeteroParams):
+        r_att = params.rate_attacker
+        r_hon = float(np.mean(params.rates_honest))
     else:
-        base = config.params
-        r_att = base.total_rate
-        r_hon = base.total_rate
-        m = base.n_attackers
+        r_att = r_hon = base.total_rate
     cb = base.direct_punishment if config.punishment_mode == "direct" else 0.0
+    m = base.n_attackers
     return r_att, r_hon, base.collision_penalty, cb, m, base.n_total - m
 
 
 def _slot_rules(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
                 config: SimConfig, tables: PolicyTables
                 ) -> tuple[np.ndarray, ...]:
-    """Elementwise outcome of slots before any punishment: realized
+    """Elementwise outcome of slots while the SUs collaborate: realized
     rewards (attacker aggregate, honest per-SU), collision flags, the
     exclusive hits (a collision after a busy announcement), then the
-    busy announcements, transmitter counts and per-SU penalties that
-    only traces read."""
+    announcements, transmitter counts and per-SU penalties that only
+    traces read."""
     r_att, r_hon, cp, cb, m, n_h = _reward_constants(config)
     busy = ~idle
     b = tables.b[kh, ka]
@@ -266,48 +253,46 @@ def _slot_rules(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
     att[exclusive_hit] = -m * (cp + cb)
     hon[exclusive_hit] = -(cp + cb)
     penalty[exclusive_hit] = cp + cb
-    return att, hon, collision, exclusive_hit, announced, t_total, penalty
+    announcement = np.where(announced, Announcement.H1, Announcement.H0)
+    return att, hon, collision, exclusive_hit, announcement, t_total, penalty
 
 
 def _outcome_grid(config: SimConfig, tables: PolicyTables
                   ) -> tuple[np.ndarray, ...]:
-    """_slot_rules on every (idle, honest_busy, attacker_busy) cell, in
-    the order of _cells."""
-    *_, m, n_h = _reward_constants(config)
+    """_slot_rules' seven columns on cells (idle * (n_h + 1) + honest_busy)
+    * (M + 1) + attacker_busy, then on the same cells after termination:
+    the post_transmit count transmits on its own sensing, with no
+    announcement (None), exclusive hit, penalty or honest reward."""
+    r_att, _, cp, _, m, n_h = _reward_constants(config)
     idle, kh, ka = np.indices((2, n_h + 1, m + 1)).reshape(3, -1)
-    return _slot_rules(idle.astype(bool), kh, ka, config, tables)
-
-
-def _cells(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
-           config: SimConfig) -> np.ndarray:
-    """Each slot's _outcome_grid cell,
-    (idle * (n_h + 1) + honest_busy) * (M + 1) + attacker_busy."""
-    *_, m, n_h = _reward_constants(config)
-    return (idle * (n_h + 1) + kh) * (m + 1) + ka
+    idle = idle.astype(bool)
+    transmitters = tables.post_transmit[ka]
+    transmit = transmitters >= 1
+    zero = np.zeros(idle.shape)
+    ended = (np.where(transmit, np.where(idle, r_att, -m * cp), 0.0), zero,
+             ~idle & transmit, np.zeros(idle.shape, dtype=bool),
+             np.full(idle.shape, None), transmitters, zero)
+    return tuple(np.concatenate(halves) for halves in zip(
+        _slot_rules(idle, kh, ka, config, tables), ended))
 
 
 def _block_outcomes(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
-                    config: SimConfig, tables: PolicyTables,
-                    grid: tuple[np.ndarray, ...]
-                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per-slot realized rewards (attacker aggregate, honest per-SU) and
-    collision flags of a (rows x horizon) block, and each row's punishment
-    trigger slot (-1 when none).  grid is _outcome_grid(config, tables)."""
-    r_att, _, cp, _, m, _ = _reward_constants(config)
-    cell = _cells(idle, kh, ka, config)
-    att, hon, collision, exclusive_hit = (column[cell] for column in grid[:4])
-
+                    config: SimConfig, grid: tuple[np.ndarray, ...]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Each slot's _outcome_grid cell in a (rows x horizon) block, and
+    each row's punishment trigger slot (-1 when none).  Under indirect
+    punishment every slot after a row's first exclusive hit takes its
+    cell in the grid's terminated half."""
+    *_, m, n_h = _reward_constants(config)
+    cell = (idle * (n_h + 1) + kh) * (m + 1) + ka
+    if config.punishment_mode != "indirect":
+        return cell, np.full(idle.shape[0], -1)
+    exclusive_hit = grid[3][cell]
     triggered = exclusive_hit.any(axis=1)
-    if config.punishment_mode != "indirect" or not triggered.any():
-        return att, hon, collision, np.full(idle.shape[0], -1)
     first = np.argmax(exclusive_hit, axis=1)
     after = triggered[:, None] & (np.arange(idle.shape[1]) > first[:, None])
-    transmit = tables.post_transmit[ka] >= 1
-    att = np.where(after, np.where(transmit, np.where(idle, r_att, -m * cp),
-                                   0.0), att)
-    hon[after] = 0.0
-    collision = np.where(after, ~idle & transmit, collision)
-    return att, hon, collision, np.where(triggered, first, -1)
+    np.add(cell, len(grid[3]) // 2, out=cell, where=after)
+    return cell, np.where(triggered, first, -1)
 
 
 def _stream_words(base_seed: int, reps: range) -> np.ndarray:
@@ -532,11 +517,11 @@ def _block_draws(config: SimConfig, words: np.ndarray
     return idle, kh, ka
 
 
-def _run_block(words: np.ndarray, config: SimConfig, tables: PolicyTables,
+def _run_block(words: np.ndarray, config: SimConfig,
                grid: tuple[np.ndarray, ...], weights: np.ndarray) -> tuple:
     idle, kh, ka = _block_draws(config, words)
-    att, hon, collision, triggers = _block_outcomes(idle, kh, ka, config,
-                                                    tables, grid)
+    cell, triggers = _block_outcomes(idle, kh, ka, config, grid)
+    att, hon, collision = (column[cell] for column in grid[:3])
     return (att.mean(axis=1), hon.mean(axis=1),
             (att * weights).sum(axis=1), (hon * weights).sum(axis=1),
             int(np.count_nonzero(collision)), int(np.count_nonzero(~idle)),
@@ -556,8 +541,7 @@ def run_experiment(config: SimConfig, workers: int = 1) -> SimStats:
     problems = validate_config(config)
     if problems:
         raise ValueError("; ".join(problems))
-    tables = build_policy_tables(config)
-    grid = _outcome_grid(config, tables)
+    grid = _outcome_grid(config, build_policy_tables(config))
     params = config.params.base
     delta = params.discount
     weights = delta ** np.arange(config.horizon)
@@ -568,10 +552,10 @@ def run_experiment(config: SimConfig, workers: int = 1) -> SimStats:
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(
-                lambda block: _run_block(block, config, tables, grid, weights),
+                lambda block: _run_block(block, config, grid, weights),
                 blocks))
     else:
-        rows = [_run_block(block, config, tables, grid, weights)
+        rows = [_run_block(block, config, grid, weights)
                 for block in blocks]
 
     cols = list(zip(*rows))
@@ -609,30 +593,22 @@ def validate_trace(config: SimConfig, slots: int) -> list[str]:
 
 def run_trace(config: SimConfig, slots: int) -> list[SlotTrace]:
     """The first slots slots of replication 0, as run_experiment draws
-    and settles them: the same _block_draws, outcome grid and
-    _block_outcomes, so the trace is an episode that the estimate
-    averages.  From the slot after the trigger on, reporting has stopped:
-    the announcement is None and the attackers' post_transmit count
-    transmits."""
+    and settles them: the same _block_draws, outcome grid and cells, so
+    the trace is an episode that the estimate averages.  From the slot
+    after the trigger on, the cells are the grid's terminated half:
+    reporting has stopped, so the announcement is None, and the
+    attackers' post_transmit count transmits."""
     problems = validate_config(config) + validate_trace(config, slots)
     if problems:
         raise ValueError("; ".join(problems))
-    tables = build_policy_tables(config)
-    grid = _outcome_grid(config, tables)
+    grid = _outcome_grid(config, build_policy_tables(config))
     idle, kh, ka = _block_draws(config, _stream_words(config.base_seed,
                                                       range(1)))
-    att, hon, collision, triggers = _block_outcomes(idle, kh, ka, config,
-                                                    tables, grid)
-    announced, transmitters, penalty = (
-        column[_cells(idle, kh, ka, config)] for column in grid[4:])
-    slot = np.arange(config.horizon)
+    cell, triggers = _block_outcomes(idle, kh, ka, config, grid)
+    att, hon, collision, _, announcement, transmitters, penalty = (
+        column[cell[0]] for column in grid)
     first = triggers[0] if triggers[0] >= 0 else config.horizon
-    stopped = slot > first
-    columns = (~idle, kh, ka,
-               np.where(stopped, None, np.where(announced, Announcement.H1,
-                                                Announcement.H0)),
-               np.where(stopped, tables.post_transmit[ka], transmitters),
-               collision, att, hon, np.where(stopped, 0.0, penalty),
-               slot >= first)
+    columns = (~idle[0], kh[0], ka[0], announcement, transmitters, collision,
+               att, hon, penalty, np.arange(config.horizon) >= first)
     return [SlotTrace(*fields) for fields in zip(
-        *(np.reshape(column, -1)[:slots].tolist() for column in columns))]
+        *(column[:slots].tolist() for column in columns))]

@@ -1,9 +1,12 @@
 """Scalar references that the package's vectorized paths are tested against.
 
 run_slot plays one slot at a time, with plain Python arithmetic, by the
-slot rules that sim._slot_rules and sim._block_outcomes evaluate on whole
-arrays; test_scalar_and_vector_paths_agree feeds it a replication's draws
-and asserts that every field agrees.
+rules of both phases, collaboration and the terminated phase after the
+indirect trigger, that sim._outcome_grid tabulates per cell and
+sim._block_outcomes applies to whole blocks.
+test_scalar_and_vector_paths_agree replays recorded draws through it: it
+pins every field of run_trace, and the estimator's rewards, collision
+flags and trigger slot of every replication of a block.
 
 dense_arrays builds the termination-game MDP explicitly, as a transition
 tensor and reward matrix over every state and action, and bellman_backup

@@ -181,7 +181,7 @@ def _assert_near_exact(model, ranks, values):
 def test_policy_values_match_exact_rationals(params, seed):
     assume(not validate(params))
     model = build_mdp(params)
-    values, ranks = optimal_ranks(model, 1e-12)
+    values, ranks = optimal_ranks(model)
     _assert_near_exact(model, ranks, values)
     rng = np.random.default_rng(seed)
     drawn = np.array([rng.integers(len(a)) for a in model.actions_per_state])
@@ -215,7 +215,7 @@ def test_rank_native_policies_match_action_lists(params, z, seed):
     drawn = {s: a[rng.integers(len(a))] for s, a in zip(model.states, acts)}
     pinned = [honest_policy(model), threshold_policy(model, z), drawn]
     try:
-        _, ranks = optimal_ranks(model, 1e-12)
+        _, ranks = optimal_ranks(model)
     except ValueError:
         with pytest.raises(ValueError, match="did not converge"):
             value_iteration(model, 1e-12)

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from coopsense import sim
+from coopsense.mdp import build_mdp, optimal_ranks, threshold_policy
 from coopsense.model import (HeteroParams, ScenarioParams, validate,
                              validate_hetero)
-from coopsense.oneshot import expected_slot_rewards
+from coopsense.oneshot import expected_slot_rewards, post_transmit
 from coopsense.sim import (PolicyTables, SimConfig, _block_draws,
                            _block_outcomes, _cut_index, _inversion_count,
                            _inversion_table, _outcome_grid, _stream,
@@ -20,6 +21,20 @@ from conftest import observable_scenario, region_ii_scenario, rel_err
 from oracles import SlotRuntime, run_slot
 
 AT_WC = ScenarioParams(6, 2, 0.6, 0.08, 0.08, 100.0, discount=0.9)
+# test_golden_sim.SCENARIO: cooperation case SC, so the attackers keep
+# transmitting on their own unanimous idle vote after termination
+NT_SC = ScenarioParams(
+    n_total=6, n_attackers=4, p_idle=0.43093601412916105,
+    p_false_alarm=0.022458411436171683,
+    p_missed_detection=0.30247914532927933,
+    collision_penalty=7.864081233717548, discount=0.8)
+# alone at its own rates the attacker transmits on an idle decision, where
+# the base record's rates would keep it silent
+HETERO_ALONE = HeteroParams(
+    base=ScenarioParams(5, 1, 0.55, 0.06, 0.3, 4.0, discount=0.9,
+                        direct_punishment=12.0),
+    p_false_alarm_attacker=0.1, p_missed_detection_attacker=0.35,
+    rate_attacker=1.5)
 
 
 class _Replay:
@@ -68,8 +83,9 @@ def test_scalar_and_vector_paths_agree(mode, cb):
         assert runtime.punishment_on == (mode == "indirect" and seed == 19)
     # the last row never sees a busy slot, so it never triggers
     idle[-1] = True
-    att, hon, collision, triggers = _block_outcomes(
-        idle, kh, ka, config, tables, _outcome_grid(config, tables))
+    grid = _outcome_grid(config, tables)
+    cell, triggers = _block_outcomes(idle, kh, ka, config, grid)
+    att, hon, collision = (column[cell] for column in grid[:3])
     assert triggers[-1] == -1
     if mode == "indirect":
         assert (triggers[:-1] >= 0).any()
@@ -355,6 +371,30 @@ def test_custom_tables_respected():
                        base_seed=1)
     stats = run_experiment(config)
     assert stats.per_slot_attacker.mean <= 0.0
+
+
+@pytest.mark.parametrize("policy", ["optimal", "honest"])
+@pytest.mark.parametrize("mode", sim.MODES)
+@pytest.mark.parametrize("params", [AT_WC, NT_SC, HETERO_ALONE],
+                         ids=["AT_WC", "NT_SC", "hetero"])
+def test_one_post_table_per_scenario(params, mode, policy):
+    hetero = isinstance(params, HeteroParams)
+    if hetero and mode == "indirect" and policy == "optimal":
+        pytest.skip("no heterogeneous MDP")
+    config = SimConfig(params=params, punishment_mode=mode,
+                       attacker_policy=policy)
+    assert validate_config(config) == []
+    table = post_transmit(params)
+    assert build_policy_tables(config).post_transmit.tolist() == table.tolist()
+    # lone sensing never pays at AT_WC, and does somewhere in the others
+    assert table.any() == (params is not AT_WC)
+    if not hetero:
+        model = build_mdp(params)
+        _, optimal_post = model.actions_at(optimal_ranks(model)[1])
+        assert optimal_post.tolist() == table.tolist()
+        policy_post = threshold_policy(model, 0)
+        assert [policy_post[("post", ka)]
+                for ka in range(params.n_attackers + 1)] == table.tolist()
 
 
 def test_honest_tables_never_hit_exclusively():
