@@ -18,6 +18,12 @@ The cases in SEED_BASES add their base seed to every shape's seed, so
 their streams come from seeds past one 32-bit word: SeedSequence
 coerces 2**32 + 5 to two words and 2**127 + 1 to four, and a seed of
 2**128 or more takes the simulator's SeedSequence fallback.
+
+The simulator runs its blocks on threads only from a crossover horizon on,
+so the shapes above compare two serial runs.  LONG_SHAPES, at 40,000 and
+100,003 slots, sit past the crossover: their 3-worker runs go through the
+thread pool.  In their late_trigger case, indirect punishment triggers
+after slot 8,192 (the simulator's BLOCK_SLOTS).
 """
 
 import dataclasses
@@ -130,3 +136,65 @@ def test_golden_sim_stats(name):
             (horizon, replications)
         out.append(single)
     assert hashlib.sha256(repr(out).encode()).hexdigest() == GOLDEN[name]
+
+
+
+# Shapes past the simulator's thread crossover, so that the 3-worker runs
+# go through its thread pool; every row is a block of its own.
+LONG_SHAPES = ((40_000, 3), (100_003, 2))
+
+
+def _late_trigger_case() -> tuple[ScenarioParams, str, PolicyTables]:
+    """Indirect tables whose only exclusive hit is a busy slot that every
+    SU senses idle, announced by b[0, 0]: at p_missed_detection 0.2 that is
+    about one slot in 28,000, so triggers fall after the first 8,192
+    slots."""
+    params = dataclasses.replace(SCENARIO, p_missed_detection=0.2)
+    rng = np.random.default_rng(19)
+    m, n_h = params.n_attackers, params.n_honest
+    b = rng.integers(0, m + 1, (n_h + 1, m + 1))
+    b[0] = 0
+    b[0, 0] = 1
+    transmit = np.zeros((n_h + 1, m + 1), dtype=np.int64)
+    transmit[0] = rng.integers(1, m + 1, m + 1)
+    return params, "indirect", PolicyTables(
+        b=b, transmit=transmit, post_transmit=rng.integers(1, m + 1, m + 1))
+
+
+LONG_CASES = {
+    "none": CASES["none"],
+    "direct": CASES["direct"],
+    "indirect": CASES["indirect"],
+    "hetero_direct": CASES["hetero_direct"],
+    "late_trigger": _late_trigger_case(),
+}
+
+LONG_GOLDEN = {
+    "direct":
+        "d7a6fd17e3467f42c4ea4c7b630063c16db955567fbd6610a3613dc1e229a2e7",
+    "hetero_direct":
+        "def66a4f3973f961104f680400cd16eaf939f7a8f885a653687673239f60700f",
+    "indirect":
+        "57cf015bf6bc23ada726e11eab8e2e617b80c74ca0a073a6f2f27ede64a5b830",
+    "late_trigger":
+        "0503820563acbdbcdbd206c240bae19ad20cdb8cceea707614a0ae40451fee81",
+    "none":
+        "2b58f5ae72ca7fe6ce04fd7b78d69b3b09b0a81147d107378e8e204bbace0356",
+}
+
+
+@pytest.mark.parametrize("name", sorted(LONG_CASES))
+def test_golden_sim_stats_long_horizon(name):
+    params, mode, policy = LONG_CASES[name]
+    out = []
+    for seed, (horizon, replications) in enumerate(LONG_SHAPES):
+        config = SimConfig(params=params, punishment_mode=mode,
+                           attacker_policy=policy, horizon=horizon,
+                           replications=replications, base_seed=seed)
+        single = run_experiment(config, workers=1)
+        assert run_experiment(config, workers=3) == single, \
+            (horizon, replications)
+        if name == "late_trigger":
+            assert max(single.punishment_trigger_slots) > 8192
+        out.append(single)
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == LONG_GOLDEN[name]
