@@ -2,7 +2,10 @@
 
 run_experiment cuts the replications into contiguous blocks of about
 BLOCK_SLOTS slots and runs the outcome kernel once per (rows x horizon)
-block.  The outcome grid settles every (idle, honest busy count,
+block.  It runs the blocks on up to `workers` threads only from a horizon
+of THREAD_HORIZON slots on: a shorter row is mostly short numpy calls
+that hold the GIL, and there two threads took about twice the time of
+one.  Below it the blocks run serially whatever `workers` says.  The outcome grid settles every (idle, honest busy count,
 attacker busy count) cell twice: by _slot_rules while the SUs
 collaborate, and by oneshot.post_transmit after the indirect trigger.
 The kernel moves every slot after a row's first exclusive hit into the
@@ -52,6 +55,19 @@ MODES = ("none", "direct", "indirect")
 # rows.  The size depends on the horizon only, never on the worker count,
 # and small blocks keep the kernel's temporaries in a few hundred kB.
 BLOCK_SLOTS = 8192
+
+# run_experiment runs its blocks on threads only at horizons of this many
+# slots or more.  Time of 2 workers over 1 worker by horizon, N=5, M=2,
+# about 400k slots per shape, median of 9 alternating calls (2 cores,
+# numpy 2.4.6):
+#
+#   horizon    192  1,000  4,096  8,192  16,384  32,768  65,536  100,000
+#   indirect  2.47   1.87   1.82   1.70    1.16    0.76    0.95     0.82
+#   none      2.07   2.50   2.01   2.15    1.08    0.85    0.81     0.82
+#
+# Outputs never depend on it: blocks, draws and merge order are the same
+# on either side.
+THREAD_HORIZON = 4 * BLOCK_SLOTS
 
 # numpy's Generator.binomial (random_binomial in its distributions.c)
 # samples by inversion where n * min(p, 1-p) is at most this, else by BTPE.
@@ -537,8 +553,13 @@ def _stat_block(values: np.ndarray) -> StatBlock:
 
 def run_experiment(config: SimConfig, workers: int = 1) -> SimStats:
     """Replicated episodes, merged in replication order regardless of the
-    worker count."""
+    worker count.  workers, an integer of at least 1, bounds the threads:
+    they run only at horizons of THREAD_HORIZON slots or more, and the
+    result is bit-identical at any worker count."""
     problems = validate_config(config)
+    if not (_is_count(workers) and workers >= 1):
+        problems.append(f"workers must be an integer at least 1, "
+                        f"not {workers!r}")
     if problems:
         raise ValueError("; ".join(problems))
     grid = _outcome_grid(config, build_policy_tables(config))
@@ -549,7 +570,7 @@ def run_experiment(config: SimConfig, workers: int = 1) -> SimStats:
     words = _stream_words(config.base_seed, range(config.replications))
     blocks = [words[start:start + size]
               for start in range(0, config.replications, size)]
-    if workers > 1:
+    if workers > 1 and config.horizon >= THREAD_HORIZON:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(
                 lambda block: _run_block(block, config, grid, weights),

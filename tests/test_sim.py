@@ -250,6 +250,37 @@ def test_worker_count_does_not_change_stats():
                                                                workers=4)
 
 
+def test_threads_run_from_the_crossover_horizon_on(monkeypatch):
+    pool_class, pools = sim.ThreadPoolExecutor, []
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("thread pool below the crossover horizon")
+
+    class CountedPool(pool_class):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    short = SimConfig(params=AT_WC, punishment_mode="indirect",
+                      horizon=sim.THREAD_HORIZON - 1, replications=3,
+                      base_seed=5)
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", no_pool)
+    assert run_experiment(short, workers=8) == run_experiment(short)
+    crossover = dataclasses.replace(short, horizon=sim.THREAD_HORIZON)
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", CountedPool)
+    assert run_experiment(crossover, workers=2) == run_experiment(crossover)
+    assert pools == [2]
+
+
+@pytest.mark.parametrize("workers", [0, -3, 2.5, True, "2", None])
+def test_workers_must_be_an_integer_at_least_one(workers):
+    message = f"workers must be an integer at least 1, not {workers!r}"
+    for horizon in (192, sim.THREAD_HORIZON):
+        config = SimConfig(params=AT_WC, horizon=horizon, replications=2)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_experiment(config, workers=workers)
+
+
 def test_honest_policy_matches_expectation():
     rng = np.random.default_rng(51)
     params = observable_scenario(rng)
