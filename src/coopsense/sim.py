@@ -5,7 +5,9 @@ BLOCK_SLOTS slots and runs the outcome kernel once per (rows x horizon)
 block.  It runs the blocks on up to `workers` threads only from a horizon
 of THREAD_HORIZON slots on: a shorter row is mostly short numpy calls
 that hold the GIL, and there two threads took about twice the time of
-one.  Below it the blocks run serially whatever `workers` says.  The outcome grid settles every (idle, honest busy count,
+one.  Below it the blocks run serially whatever `workers` says.
+
+The outcome grid settles every (idle, honest busy count,
 attacker busy count) cell twice: by _slot_rules while the SUs
 collaborate, and by oneshot.post_transmit after the indirect trigger.
 The kernel moves every slot after a row's first exclusive hit into the

@@ -138,7 +138,6 @@ def test_golden_sim_stats(name):
     assert hashlib.sha256(repr(out).encode()).hexdigest() == GOLDEN[name]
 
 
-
 # Shapes past the simulator's thread crossover, so that the 3-worker runs
 # go through its thread pool; every row is a block of its own.
 LONG_SHAPES = ((40_000, 3), (100_003, 2))
