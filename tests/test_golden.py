@@ -10,9 +10,13 @@ alter these outputs says so and pins new digests.
 The direct-threshold oracle and action_order are pinned over every
 attacker count 1..N-1 of region-II scenarios with N from 3 to 20, half
 of them at a non-unit rate.  The MDP solve is pinned over the
-homogeneous scenarios at their own discount and at 0.99 and 0.999.
+homogeneous scenarios at their own discount and at 0.99 and 0.999, and
+the long-run values at their own discount and at 1e-9, 0.5, 0.99 and
+1 - 1e-9.  The discount-threshold oracle is pinned over the oracle
+scenarios whose transmission case is NT.
 """
 
+import collections
 import dataclasses
 import hashlib
 
@@ -20,11 +24,13 @@ import numpy as np
 import pytest
 
 from coopsense.direct import direct_threshold_hetero, direct_threshold_oracle
-from coopsense.indirect import lr_dishonest
+from coopsense import indirect, oneshot
+from coopsense.indirect import delta_threshold_oracle, lr_dishonest, lr_honest
 from coopsense.mdp import (build_mdp, honest_policy, policy_value,
                            start_value, threshold_policy, value_iteration,
                            verify_threshold_structure)
-from coopsense.model import HeteroParams
+from coopsense.model import (HeteroParams, TransmissionCase,
+                             classify_transmission_case)
 from coopsense.oneshot import (action_order, behavior_table,
                                expected_slot_rewards)
 from coopsense.sim import SimConfig, build_policy_tables
@@ -70,6 +76,27 @@ def _oracle_scenarios():
 def _oracle_thresholds():
     return [direct_threshold_oracle(p.n_attackers, p)
             for p in _oracle_scenarios()]
+
+
+def _nt_oracle_scenarios():
+    return [p for p in _oracle_scenarios()
+            if classify_transmission_case(p) is TransmissionCase.NT]
+
+
+def _delta_oracles():
+    return [delta_threshold_oracle(p) for p in _nt_oracle_scenarios()]
+
+
+LONG_RUN_DISCOUNTS = (1e-9, 0.5, 0.99, 1.0 - 1e-9)
+
+
+def _long_run_values():
+    out = []
+    for p in _homogeneous():
+        for discount in (p.discount, *LONG_RUN_DISCOUNTS):
+            at = dataclasses.replace(p, discount=discount)
+            out.append((lr_honest(at), lr_dishonest(at)))
+    return out
 
 
 def _action_orders():
@@ -147,6 +174,10 @@ GOLDEN = {
         "333d112b675b73a39b82e747d2f5ce1073dc87b19a4c461d33971586f610953c"),
     "direct_threshold_oracle": (_oracle_thresholds,
         "1460e72a5cae29f403129fff0fd96552c62cb65f6d33e7ca20602be31fc8b341"),
+    "delta_threshold_oracle": (_delta_oracles,
+        "b9d6e550f234ae895e0055a23d05030e33ce5f619ac84f14fcde52a82b8dd59b"),
+    "long_run_values": (_long_run_values,
+        "ebbbe15058221b5f3ab9d15e57d7852c063e696cb1028b8d0da96f4b9b806d70"),
     "behavior_table": (_behavior_tables,
         "a78cb6fb6a672fa41cb913acb7487dd958e6db9818120aad7f6ac599cf083103"),
     "expected_slot_rewards": (_slot_rewards,
@@ -166,3 +197,31 @@ GOLDEN = {
 def test_golden_digest(name):
     produce, digest = GOLDEN[name]
     assert hashlib.sha256(repr(produce()).encode()).hexdigest() == digest
+
+
+def test_bisection_step_counts(monkeypatch):
+    # every attacked(C_b) of the direct oracle and every gap(delta) of the
+    # discount oracle, per scenario: both bisections keep their step counts
+    steps = []
+    scan, long_run = oneshot.attack_scan, indirect.lr_dishonest
+
+    def counted(fn):
+        def step(*args):
+            steps[-1] += 1
+            return fn(*args)
+        return step
+
+    monkeypatch.setattr(oneshot, "attack_scan",
+                        lambda params: counted(scan(params)))
+    for p in _oracle_scenarios():
+        steps.append(0)
+        direct_threshold_oracle(p.n_attackers, p)
+    assert collections.Counter(steps) == {
+        82: 6, 83: 7, 84: 7, 85: 11, 86: 9, 87: 7, 88: 7, 89: 2, 90: 1, 91: 1}
+
+    steps.clear()
+    monkeypatch.setattr(indirect, "lr_dishonest", counted(long_run))
+    for p in _nt_oracle_scenarios():
+        steps.append(0)
+        delta_threshold_oracle(p)
+    assert collections.Counter(steps) == {46: 44, 2: 1}
