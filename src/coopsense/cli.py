@@ -439,9 +439,17 @@ def _random_region_ii(rng: np.random.Generator) -> ScenarioParams:
         return dataclasses.replace(draft, collision_penalty=math.exp(log_cp))
 
 
+def _worst(errors: list[float]) -> float:
+    # max() drops a NaN that is not its first argument, so a NaN error
+    # would pass; a NaN worst fails every "worst <= tolerance" test
+    if any(math.isnan(e) for e in errors):
+        return math.nan
+    return max(errors, default=0.0)
+
+
 def _check_direct(rng: np.random.Generator, instances: int,
                   perturb: bool) -> dict:
-    worst = 0.0
+    errors = []
     for _ in range(instances):
         params = _random_region_ii(rng)
         closed = direct.direct_threshold(params.n_attackers, params).value
@@ -449,7 +457,8 @@ def _check_direct(rng: np.random.Generator, instances: int,
             closed *= 1.1
         oracle = direct.direct_threshold_oracle(params.n_attackers, params)
         scale = max(abs(oracle), 1e-300)
-        worst = max(worst, abs(closed - oracle) / scale)
+        errors.append(abs(closed - oracle) / scale)
+    worst = _worst(errors)
     return {"name": "direct_threshold_oracle_agreement",
             "passed": worst <= 1e-9,
             "detail": f"max relative error {worst:.3e} over "
@@ -457,7 +466,7 @@ def _check_direct(rng: np.random.Generator, instances: int,
 
 
 def _check_delta(rng: np.random.Generator, instances: int) -> dict:
-    worst = 0.0
+    errors = []
     used = 0
     attempts = 0
     while used < instances and attempts < 50 * instances:
@@ -472,14 +481,15 @@ def _check_delta(rng: np.random.Generator, instances: int) -> dict:
         if oracle is None:
             continue
         used += 1
-        worst = max(worst, abs(closed.value - oracle))
+        errors.append(abs(closed.value - oracle))
+    worst = _worst(errors)
     return {"name": "delta_threshold_oracle_agreement",
             "passed": used > 0 and worst <= 1e-9,
             "detail": f"max absolute error {worst:.3e} over {used} instances"}
 
 
 def _check_mdp(rng: np.random.Generator, instances: int) -> dict:
-    worst = 0.0
+    errors = []
     used = 0
     attempts = 0
     while used < instances and attempts < 50 * instances:
@@ -496,8 +506,9 @@ def _check_mdp(rng: np.random.Generator, instances: int) -> dict:
         lr_d = indirect.lr_dishonest(params).lr_dishonest
         mdp_d = mdp.start_value(model, values)
         scale = max(abs(lr_h), abs(lr_d), 1.0)
-        worst = max(worst, abs(lr_h - mdp_h) / scale,
-                    abs(max(lr_h, lr_d) - mdp_d) / scale)
+        errors += [abs(lr_h - mdp_h) / scale,
+                   abs(max(lr_h, lr_d) - mdp_d) / scale]
+    worst = _worst(errors)
     return {"name": "mdp_closed_form_equivalence",
             "passed": used > 0 and worst <= 1e-8,
             "detail": f"max relative error {worst:.3e} over {used} instances"}
@@ -528,7 +539,7 @@ def _random_observable(rng: np.random.Generator) -> ScenarioParams:
 
 def _check_sim(rng: np.random.Generator, instances: int,
                workers: int) -> dict:
-    worst = 0.0
+    errors = []
     for i in range(instances):
         params = _random_observable(rng)
         config = sim.SimConfig(params=params, punishment_mode="none",
@@ -539,7 +550,8 @@ def _check_sim(rng: np.random.Generator, instances: int,
         se = stats.per_slot_attacker.ci_half_width / 1.96
         if se == 0.0:
             se = max(abs(att), 1.0) * 1e-12
-        worst = max(worst, abs(stats.per_slot_attacker.mean - att) / se)
+        errors.append(abs(stats.per_slot_attacker.mean - att) / se)
+    worst = _worst(errors)
     return {"name": "simulation_analytic_agreement",
             "passed": worst <= 5.0,
             "detail": f"max deviation {worst:.2f} standard errors over "

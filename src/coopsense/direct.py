@@ -63,15 +63,16 @@ def direct_threshold(m_attackers: int, params: ScenarioParams) -> DirectThreshol
 
 
 def direct_threshold_oracle(m_attackers: int, params: ScenarioParams) -> float:
-    """Behavioral threshold: bisection on C_b over the best-response scan.
+    """Behavioral threshold: bisection on C_b over the best response.
 
     Meaningful inside the OR-rule penalty window; outside it some attacks
     are immune to C_b (no busy announcement is involved) and no finite
     charge empties the attack set.
 
-    The scan is oneshot.attack_scan: the tie-break order, the posteriors
-    and every reward but the busy-announcement grabs are built once per
-    call, so a bisection step recomputes only the C_b-dependent entries.
+    Each step asks oneshot.attack_scan whether some state's best response
+    at C_b is an attack.  The scan prices every state once per call and
+    then compares one grab reward with one rank-0 reward per state, with
+    best_profiles' verdict bit for bit.
     """
     n = params.n_total
     if not 1 <= m_attackers < n:

@@ -10,6 +10,7 @@ policy iteration over every state and action, not over threshold sets.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from . import posterior
@@ -53,8 +54,7 @@ def _shared_slot_value(group_size: int, params: ScenarioParams) -> float:
 def lr_honest(params: ScenarioParams) -> float:
     """Discounted aggregate attacker value of behaving honestly forever.
     Within 1e-13 * S of exact for N <= 24, S: the same over |terms|."""
-    a = _shared_slot_value(params.n_total, params)
-    return params.total_rate * params.n_attackers * a / (1.0 - params.discount)
+    return _long_run(params)(params.discount)[0]
 
 
 def _post_punishment_gain(params: ScenarioParams) -> float:
@@ -72,6 +72,38 @@ def _post_punishment_gain(params: ScenarioParams) -> float:
     return gain
 
 
+def _long_run(params: ScenarioParams
+              ) -> Callable[[float], tuple[float, float, int | None]]:
+    """(lr_honest, lr_dishonest, z_star) at any discount delta.
+
+    Only the last formula of each value depends on delta, so the honest
+    slot value, the lone-sensing gain and the running reward and trigger
+    sums of every busy-count cutoff are taken once, at params' sensing
+    fields; params.discount is not read.
+    """
+    scan = classify_transmission_case(params) is TransmissionCase.AT
+    n, m = params.n_total, params.n_attackers
+    cp, rate = params.cp_rate1, params.total_rate
+    honest = rate * m * _shared_slot_value(n, params)
+    w = _post_punishment_gain(params)
+    idle, busy = posterior.count_masses(n, params)
+    sums = []
+    reward_sum = trigger_sum = 0.0
+    for k in range(n + 1 if scan else 1):
+        reward_sum += idle[k] - m * cp * busy[k]
+        trigger_sum += busy[k]
+        sums.append((reward_sum, trigger_sum))
+
+    def at(delta: float) -> tuple[float, float, int | None]:
+        tail = delta / (1.0 - delta)
+        values = [(r + tail * t * w) / (1.0 - delta * (1.0 - t))
+                  for r, t in sums]
+        z = max(range(len(values)), key=values.__getitem__)  # first of equals
+        return honest / (1.0 - delta), rate * values[z], z if scan else None
+
+    return at
+
+
 def lr_dishonest(params: ScenarioParams) -> LongTermRewards:
     """Optimal attacking value, with the attack-count threshold it uses.
 
@@ -81,25 +113,11 @@ def lr_dishonest(params: ScenarioParams) -> LongTermRewards:
     states).  Within 1e-13 * S of exact for N <= 24, S: the same over
     |terms|; z_star is an exact argmax up to that error.
     """
-    t_case = classify_transmission_case(params)
-    c_case = classify_cooperation_case(params)
-    scan = t_case is TransmissionCase.AT
-    n, m = params.n_total, params.n_attackers
-    cp, delta = params.cp_rate1, params.discount
-    w = _post_punishment_gain(params)
-    idle, busy = posterior.count_masses(n, params)
-    reward_sum = trigger_sum = 0.0
-    values = []
-    for k in range(n + 1 if scan else 1):
-        reward_sum += idle[k] - m * cp * busy[k]
-        trigger_sum += busy[k]
-        values.append((reward_sum + delta / (1.0 - delta) * trigger_sum * w)
-                      / (1.0 - delta * (1.0 - trigger_sum)))
-    z = max(range(len(values)), key=values.__getitem__)  # first of equals
-    honest = lr_honest(params)
-    dishonest = params.total_rate * values[z]
-    return LongTermRewards(honest, dishonest, c_case, t_case,
-                           z if scan else None, honest >= dishonest)
+    honest, dishonest, z = _long_run(params)(params.discount)
+    return LongTermRewards(honest, dishonest,
+                           classify_cooperation_case(params),
+                           classify_transmission_case(params), z,
+                           honest >= dishonest)
 
 
 def _log_mass_idle(group_size: int, params: ScenarioParams) -> float:
@@ -188,14 +206,15 @@ def delta_threshold_oracle(params: ScenarioParams) -> float | None:
     """Bisection for the discount factor where honesty overtakes attacking.
 
     Runs on the long-run value functions themselves, not on the threshold
-    algebra, so it cross-checks the closed forms.  None when the sign of
-    lr_honest - lr_dishonest never changes over (0,1).
+    algebra, so it cross-checks the closed forms: each step evaluates
+    lr_honest - lr_dishonest at its discount from sums taken once.  None
+    unless that gap is negative at 1e-12 and positive at 1 - 1e-12.
     """
+    long_run = _long_run(params)
 
     def gap(delta: float) -> float:
-        at_delta = replace(params, discount=delta)
-        rewards = lr_dishonest(at_delta)
-        return rewards.lr_honest - rewards.lr_dishonest
+        honest, dishonest, _ = long_run(delta)
+        return honest - dishonest
 
     lo, hi = 1e-12, 1.0 - 1e-12
     g_lo, g_hi = gap(lo), gap(hi)

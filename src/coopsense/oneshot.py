@@ -7,10 +7,12 @@ many nodes transmit, never on which ones.
 
 reward_tensors prices every state and profile at once and action_order
 fixes the tie-break; every best response in the package is the first
-maximum of the attacker tensor in that order; attack_scan re-prices only
-the entries a direct punishment reaches, for the threshold oracle's
-bisection.  evaluate_profile is the scalar reference for the tensor.  A heterogeneous single attacker plays
-the same game with M = 1, its own decision taking the attacker axis.
+maximum of the attacker tensor in that order.  attack_scan, the
+threshold oracle's bisection step, reduces each state to its rank-0
+reward and one scalar grab reward, the only one a direct punishment
+reaches.  evaluate_profile is the scalar reference for the tensor.  A
+heterogeneous single attacker plays the same game with M = 1, its own
+decision taking the attacker axis.
 """
 
 from __future__ import annotations
@@ -170,9 +172,15 @@ def reward_tensors(params: ScenarioParams | HeteroParams,
     and the rate is rate_attacker; the penalties are charges, so they are
     converted to that rate.
     """
+    return _price(params, *_posteriors(params), include_direct_punishment)
+
+
+def _price(params: ScenarioParams | HeteroParams, pi: np.ndarray,
+           pb: np.ndarray, rate: float,
+           include_direct_punishment: bool) -> RewardTensors:
+    # reward_tensors on _posteriors' output
     group = params.base
     n_h, m = group.n_honest, group.n_attackers
-    pi, pb, rate = _posteriors(params)
     cp = group.collision_penalty / rate
     cb = group.direct_punishment / rate if include_direct_punishment else 0.0
     mt, announced_busy, grab = _action_grid(n_h, m)
@@ -252,26 +260,37 @@ def attack_scan(params: ScenarioParams) -> Callable[[float], bool]:
     punishment C_b is an attack, that is, whether best_profiles on params
     with direct_punishment C_b picks anything but rank 0 of action_order.
 
-    Only the grab entries (a busy announcement and M_T >= 1) depend on
-    C_b.  The order, the posteriors, every other reward and the grab mask
-    are built once; each call recomputes the grab entries with
-    reward_tensors' expression and takes the first maximum in
-    action_order, so its verdicts are best_profiles' bit for bit.
+    Rank 0 is the honest-equivalent profile, never a grab (a busy
+    announcement and M_T >= 1), and every grab of a state has the one
+    reward _grab_reward, the only reward that depends on C_b.  The first
+    maximum is not rank 0 exactly when rank 0 is not NaN and a later
+    reward is NaN or larger.  So one reward_tensors pass gives each state
+    its rank-0 reward and whether a non-grab profile already beats it, and
+    each call compares one scalar grab reward per state with its rank-0
+    reward, stopping at the first attacked state: the verdicts are
+    best_profiles' bit for bit.
     """
     m = params.n_attackers
-    order = action_order(params)
     pi, pb, rate = _posteriors(params)
     cp = params.collision_penalty / rate
-    attacker = reward_tensors(params, False).attacker
-    fixed = _rank(attacker, order)
-    grab = _rank(np.broadcast_to(_action_grid(params.n_honest, m)[2],
-                                 attacker.shape), order)
-    pi, pb = pi[..., 0], pb[..., 0]
+    attacker = _price(params, pi, pb, rate, False).attacker
+    first = _pick(attacker, honest_flat(params))
+    grab = _action_grid(params.n_honest, m)[2]
+    # rank 0 is one of the non-grabs, so their maximum is NaN or larger
+    # than rank 0 exactly when another of them beats it
+    rival = np.where(grab, -np.inf, attacker).max(axis=(2, 3))
+    live = ~np.isnan(first)
+    if (live & ~(rival <= first)).any():
+        return lambda direct_punishment: True
+    states = list(zip(pi[live, 0, 0].tolist(), pb[live, 0, 0].tolist(),
+                      first[live].tolist()))
 
     def attacked(direct_punishment: float) -> bool:
-        grabbed = _grab_reward(pi, pb, m, cp, direct_punishment / rate, rate)
-        ranked = np.where(grab, grabbed, fixed)
-        return bool((ranked.argmax(axis=-1) != 0).any())
+        cb = direct_punishment / rate
+        for pi_s, pb_s, first_s in states:
+            if not _grab_reward(pi_s, pb_s, m, cp, cb, rate) <= first_s:
+                return True
+        return False
 
     return attacked
 

@@ -8,6 +8,10 @@ test_scalar_and_vector_paths_agree replays recorded draws through it: it
 pins every field of run_trace, and the estimator's rewards, collision
 flags and trigger slot of every replication of a block.
 
+tensor_attack_scan is oneshot.attack_scan on the full ranked reward
+tensor: each call re-prices every grab entry and takes the first maximum
+in action_order, where the package compares one grab reward per state.
+
 dense_arrays builds the termination-game MDP explicitly, as a transition
 tensor and reward matrix over every state and action, and bellman_backup
 sweeps it; exact_policy_values values a policy in exact rationals.  The
@@ -24,6 +28,7 @@ bounded by even where the value itself cancels.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +37,9 @@ import numpy as np
 from coopsense.fusion import Announcement
 from coopsense.mdp import MdpModel
 from coopsense.model import HeteroParams, ScenarioParams
-from coopsense.oneshot import best_profiles
+from coopsense.oneshot import (_action_grid, _grab_reward, _posteriors,
+                               _rank, action_order, best_profiles,
+                               reward_tensors)
 from coopsense.sim import (PolicyTables, SimConfig, SlotTrace,
                            _busy_probabilities, _reward_constants)
 
@@ -91,6 +98,28 @@ def run_slot(rng: np.random.Generator, runtime: SlotRuntime) -> SlotTrace:
                      Announcement.H1 if announced else Announcement.H0,
                      t_total, collision, att, hon, penalty,
                      runtime.punishment_on)
+
+
+def tensor_attack_scan(params: ScenarioParams) -> Callable[[float], bool]:
+    """attacked(C_b) of oneshot.attack_scan, from the ranked tensor: the
+    grab entries recomputed with reward_tensors' expression, every other
+    entry fixed, and an attack wherever argmax is not rank 0."""
+    m = params.n_attackers
+    order = action_order(params)
+    pi, pb, rate = _posteriors(params)
+    cp = params.collision_penalty / rate
+    attacker = reward_tensors(params, False).attacker
+    fixed = _rank(attacker, order)
+    grab = _rank(np.broadcast_to(_action_grid(params.n_honest, m)[2],
+                                 attacker.shape), order)
+    pi, pb = pi[..., 0], pb[..., 0]
+
+    def attacked(direct_punishment: float) -> bool:
+        grabbed = _grab_reward(pi, pb, m, cp, direct_punishment / rate, rate)
+        ranked = np.where(grab, grabbed, fixed)
+        return bool((ranked.argmax(axis=-1) != 0).any())
+
+    return attacked
 
 
 def dense_arrays(model: MdpModel) -> tuple[np.ndarray, np.ndarray]:

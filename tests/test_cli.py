@@ -234,6 +234,29 @@ def test_verify_passes_and_perturbation_fails(tmp_path):
     assert failed == ["direct_threshold_oracle_agreement"]
 
 
+@pytest.mark.parametrize("module, name, nan, check", [
+    ("direct", "direct_threshold_oracle", math.nan,
+     "direct_threshold_oracle_agreement"),
+    ("indirect", "delta_threshold_oracle", math.nan,
+     "delta_threshold_oracle_agreement"),
+    ("mdp", "start_value", math.nan, "mdp_closed_form_equivalence"),
+    ("oneshot", "expected_slot_rewards", (math.nan, math.nan),
+     "simulation_analytic_agreement"),
+], ids=["direct", "delta", "mdp", "sim"])
+def test_verify_fails_a_nan_disagreement(tmp_path, monkeypatch, module,
+                                         name, nan, check):
+    monkeypatch.setattr(getattr(cli, module), name,
+                        lambda *args, **kwargs: nan)
+    doc = _doc("verify", options={"instances": 3, "seed": 1,
+                                  "sim_instances": 1},
+               out_dir=str(tmp_path))
+    assert cli.main(["verify", "--config", _write_config(tmp_path, doc)]) == 1
+    report = json.loads((tmp_path / "verify.json").read_text())
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == [check]
+    assert "nan" in failed[0]["detail"]
+
+
 def test_verify_empty_grid_is_usage_error(tmp_path):
     doc = _doc("verify", options={"instances": 0}, out_dir=str(tmp_path))
     assert cli.main(["verify", "--config", _write_config(tmp_path, doc)]) == 2

@@ -203,7 +203,7 @@ def test_bisection_step_counts(monkeypatch):
     # every attacked(C_b) of the direct oracle and every gap(delta) of the
     # discount oracle, per scenario: both bisections keep their step counts
     steps = []
-    scan, long_run = oneshot.attack_scan, indirect.lr_dishonest
+    scan, long_run = oneshot.attack_scan, indirect._long_run
 
     def counted(fn):
         def step(*args):
@@ -220,7 +220,8 @@ def test_bisection_step_counts(monkeypatch):
         82: 6, 83: 7, 84: 7, 85: 11, 86: 9, 87: 7, 88: 7, 89: 2, 90: 1, 91: 1}
 
     steps.clear()
-    monkeypatch.setattr(indirect, "lr_dishonest", counted(long_run))
+    monkeypatch.setattr(indirect, "_long_run",
+                        lambda params: counted(long_run(params)))
     for p in _nt_oracle_scenarios():
         steps.append(0)
         delta_threshold_oracle(p)

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coopsense.direct import (direct_threshold, direct_threshold_hetero,
                               direct_threshold_oracle)
@@ -20,6 +20,7 @@ from coopsense.posterior import (posterior_idle, posterior_idle_hetero,
                                  report_split_pmf)
 
 from conftest import fined_scenarios, region_ii_scenario, rel_err
+from oracles import tensor_attack_scan
 
 
 def test_honest_equivalent_profiles(fig_params):
@@ -325,6 +326,66 @@ def test_attack_scan_matches_best_profiles(params, scale):
     for charge in charges:
         assert attacked(charge) == _attacked_by_best_profiles(params, charge), \
             charge
+
+
+# the validated space's corners: C_p from the smallest subnormal to 1e300
+# and rates from 0.01 to 100, so grab rewards reach 0 and -inf; the NaN
+# needs a busy posterior of 0, which only NAN_GRAB's P_m reaches
+SCAN_CORNERS = st.builds(
+    ScenarioParams,
+    n_total=st.integers(2, 8),
+    n_attackers=st.integers(1, 4),
+    p_idle=st.floats(0.01, 0.99),
+    p_false_alarm=st.floats(0.001, 0.999),
+    p_missed_detection=st.floats(0.001, 0.999),
+    collision_penalty=st.sampled_from([math.ulp(0.0), 1e-300, 1.0, 1e300])
+    | st.floats(math.ulp(0.0), 1e300),
+    total_rate=st.sampled_from([0.01, 1.0, 100.0]) | st.floats(0.01, 100.0))
+
+# the busy posterior underflows to 0 after the all-idle vote alone, so
+# an infinite charge prices that state's grab at 0*inf = NaN; elsewhere
+# the busy posterior times C_p is so large that only this grab beats
+# honesty, so the NaN alone decides the verdict at an infinite charge
+NAN_GRAB = ScenarioParams(n_total=2, n_attackers=1, p_idle=0.5,
+                          p_false_alarm=1e-30, p_missed_detection=1e-163,
+                          collision_penalty=1e300, total_rate=0.01)
+
+
+def _oracle_charges(params):
+    try:
+        oracle = direct_threshold_oracle(params.n_attackers, params)
+    except ValueError:  # no finite charge deters every attack
+        return []
+    return [math.nextafter(oracle, 0.0), oracle,
+            math.nextafter(oracle, math.inf)]
+
+
+@settings(max_examples=80, deadline=None)
+@given(params=SCAN_CORNERS)
+@example(params=NAN_GRAB)
+def test_attack_scan_matches_tensor_scan(params):
+    assume(not validate(params))
+    attacked, reference = attack_scan(params), tensor_attack_scan(params)
+    # a zero busy posterior divides by zero in _tie_charges and prices a
+    # grab at NaN in the reference
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        charges = ([0.0, direct_threshold(params.n_attackers, params).value,
+                    1e308, math.inf] + _oracle_charges(params)
+                   + _tie_charges(params))
+        for charge in charges:
+            assert attacked(charge) == reference(charge), charge
+
+
+def test_attack_scan_counts_a_nan_grab_as_an_attack():
+    # argmax picks the first NaN, so a NaN grab reward beats rank 0
+    with np.errstate(invalid="ignore"):
+        attacker = reward_tensors(
+            dataclasses.replace(NAN_GRAB, direct_punishment=math.inf),
+            True).attacker
+        assert tensor_attack_scan(NAN_GRAB)(math.inf)
+    assert np.isnan(attacker[0, 0, 1, 1])
+    assert not np.isnan(attacker[0, 0, 0, 1])  # rank 0 of state (0, 0)
+    assert attack_scan(NAN_GRAB)(math.inf)
 
 
 def test_hetero_tensor_prices_the_single_attacker():
