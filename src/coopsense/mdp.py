@@ -6,10 +6,11 @@ absorbing.  Solving this model is the behavioral cross-check for the
 closed forms in the indirect module: both must produce the same numbers
 from entirely different computations.
 
-The action axis of a pre-punishment state is oneshot.action_order, the
-one-shot tie-break: the honest-equivalent profile first.  Actions of
-equal value get bit-identical values, so a first-wins argmax
-reproduces the one-shot tie-breaking exactly.
+The action axis of a pre-punishment state is oneshot.action_order, its
+candidate profiles in the one-shot tie-break, honest-equivalent first;
+policy_value takes any other profile as its candidate, which has the same
+reward and trigger.  Actions of equal value get bit-identical values, so
+a first-wins argmax reproduces the one-shot tie-breaking exactly.
 
 Sensing is independent across slots: the next state is drawn from the
 split pmf, or from the attackers-alone pmf once punishment triggers.  So
@@ -38,11 +39,11 @@ Action = ActionProfile | int  # pre: report/transmit profile; post: transmitter 
 class MdpModel:
     params: ScenarioParams
     states: tuple[StateKey, ...]
-    order: np.ndarray        # (n_pre, A) flat profiles b*(M+1) + M_T by rank
+    order: np.ndarray        # (n_pre, 2(M+1)) candidates b*(M+1) + M_T by rank
     split: np.ndarray        # (n_pre,) sensing-split pmf of every slot
     alone: np.ndarray        # (M+1,) attackers-alone busy-count pmf
-    reward: np.ndarray       # (n_pre, A) pre-punishment reward by rank
-    trigger: np.ndarray      # (n_pre, A) punishment probability by rank
+    reward: np.ndarray       # (n_pre, 2(M+1)) pre-punishment reward by rank
+    trigger: np.ndarray      # (n_pre, 2(M+1)) punishment probability by rank
     post_reward: np.ndarray  # (M+1,) reward of transmitting after punishment
     discount: float
 
@@ -92,10 +93,9 @@ def build_mdp(params: ScenarioParams) -> MdpModel:
 
     split = posterior.split_pmf(params).ravel()
     alone = np.add(*posterior.count_masses(m, params))
-    order = oneshot.action_order(params).reshape(n_pre, -1)
-    tensors = oneshot.reward_tensors(params, False)
-    reward, trigger = (np.take_along_axis(t.reshape(n_pre, -1), order, 1)
-                       for t in (tensors.attacker, tensors.trigger))
+    order, _, tensors = oneshot.best_profiles(params, False)
+    order, reward, trigger = (a.reshape(n_pre, -1) for a in (
+        order, tensors.attacker, tensors.trigger))
     post_reward = np.array([params.total_rate
                             * oneshot.lone_sensing_value(ka, params)
                             for ka in range(m + 1)])
@@ -181,8 +181,9 @@ def _is_count(x: object, m: int) -> bool:
 
 
 def _ranks(model: MdpModel, policy: Policy) -> np.ndarray:
-    # each state's action rank under policy; ValueError names the first
-    # state whose action is missing or not one of its actions
+    # each state's action rank under policy, a pre profile taken as its
+    # oneshot.action_order candidate; ValueError names the first state
+    # whose action is missing or not one of its actions
     m, n_pre = model.params.n_attackers, model.n_pre
     codes = []
     for si, s in enumerate(model.states):
@@ -196,7 +197,8 @@ def _ranks(model: MdpModel, policy: Policy) -> np.ndarray:
             codes.append(a)
         elif (isinstance(a, ActionProfile) and _is_count(a.busy_reports, m)
               and _is_count(a.transmitters, m)):
-            codes.append(a.busy_reports * (m + 1) + a.transmitters)
+            b = 0 if a.busy_reports == 0 else max(s[2], 1)
+            codes.append(b * (m + 1) + a.transmitters)
         else:
             raise ValueError(f"policy action {a!r} in state {s} is not an "
                              f"ActionProfile with counts in [0, {m}]")
@@ -213,7 +215,7 @@ def policy_value(model: MdpModel, policy: Policy) -> np.ndarray:
     model's float arrays and discount; a value past the float range is an
     inf of the exact value's sign.  Raises ValueError naming the state
     when policy misses a state or maps it to something that is not one
-    of its actions.
+    of its actions; a pre state's actions are all profiles in [0, M]^2.
     """
     _, v, scale = _q(model, _ranks(model, policy))
     with np.errstate(over="ignore"):  # past the float range: inf
@@ -236,14 +238,12 @@ def threshold_policy(model: MdpModel, z: int) -> Policy:
     return dict(zip(model.states, pre + post))
 
 
-def start_distribution(model: MdpModel) -> np.ndarray:
-    """Slot-stationary weights over pre-punishment states (zero on post)."""
-    return np.concatenate([model.split,
-                           np.zeros(len(model.states) - model.n_pre)])
-
-
 def start_value(model: MdpModel, values: np.ndarray) -> float:
-    return float(start_distribution(model) @ values)
+    """Every state's value weighted by the first slot's sensing split; a
+    zero weight drops its value, so an unreached inf gives no NaN."""
+    weights = np.concatenate([model.split,
+                              np.zeros(len(model.states) - model.n_pre)])
+    return float(weights @ np.where(weights == 0.0, 0.0, values))
 
 
 def verify_threshold_structure(model: MdpModel

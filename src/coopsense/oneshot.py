@@ -5,14 +5,14 @@ count false busy reports b and Phase-II transmitters M_T.  Counts are
 lossless here: rewards depend only on the OR of the reports and on how
 many nodes transmit, never on which ones.
 
-reward_tensors prices every state and profile at once and action_order
-fixes the tie-break; every best response in the package is the first
-maximum of the attacker tensor in that order.  attack_scan, the
-threshold oracle's bisection step, reduces each state to its rank-0
-reward and one scalar grab reward, the only one a direct punishment
-reaches.  evaluate_profile is the scalar reference for the tensor.  A
-heterogeneous single attacker plays the same game with M = 1, its own
-decision taking the attacker axis.
+reward_tensors prices each state's candidate profiles in action_order;
+every best response in the package is the first maximum of the attacker
+tensor in that order, and so over all profiles.  attack_scan, the
+threshold oracle's bisection step, reduces each state to its rank-0 reward
+and one scalar grab reward, the only one a direct punishment reaches.
+evaluate_profile is the scalar reference at any profile.  A heterogeneous
+single attacker plays the same game with M = 1, its own decision taking
+the attacker axis.
 """
 
 from __future__ import annotations
@@ -113,11 +113,11 @@ def evaluate_profile(state: SensingState, profile: ActionProfile,
 
 @dataclass(frozen=True, eq=False)
 class RewardTensors:
-    """Per-slot values of every state and profile, indexed [honest_busy,
-    attacker_busy, b, M_T]: the attackers' aggregate reward, one honest
-    SU's reward (at the attackers' rate), and the trigger probability of
-    a collision after a busy announcement, the event that direct
-    punishment fines and that terminates collaboration."""
+    """Per-slot values of every state's candidates, indexed [honest_busy,
+    attacker_busy, rank]: the attackers' aggregate reward, one honest SU's
+    reward (at the attackers' rate), and the trigger probability of a
+    collision after a busy announcement, the event that direct punishment
+    fines and that terminates collaboration."""
 
     attacker: np.ndarray
     honest: np.ndarray
@@ -127,7 +127,7 @@ class RewardTensors:
 def _posteriors(params: ScenarioParams | HeteroParams
                 ) -> tuple[np.ndarray, np.ndarray, float]:
     # P(idle) and P(busy) given every state's decisions, shaped
-    # [honest_busy, attacker_busy, 1, 1], and the attackers' rate
+    # [honest_busy, attacker_busy, 1], and the attackers' rate
     group = params.base
     n_h, m = group.n_honest, group.n_attackers
     if isinstance(params, HeteroParams):
@@ -139,20 +139,19 @@ def _posteriors(params: ScenarioParams | HeteroParams
                   for ka in range(m + 1)] for kh in range(n_h + 1)]
         rate = group.total_rate
     pi = np.array([[p.p_idle_given_reports for p in row]
-                   for row in posts])[:, :, None, None]
+                   for row in posts])[:, :, None]
     pb = np.array([[p.p_busy_given_reports for p in row]
-                   for row in posts])[:, :, None, None]
+                   for row in posts])[:, :, None]
     return pi, pb, rate
 
 
-def _action_grid(n_h: int, m: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # M_T, the busy announcement and the grab mask, broadcast over
-    # [honest_busy, attacker_busy, b, M_T]; a grab transmits through a
-    # busy announcement, the only event a direct punishment fines
-    kh = np.arange(n_h + 1)[:, None, None, None]
-    b = np.arange(m + 1)[:, None]
-    mt = np.arange(m + 1)
+def _action_masks(order: np.ndarray, m: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # M_T, the busy announcement and the grab mask of every ranked
+    # profile, [honest_busy, attacker_busy, rank]; a grab transmits
+    # through a busy announcement, the only event a direct punishment fines
+    b, mt = np.divmod(order, m + 1)
+    kh = np.arange(order.shape[0])[:, None, None]
     announced_busy = (kh >= 1) | (b >= 1)
     return mt, announced_busy, announced_busy & (mt >= 1)
 
@@ -166,24 +165,24 @@ def _grab_reward(pi: np.ndarray, pb: np.ndarray, m: int, cp: float,
 
 def reward_tensors(params: ScenarioParams | HeteroParams,
                    include_direct_punishment: bool) -> RewardTensors:
-    """evaluate_profile's rewards for every state and profile at once.
+    """evaluate_profile's rewards for every state's candidates at once.
 
     For a heterogeneous attacker the posteriors are posterior_idle_hetero
     and the rate is rate_attacker; the penalties are charges, so they are
     converted to that rate.
     """
-    return _price(params, *_posteriors(params), include_direct_punishment)
+    return best_profiles(params, include_direct_punishment)[2]
 
 
-def _price(params: ScenarioParams | HeteroParams, pi: np.ndarray,
-           pb: np.ndarray, rate: float,
+def _price(params: ScenarioParams | HeteroParams, order: np.ndarray,
+           pi: np.ndarray, pb: np.ndarray, rate: float,
            include_direct_punishment: bool) -> RewardTensors:
-    # reward_tensors on _posteriors' output
+    # reward_tensors on action_order's and _posteriors' output
     group = params.base
     n_h, m = group.n_honest, group.n_attackers
     cp = group.collision_penalty / rate
     cb = group.direct_punishment / rate if include_direct_punishment else 0.0
-    mt, announced_busy, grab = _action_grid(n_h, m)
+    mt, announced_busy, grab = _action_masks(order, m)
     # on an idle announcement every honest SU transmits alongside the M_T
     # attackers; a busy channel collides all of them and fines all N SUs
     share = pi / (n_h + mt)
@@ -196,7 +195,7 @@ def _price(params: ScenarioParams | HeteroParams, pi: np.ndarray,
 
 
 def profile_at(flat: int, m: int) -> ActionProfile:
-    """The profile at flat index b*(M+1) + M_T of the tensors' action axes."""
+    """The profile at flat index b*(M+1) + M_T."""
     return ActionProfile(*divmod(int(flat), m + 1))
 
 
@@ -211,78 +210,76 @@ def honest_flat(params: ScenarioParams) -> np.ndarray:
 
 
 def action_order(params: ScenarioParams) -> np.ndarray:
-    """Every state's profiles in tie-break order, as flat indices
-    b*(M+1) + M_T, indexed [honest_busy, attacker_busy, rank].
+    """Every state's 2(M+1) candidates, b in {0, max(attacker_busy, 1)}
+    and M_T in 0..M, in tie-break order as flat indices b*(M+1) + M_T,
+    indexed [honest_busy, attacker_busy, rank].
 
-    The honest-equivalent profile comes first: punishment thresholds are
-    strict, so a state where honesty ties the best attack counts as
-    deterred.  The others follow by least report distortion
+    The honest-equivalent profile, a candidate, comes first: punishment
+    thresholds are strict, so a state where honesty ties the best attack
+    counts as deterred.  The others follow by least report distortion
     |b - attacker_busy|, then most transmitters, then fewest busy reports.
-
-    One array expression of (n_honest, M) with the honest profile from
-    honest_flat, so no per-state profile is built.  The result,
-    (n_honest+1)(M+1)^3 int64, is rebuilt on every call, not cached.
+    No best response is lost: b enters a price only through the busy
+    announcement, so a profile (b, M_T) prices bit for bit like the
+    candidate (0 if b == 0 else max(attacker_busy, 1), M_T), which comes
+    no later; the first maximum over all (M+1)^2 profiles is a candidate.
     """
     m = params.n_attackers
-    flat = np.arange((m + 1) ** 2)
-    b, mt = np.divmod(flat, m + 1)
     ka = np.arange(m + 1)[:, None]
+    column = np.arange(2 * (m + 1))
+    b = (column > m) * np.maximum(ka, 1)
+    mt = column % (m + 1)
+    flat = b * (m + 1) + mt
     key = (np.abs(b - ka) * (m + 1) + m - mt) * (m + 1) + b
     honest = honest_flat(params)[..., None]
-    return np.argsort(np.where(flat == honest, -1, key), axis=-1)
+    return flat[ka, np.argsort(np.where(flat == honest, -1, key), axis=-1)]
 
 
-def _rank(table: np.ndarray, order: np.ndarray) -> np.ndarray:
-    # table's profile axes flattened and put in action_order
-    return np.take_along_axis(table.reshape(order.shape), order, axis=-1)
-
-
-def _pick(table: np.ndarray, index: np.ndarray) -> np.ndarray:
-    # table[kh, ka, index[kh, ka]], with table's profile axes flattened
-    flat = table.reshape(*index.shape[:2], -1)
-    return np.take_along_axis(flat, index[..., None], axis=-1)[..., 0]
+def _pick(table: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    # table[kh, ka, rank[kh, ka]]
+    return np.take_along_axis(table, rank[..., None], axis=-1)[..., 0]
 
 
 def best_profiles(params: ScenarioParams | HeteroParams,
                   include_direct_punishment: bool
                   ) -> tuple[np.ndarray, np.ndarray, RewardTensors]:
-    """(action_order, flat index of every state's best response,
-    reward_tensors).  The best response is the first maximum of the
-    attackers' aggregate reward in action_order."""
+    """(action_order, every state's best-response rank, reward_tensors).
+    The best response is the first maximum of the attackers' aggregate
+    reward in action_order."""
     order = action_order(params.base)
-    tensors = reward_tensors(params, include_direct_punishment)
-    ranked = _rank(tensors.attacker, order)
-    return order, _pick(order, ranked.argmax(axis=-1)), tensors
+    tensors = _price(params, order, *_posteriors(params),
+                     include_direct_punishment)
+    return order, tensors.attacker.argmax(axis=-1), tensors
 
 
 def attack_scan(params: ScenarioParams) -> Callable[[float], bool]:
     """attacked(C_b): whether some state's best response at direct
     punishment C_b is an attack, that is, whether best_profiles on params
-    with direct_punishment C_b picks anything but rank 0 of action_order.
+    with direct_punishment C_b picks anything but rank 0.
 
     Rank 0 is the honest-equivalent profile, never a grab (a busy
     announcement and M_T >= 1), and every grab of a state has the one
     reward _grab_reward, the only reward that depends on C_b.  The first
     maximum is not rank 0 exactly when rank 0 is not NaN and a later
-    reward is NaN or larger.  So one reward_tensors pass gives each state
-    its rank-0 reward and whether a non-grab profile already beats it, and
+    reward is NaN or larger.  So one pricing pass gives each state its
+    rank-0 reward and whether a non-grab profile already beats it, and
     each call compares one scalar grab reward per state with its rank-0
     reward, stopping at the first attacked state: the verdicts are
     best_profiles' bit for bit.
     """
     m = params.n_attackers
+    order = action_order(params)
     pi, pb, rate = _posteriors(params)
     cp = params.collision_penalty / rate
-    attacker = _price(params, pi, pb, rate, False).attacker
-    first = _pick(attacker, honest_flat(params))
-    grab = _action_grid(params.n_honest, m)[2]
+    attacker = _price(params, order, pi, pb, rate, False).attacker
+    first = attacker[..., 0]
+    grab = _action_masks(order, m)[2]
     # rank 0 is one of the non-grabs, so their maximum is NaN or larger
     # than rank 0 exactly when another of them beats it
-    rival = np.where(grab, -np.inf, attacker).max(axis=(2, 3))
+    rival = np.where(grab, -np.inf, attacker).max(axis=-1)
     live = ~np.isnan(first)
     if (live & ~(rival <= first)).any():
         return lambda direct_punishment: True
-    states = list(zip(pi[live, 0, 0].tolist(), pb[live, 0, 0].tolist(),
+    states = list(zip(pi[live, 0].tolist(), pb[live, 0].tolist(),
                       first[live].tolist()))
 
     def attacked(direct_punishment: float) -> bool:
@@ -295,29 +292,31 @@ def attack_scan(params: ScenarioParams) -> Callable[[float], bool]:
     return attacked
 
 
+def _row(params: ScenarioParams, table: tuple, kh: int, ka: int) -> tuple:
+    # behavior_table's row of state (kh, ka), from best_profiles' output
+    order, best, tensors = table
+    at = kh, ka, best[kh, ka]
+    profile = profile_at(order[at], params.n_attackers)
+    return SensingState(kh, ka), profile, RewardBreakdown(
+        float(tensors.attacker[at]), float(tensors.honest[at]),
+        fusion.fuse(kh + profile.busy_reports, params.n_total, 1),
+        bool(at[2] != 0))
+
+
 def best_response(state: SensingState, params: ScenarioParams,
                   include_direct_punishment: bool) -> tuple[ActionProfile, RewardBreakdown]:
     """Maximizer of the attackers' aggregate reward, ties broken by
     action_order."""
     _check_state(state, params)
-    row = state.honest_busy * (params.n_attackers + 1) + state.attacker_busy
-    _, profile, breakdown = behavior_table(params, include_direct_punishment)[row]
-    return profile, breakdown
+    return _row(params, best_profiles(params, include_direct_punishment),
+                state.honest_busy, state.attacker_busy)[1:]
 
 
 def behavior_table(params: ScenarioParams, include_direct_punishment: bool = True,
                    ) -> list[tuple[SensingState, ActionProfile, RewardBreakdown]]:
     """Best response in every sensing state, in lexicographic state order."""
-    order, best, tensors = best_profiles(params, include_direct_punishment)
-    rows = []
-    for (kh, ka), flat in np.ndenumerate(best):
-        profile = profile_at(flat, params.n_attackers)
-        at = (kh, ka, profile.busy_reports, profile.transmitters)
-        rows.append((SensingState(kh, ka), profile, RewardBreakdown(
-            float(tensors.attacker[at]), float(tensors.honest[at]),
-            fusion.fuse(kh + profile.busy_reports, params.n_total, 1),
-            bool(flat != order[kh, ka, 0]))))
-    return rows
+    table = best_profiles(params, include_direct_punishment)
+    return [_row(params, table, *at) for at in np.ndindex(table[1].shape)]
 
 
 def expected_slot_rewards(params: ScenarioParams | HeteroParams,
@@ -330,8 +329,8 @@ def expected_slot_rewards(params: ScenarioParams | HeteroParams,
     second prices honest SUs at the attacker's rate.  Within 1e-13 * S of
     the exact weighting for N <= 24, S weighting the absolute rewards.
     """
-    order, best, tensors = best_profiles(params, include_direct_punishment)
-    chosen = order[..., 0] if honest else best
+    _, best, tensors = best_profiles(params, include_direct_punishment)
+    chosen = np.zeros_like(best) if honest else best
     weights = posterior.split_pmf(params)
     # fsum rounds once, so no bit depends on numpy's reduction order
     att, hon = (math.fsum((weights * _pick(t, chosen)).ravel().tolist())

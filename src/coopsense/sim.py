@@ -221,7 +221,8 @@ def build_policy_tables(config: SimConfig) -> PolicyTables:
     elif policy == "honest":
         flat = oneshot.honest_flat(group)
     else:
-        _, flat, _ = oneshot.best_profiles(params, mode == "direct")
+        order, best, _ = oneshot.best_profiles(params, mode == "direct")
+        flat = np.take_along_axis(order, best[..., None], axis=-1)[..., 0]
     b, mt = np.divmod(flat, group.n_attackers + 1)
     return PolicyTables(b, mt, oneshot.post_transmit(params))
 

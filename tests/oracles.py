@@ -8,9 +8,13 @@ test_scalar_and_vector_paths_agree replays recorded draws through it: it
 pins every field of run_trace, and the estimator's rewards, collision
 flags and trigger slot of every replication of a block.
 
-tensor_attack_scan is oneshot.attack_scan on the full ranked reward
-tensor: each call re-prices every grab entry and takes the first maximum
-in action_order, where the package compares one grab reward per state.
+full_action_order and full_reward_tensors order and price all (M+1)^2
+profiles of every state, where the package keeps each state's 2(M+1)
+candidates; full_best_profiles and full_order_mdp are best_profiles and
+build_mdp over that whole grid.  tensor_attack_scan is
+oneshot.attack_scan on the full ranked reward tensor: each call re-prices
+every grab entry and takes the first maximum in full_action_order, where
+the package compares one grab reward per state.
 
 dense_arrays builds the termination-game MDP explicitly, as a transition
 tensor and reward matrix over every state and action, and bellman_backup
@@ -27,6 +31,7 @@ bounded by even where the value itself cancels.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -35,11 +40,10 @@ from fractions import Fraction
 import numpy as np
 
 from coopsense.fusion import Announcement
-from coopsense.mdp import MdpModel
+from coopsense.mdp import MdpModel, build_mdp
 from coopsense.model import HeteroParams, ScenarioParams
-from coopsense.oneshot import (_action_grid, _grab_reward, _posteriors,
-                               _rank, action_order, best_profiles,
-                               reward_tensors)
+from coopsense.oneshot import (RewardTensors, _grab_reward, _posteriors,
+                               _pick, best_profiles, honest_flat)
 from coopsense.sim import (PolicyTables, SimConfig, SlotTrace,
                            _busy_probabilities, _reward_constants)
 
@@ -100,19 +104,94 @@ def run_slot(rng: np.random.Generator, runtime: SlotRuntime) -> SlotTrace:
                      runtime.punishment_on)
 
 
-def tensor_attack_scan(params: ScenarioParams) -> Callable[[float], bool]:
-    """attacked(C_b) of oneshot.attack_scan, from the ranked tensor: the
-    grab entries recomputed with reward_tensors' expression, every other
-    entry fixed, and an attack wherever argmax is not rank 0."""
+def full_action_order(params: ScenarioParams) -> np.ndarray:
+    """All (M+1)^2 profiles of every state in tie-break order, as flat
+    indices b*(M+1) + M_T, indexed [honest_busy, attacker_busy, rank]:
+    the honest-equivalent profile, then least report distortion
+    |b - attacker_busy|, then most transmitters, then fewest busy
+    reports.  oneshot.action_order is this order restricted to each
+    state's candidates."""
     m = params.n_attackers
-    order = action_order(params)
+    flat = np.arange((m + 1) ** 2)
+    b, mt = np.divmod(flat, m + 1)
+    ka = np.arange(m + 1)[:, None]
+    key = (np.abs(b - ka) * (m + 1) + m - mt) * (m + 1) + b
+    honest = honest_flat(params)[..., None]
+    return np.argsort(np.where(flat == honest, -1, key), axis=-1)
+
+
+def _full_grid(n_h: int, m: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # M_T, the busy announcement and the grab mask, broadcast over
+    # [honest_busy, attacker_busy, b, M_T]
+    kh = np.arange(n_h + 1)[:, None, None, None]
+    b = np.arange(m + 1)[:, None]
+    mt = np.arange(m + 1)
+    announced_busy = (kh >= 1) | (b >= 1)
+    return mt, announced_busy, announced_busy & (mt >= 1)
+
+
+def full_reward_tensors(params: ScenarioParams | HeteroParams,
+                        include_direct_punishment: bool) -> RewardTensors:
+    """oneshot.reward_tensors' expression over every profile, indexed
+    [honest_busy, attacker_busy, b, M_T]."""
+    group = params.base
+    n_h, m = group.n_honest, group.n_attackers
+    pi, pb, rate = _posteriors(params)
+    pi, pb = pi[..., None], pb[..., None]
+    cp = group.collision_penalty / rate
+    cb = group.direct_punishment / rate if include_direct_punishment else 0.0
+    mt, announced_busy, grab = _full_grid(n_h, m)
+    share = pi / (n_h + mt)
+    attacker = np.where(grab, _grab_reward(pi, pb, m, cp, cb, rate),
+                        rate * np.where(announced_busy, 0.0,
+                                        mt * share - m * pb * cp))
+    honest = np.where(grab, -pb * (cp + cb),
+                      np.where(announced_busy, 0.0, share - pb * cp))
+    return RewardTensors(attacker, rate * honest, np.where(grab, pb, 0.0))
+
+
+def _full_rank(table: np.ndarray, order: np.ndarray) -> np.ndarray:
+    # table's profile axes flattened and put in full_action_order
+    return np.take_along_axis(table.reshape(order.shape), order, axis=-1)
+
+
+def full_best_profiles(params: ScenarioParams | HeteroParams,
+                       include_direct_punishment: bool
+                       ) -> tuple[np.ndarray, np.ndarray, RewardTensors]:
+    """(full_action_order, flat index of every state's best response,
+    full_reward_tensors): the first maximum of the attackers' aggregate
+    reward over every profile."""
+    order = full_action_order(params.base)
+    tensors = full_reward_tensors(params, include_direct_punishment)
+    best = _full_rank(tensors.attacker, order).argmax(axis=-1)
+    return order, _pick(order, best), tensors
+
+
+def full_order_mdp(params: ScenarioParams) -> MdpModel:
+    """build_mdp with every pre state's (M+1)^2 profiles in
+    full_action_order, priced by full_reward_tensors."""
+    model = build_mdp(params)
+    order = full_action_order(params).reshape(model.n_pre, -1)
+    tensors = full_reward_tensors(params, False)
+    reward, trigger = (np.take_along_axis(t.reshape(model.n_pre, -1), order, 1)
+                       for t in (tensors.attacker, tensors.trigger))
+    return dataclasses.replace(model, order=order, reward=reward,
+                               trigger=trigger)
+
+
+def tensor_attack_scan(params: ScenarioParams) -> Callable[[float], bool]:
+    """attacked(C_b) of oneshot.attack_scan, from the full ranked tensor:
+    the grab entries recomputed with reward_tensors' expression, every
+    other entry fixed, and an attack wherever argmax is not rank 0."""
+    m = params.n_attackers
+    order = full_action_order(params)
     pi, pb, rate = _posteriors(params)
     cp = params.collision_penalty / rate
-    attacker = reward_tensors(params, False).attacker
-    fixed = _rank(attacker, order)
-    grab = _rank(np.broadcast_to(_action_grid(params.n_honest, m)[2],
-                                 attacker.shape), order)
-    pi, pb = pi[..., 0], pb[..., 0]
+    attacker = full_reward_tensors(params, False).attacker
+    fixed = _full_rank(attacker, order)
+    grab = _full_rank(np.broadcast_to(_full_grid(params.n_honest, m)[2],
+                                      attacker.shape), order)
 
     def attacked(direct_punishment: float) -> bool:
         grabbed = _grab_reward(pi, pb, m, cp, direct_punishment / rate, rate)
@@ -250,13 +329,12 @@ def exact_slot_rewards(params: ScenarioParams | HeteroParams,
     """((value, scale) of the attacker aggregate, (value, scale) of the
     honest per-SU reward) of expected_slot_rewards: exact split weights
     over the package's float reward tensor and chosen profiles."""
-    order, best, tensors = best_profiles(params, include_direct_punishment)
-    chosen = (order[..., 0] if honest else best)[..., None]
+    _, best, tensors = best_profiles(params, include_direct_punishment)
+    chosen = np.zeros_like(best) if honest else best
     weights = exact_split_pmf(params)
     out = []
     for table in (tensors.attacker, tensors.honest):
-        picked = np.take_along_axis(table.reshape(*chosen.shape[:2], -1),
-                                    chosen, axis=-1)[..., 0].tolist()
+        picked = _pick(table, chosen).tolist()
         terms = [w * Fraction(r) for w_row, r_row in zip(weights, picked)
                  for w, r in zip(w_row, r_row)]
         out.append((sum(terms), sum(abs(t) for t in terms)))

@@ -7,9 +7,12 @@ punishment at 0.3-2x its closed-form threshold.  Any change to a reward
 bit, a tie-break or a policy decision changes them; a change meant to
 alter these outputs says so and pins new digests.
 
-The direct-threshold oracle and action_order are pinned over every
-attacker count 1..N-1 of region-II scenarios with N from 3 to 20, half
-of them at a non-unit rate.  The MDP solve is pinned over the
+The direct-threshold oracle and the action order of every profile
+(oracles.full_action_order) are pinned over every attacker count 1..N-1
+of region-II scenarios with N from 3 to 20, half of them at a non-unit
+rate.  The MDP arrays are pinned on the model over every profile,
+oracles.full_order_mdp, which test_mdp holds the package's candidate
+model to bit for bit.  The MDP solve is pinned over the
 homogeneous scenarios at their own discount and at 0.99 and 0.999, and
 the long-run values at their own discount and at 1e-9, 0.5, 0.99 and
 1 - 1e-9.  The discount-threshold oracle is pinned over the oracle
@@ -31,12 +34,11 @@ from coopsense.mdp import (build_mdp, honest_policy, policy_value,
                            verify_threshold_structure)
 from coopsense.model import (HeteroParams, TransmissionCase,
                              classify_transmission_case)
-from coopsense.oneshot import (action_order, behavior_table,
-                               expected_slot_rewards)
+from coopsense.oneshot import behavior_table, expected_slot_rewards
 from coopsense.sim import SimConfig, build_policy_tables
 
 from conftest import fined_scenarios, region_ii_scenario
-from oracles import dense_arrays
+from oracles import dense_arrays, full_action_order, full_order_mdp
 
 
 def _homogeneous():
@@ -102,7 +104,7 @@ def _long_run_values():
 def _action_orders():
     out = []
     for p in _oracle_scenarios():
-        order = action_order(p)
+        order = full_action_order(p)
         out.append((order.shape, order.dtype.str,
                     hashlib.sha256(order.tobytes()).hexdigest()))
     return out
@@ -128,7 +130,7 @@ def _slot_rewards():
 def _mdp_arrays():
     out = []
     for p in _homogeneous():
-        model = build_mdp(p)
+        model = full_order_mdp(p)
         transition, reward = dense_arrays(model)
         out.append((model.states, model.actions_per_state,
                     reward.tolist(), transition.tolist()))

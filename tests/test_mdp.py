@@ -10,14 +10,14 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from coopsense.indirect import lr_dishonest, lr_honest
 from coopsense.mdp import (_q, build_mdp, honest_policy, optimal_ranks,
-                           policy_value, start_distribution, start_value,
-                           threshold_policy, value_iteration,
-                           verify_threshold_structure)
+                           policy_value, start_value, threshold_policy,
+                           value_iteration, verify_threshold_structure)
 from coopsense.model import ScenarioParams, validate
 from coopsense.oneshot import ActionProfile
 
 from conftest import region_ii_scenario, rel_err
-from oracles import bellman_backup, dense_arrays, exact_policy_values
+from oracles import (bellman_backup, dense_arrays, exact_policy_values,
+                     full_order_mdp)
 
 AT_WC = ScenarioParams(6, 2, 0.6, 0.08, 0.08, 1e4, discount=0.9)
 
@@ -60,9 +60,24 @@ def test_post_states_absorb():
 
 def test_start_distribution_sums_to_one():
     model = build_mdp(AT_WC)
-    dist = start_distribution(model)
-    assert abs(dist.sum() - 1.0) < 1e-12
-    assert (dist[model.n_pre:] == 0.0).all()
+    assert model.split.shape == (model.n_pre,)
+    assert abs(model.split.sum() - 1.0) < 1e-12
+    assert (model.split >= 0.0).all()
+
+
+def test_start_value_drops_zero_weight_states():
+    # every value is -inf here; the post states' zero weights must not
+    # turn their -inf into NaN
+    params = ScenarioParams(2, 1, 0.05, 0.01, 0.9, 1e300,
+                            discount=1.0 - 1e-9)
+    model = build_mdp(params)
+    policy = {**honest_policy(model), ("post", 0): 1, ("post", 1): 1}
+    values = policy_value(model, policy)
+    assert (values == -math.inf).all()
+    assert start_value(model, values) == -math.inf
+    # a finite post value is weighted by zero either way
+    values[model.n_pre:] = 7.0
+    assert start_value(model, values) == -math.inf
 
 
 def test_honest_policy_matches_closed_form():
@@ -227,6 +242,36 @@ def test_rank_native_policies_match_action_lists(params, z, seed):
     for pi in pinned:
         np.testing.assert_array_equal(policy_value(model, pi),
                                       _reference_policy_value(model, pi))
+
+
+REGION_II = st.integers(0, 2**32).map(
+    lambda seed: region_ii_scenario(np.random.default_rng(seed)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=VALIDATED_SPACE | REGION_II, seed=st.integers(0, 2**32))
+@example(params=ScenarioParams(5, 3, 0.5, 0.0078125, 0.25, 0.0,
+                               discount=0.9999999989999999), seed=0)
+def test_candidate_model_matches_the_full_order_model(params, seed):
+    # the package's model keeps each pre state's 2(M+1) candidates; the
+    # reference keeps all (M+1)^2 profiles, so every policy over the grid
+    # is one of its own rank policies
+    assume(not validate(params))
+    model, full = build_mdp(params), full_order_mdp(params)
+    try:
+        values, policy = value_iteration(model, 1e-12)
+    except ValueError:
+        with pytest.raises(ValueError, match="did not converge"):
+            value_iteration(full, 1e-12)
+    else:
+        full_values, full_policy = value_iteration(full, 1e-12)
+        assert values.tobytes() == full_values.tobytes()
+        assert repr(policy) == repr(full_policy)
+    rng = np.random.default_rng(seed)
+    drawn = {s: a[rng.integers(len(a))]
+             for s, a in zip(full.states, full.actions_per_state)}
+    assert (policy_value(model, drawn).tobytes()
+            == _reference_policy_value(full, drawn).tobytes())
 
 
 def _bad_policies():

@@ -9,18 +9,19 @@ from hypothesis import assume, example, given, settings, strategies as st
 from coopsense.direct import (direct_threshold, direct_threshold_hetero,
                               direct_threshold_oracle)
 from coopsense.fusion import Announcement, Region, condition_i_bounds
-from coopsense.model import HeteroParams, ScenarioParams, validate
-from coopsense.oneshot import (ActionProfile, SensingState, action_order,
-                               attack_scan, behavior_table, best_profiles,
-                               best_response, evaluate_profile,
-                               expected_slot_rewards,
+from coopsense.model import (HeteroParams, ScenarioParams, validate,
+                              validate_hetero)
+from coopsense.oneshot import (ActionProfile, SensingState, _pick,
+                               action_order, attack_scan, behavior_table,
+                               best_profiles, best_response,
+                               evaluate_profile, expected_slot_rewards,
                                honest_equivalent_profile, profile_at,
                                reward_tensors)
 from coopsense.posterior import (posterior_idle, posterior_idle_hetero,
                                  report_split_pmf)
 
 from conftest import fined_scenarios, region_ii_scenario, rel_err
-from oracles import tensor_attack_scan
+from oracles import full_action_order, full_best_profiles, tensor_attack_scan
 
 
 def test_honest_equivalent_profiles(fig_params):
@@ -194,19 +195,30 @@ def test_best_response_dominates_honest_in_expectation():
 
 
 def _entries(params):
+    # (kh, ka, b, M_T) of every state and profile, with the rank in
+    # action_order of the profile's candidate: b of 0 or max(ka, 1)
     m = params.n_attackers
-    return itertools.product(range(params.n_honest + 1), range(m + 1),
-                             range(m + 1), range(m + 1))
+    order = action_order(params)
+    for kh, ka, b, mt in itertools.product(range(params.n_honest + 1),
+                                           range(m + 1), range(m + 1),
+                                           range(m + 1)):
+        flat = (0 if b == 0 else max(ka, 1)) * (m + 1) + mt
+        yield kh, ka, b, mt, list(order[kh, ka]).index(flat)
+
+
+def _candidates(ka, m):
+    return {ActionProfile(b, mt) for b in (0, max(ka, 1))
+            for mt in range(m + 1)}
 
 
 def test_reward_tensors_equal_scalar_reference():
     for params in fined_scenarios(31, 40):
         for flag in (False, True):
             tensors = reward_tensors(params, flag)
-            for kh, ka, b, mt in _entries(params):
+            for kh, ka, b, mt, rank in _entries(params):
                 ref = evaluate_profile(SensingState(kh, ka),
                                        ActionProfile(b, mt), params, flag)
-                at = (kh, ka, b, mt)
+                at = (kh, ka, rank)
                 assert tensors.attacker[at] == ref.attacker_aggregate, at
                 assert tensors.honest[at] == ref.honest_per_su, at
                 grab = ref.announcement is Announcement.H1 and mt >= 1
@@ -238,7 +250,8 @@ def test_best_response_matches_exhaustive_scan():
         for kh in range(params.n_honest + 1):
             for ka in range(m + 1):
                 state = SensingState(kh, ka)
-                assert sorted(order[kh, ka]) == list(range((m + 1) ** 2))
+                assert {profile_at(f, m) for f in order[kh, ka]} \
+                    == _candidates(ka, m)
                 assert profile_at(order[kh, ka, 0], m) \
                     == honest_equivalent_profile(state, params)
                 for flag in (False, True):
@@ -251,13 +264,11 @@ def test_best_response_matches_exhaustive_scan():
 def test_action_order_is_the_documented_tie_break(n_honest, m):
     params = ScenarioParams(n_honest + m, m, 0.5, 0.1, 0.1, 1.0)
     order = action_order(params)
-    assert order.shape == (n_honest + 1, m + 1, (m + 1) ** 2)
-    profiles = [ActionProfile(b, mt)
-                for b in range(m + 1) for mt in range(m + 1)]
+    assert order.shape == (n_honest + 1, m + 1, 2 * (m + 1))
     for kh in range(n_honest + 1):
         for ka in range(m + 1):
             honest = honest_equivalent_profile(SensingState(kh, ka), params)
-            want = sorted(profiles, key=lambda p: (
+            want = sorted(_candidates(ka, m), key=lambda p: (
                 p != honest, abs(p.busy_reports - ka), -p.transmitters,
                 p.busy_reports))
             assert [profile_at(f, m) for f in order[kh, ka]] == want
@@ -287,15 +298,17 @@ def region_ii_scenarios(draw):
 def _tie_charges(params, ulps=4):
     # the charges at which a state's grab value meets its honest value,
     # each with a few float neighbours, so that some land on exact ties
+    m = params.n_attackers
     order = action_order(params)
-    attacker = reward_tensors(params, False).attacker.reshape(order.shape)
-    honest = np.take_along_axis(attacker, order[..., :1], axis=-1)[..., 0]
+    attacker = reward_tensors(params, False).attacker
     charges = []
     for kh in range(params.n_honest + 1):
-        for ka in range(params.n_attackers + 1):
+        for ka in range(m + 1):
             post = posterior_idle(params.n_total, kh + ka, params)
-            grab = attacker[kh, ka, -1]  # b = M_T = M, a grab in any state
-            root = ((grab - honest[kh, ka])
+            # (max(ka, 1), M), a grab in any state
+            grab = attacker[kh, ka, list(order[kh, ka]).index(
+                max(ka, 1) * (m + 1) + m)]
+            root = ((grab - attacker[kh, ka, 0])
                     / (params.n_attackers * post.p_busy_given_reports))
             if not (math.isfinite(root) and root > 0.0):
                 continue
@@ -309,9 +322,9 @@ def _tie_charges(params, ulps=4):
 
 
 def _attacked_by_best_profiles(params, charge):
-    order, best, _ = best_profiles(
+    _, best, _ = best_profiles(
         dataclasses.replace(params, direct_punishment=charge), True)
-    return bool((best != order[..., 0]).any())
+    return bool((best != 0).any())
 
 
 @settings(max_examples=60, deadline=None)
@@ -383,8 +396,10 @@ def test_attack_scan_counts_a_nan_grab_as_an_attack():
             dataclasses.replace(NAN_GRAB, direct_punishment=math.inf),
             True).attacker
         assert tensor_attack_scan(NAN_GRAB)(math.inf)
-    assert np.isnan(attacker[0, 0, 1, 1])
-    assert not np.isnan(attacker[0, 0, 0, 1])  # rank 0 of state (0, 0)
+    ranks = {profile_at(f, 1): r for r, f in enumerate(action_order(NAN_GRAB)[0, 0])}
+    assert np.isnan(attacker[0, 0, ranks[ActionProfile(1, 1)]])
+    assert ranks[ActionProfile(0, 1)] == 0
+    assert not np.isnan(attacker[0, 0, 0])
     assert attack_scan(NAN_GRAB)(math.inf)
 
 
@@ -402,12 +417,90 @@ def test_hetero_tensor_prices_the_single_attacker():
         attacker = reward_tensors(h, True).attacker
         n_h, r_a = h.base.n_total - 1, h.rate_attacker
         cp = h.base.collision_penalty
-        assert attacker.shape == (n_h + 1, 2, 2, 2)
-        for kh, d, b, mt in _entries(h.base):
+        assert attacker.shape == (n_h + 1, 2, 4)
+        for kh, d, b, mt, rank in _entries(h.base):
             post = posterior_idle_hetero(kh, d, h)
             pi, pb = post.p_idle_given_reports, post.p_busy_given_reports
             if kh >= 1 or b >= 1:
                 want = r_a * pi - pb * (cp + cb) if mt else 0.0
             else:
                 want = mt * r_a * pi / (n_h + mt) - pb * cp
-            assert rel_err(attacker[kh, d, b, mt], want) < 1e-12
+            assert rel_err(attacker[kh, d, rank], want) < 1e-12
+
+
+def test_best_response_is_its_behavior_table_row():
+    for params in fined_scenarios(53, 12):
+        for flag in (False, True):
+            for state, profile, breakdown in behavior_table(params, flag):
+                assert best_response(state, params, flag) \
+                    == (profile, breakdown), state
+
+
+@st.composite
+def validated_scenarios(draw, n_attackers=None, total_rate=None):
+    # homogeneous scenarios over the validated space's corners: C_p and
+    # C_b from 0 to 1e300 and rates from 0.01 to 100
+    n = draw(st.integers(2, 9))
+    p_false_alarm = draw(st.floats(0.001, 0.998))
+    params = ScenarioParams(
+        n_total=n,
+        n_attackers=n_attackers or draw(st.integers(1, n - 1)),
+        p_idle=draw(st.floats(0.01, 0.99)),
+        p_false_alarm=p_false_alarm,
+        p_missed_detection=draw(st.floats(0.001, 0.999 - p_false_alarm)),
+        collision_penalty=draw(st.sampled_from([0.0, math.ulp(0.0), 1e300])
+                               | st.floats(0.0, 1e300)),
+        discount=draw(st.floats(1e-9, 1.0 - 1e-9)),
+        direct_punishment=draw(st.sampled_from([0.0, 1.0, 1e300])
+                               | st.floats(0.0, 1e300)),
+        total_rate=total_rate or draw(st.sampled_from([0.01, 1.0, 100.0])
+                                      | st.floats(0.01, 100.0)))
+    assume(not validate(params))
+    return params
+
+
+@st.composite
+def hetero_scenarios(draw):
+    h = HeteroParams(
+        base=draw(validated_scenarios(n_attackers=1, total_rate=1.0)),
+        p_false_alarm_attacker=draw(st.floats(0.001, 0.999)),
+        p_missed_detection_attacker=draw(st.floats(0.001, 0.999)),
+        rate_attacker=draw(st.sampled_from([0.01, 1.0, 100.0])
+                           | st.floats(0.01, 100.0)))
+    assume(not validate_hetero(h))
+    return h
+
+
+def _on_grid(ranked, order, m):
+    # a [kh, ka, rank] table spread over [kh, ka, b, M_T], every profile
+    # reading its candidate's entry
+    ka, b, mt = np.ogrid[:m + 1, :m + 1, :m + 1]
+    flat = np.where(b == 0, 0, np.maximum(ka, 1)) * (m + 1) + mt
+    rank = (order[:, :, None, None, :] == flat[..., None]).argmax(axis=-1)
+    return np.take_along_axis(ranked, rank.reshape(*order.shape[:2], -1),
+                              axis=-1).reshape(rank.shape)
+
+
+@settings(max_examples=150, deadline=None)
+@given(params=region_ii_scenarios() | validated_scenarios()
+       | hetero_scenarios())
+def test_candidates_match_the_full_grid(params):
+    base = params.base
+    m = base.n_attackers
+    order, full = action_order(base), full_action_order(base)
+    b = full // (m + 1)
+    kept = (b == 0) | (b == np.maximum(np.arange(m + 1)[:, None], 1))
+    np.testing.assert_array_equal(order, full[kept].reshape(order.shape))
+    for flag in (False, True):
+        _, best, tensors = best_profiles(params, flag)
+        _, full_best, full_tensors = full_best_profiles(params, flag)
+        np.testing.assert_array_equal(_pick(order, best), full_best)
+        for name in ("attacker", "honest", "trigger"):
+            ranked = getattr(tensors, name)
+            grid = getattr(full_tensors, name)
+            # every profile prices bit for bit like its candidate
+            assert _on_grid(ranked, order, m).tobytes() == grid.tobytes()
+            at_best = np.take_along_axis(
+                grid.reshape(*order.shape[:2], -1), full_best[..., None],
+                axis=-1)[..., 0]
+            assert _pick(ranked, best).tobytes() == at_best.tobytes()
