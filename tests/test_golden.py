@@ -17,6 +17,14 @@ homogeneous scenarios at their own discount and at 0.99 and 0.999, and
 the long-run values at their own discount and at 1e-9, 0.5, 0.99 and
 1 - 1e-9.  The discount-threshold oracle is pinned over the oracle
 scenarios whose transmission case is NT.
+
+The closed forms are pinned on the same scenarios: the whole
+direct_threshold record at every oracle scenario and
+direct_threshold_hetero on the heterogeneous ones; both discount
+thresholds and the collision-penalty window over the NT oracle
+scenarios; and the posterior tables, every count of the N-sensor and
+M-sensor groups of each oracle scenario and every (honest count, own
+decision) of each heterogeneous one.
 """
 
 import collections
@@ -26,15 +34,19 @@ import hashlib
 import numpy as np
 import pytest
 
-from coopsense.direct import direct_threshold_hetero, direct_threshold_oracle
+from coopsense.direct import (direct_threshold, direct_threshold_hetero,
+                              direct_threshold_oracle)
 from coopsense import indirect, oneshot
-from coopsense.indirect import delta_threshold_oracle, lr_dishonest, lr_honest
+from coopsense.fusion import condition_i_bounds
+from coopsense.indirect import (delta_threshold_oracle, delta_threshold_sc,
+                                delta_threshold_wc, lr_dishonest, lr_honest)
 from coopsense.mdp import (build_mdp, honest_policy, policy_value,
                            start_value, threshold_policy, value_iteration,
                            verify_threshold_structure)
 from coopsense.model import (HeteroParams, TransmissionCase,
                              classify_transmission_case)
 from coopsense.oneshot import behavior_table, expected_slot_rewards
+from coopsense.posterior import posterior_idle, posterior_idle_hetero
 from coopsense.sim import SimConfig, build_policy_tables
 
 from conftest import fined_scenarios, region_ii_scenario
@@ -87,6 +99,29 @@ def _nt_oracle_scenarios():
 
 def _delta_oracles():
     return [delta_threshold_oracle(p) for p in _nt_oracle_scenarios()]
+
+
+def _direct_thresholds():
+    return ([direct_threshold(p.n_attackers, p) for p in _oracle_scenarios()]
+            + [direct_threshold_hetero(h) for h in _hetero()])
+
+
+def _delta_closed_forms():
+    return [(delta_threshold_wc(p), delta_threshold_sc(p))
+            for p in _nt_oracle_scenarios()]
+
+
+def _penalty_windows():
+    return [condition_i_bounds(p) for p in _nt_oracle_scenarios()]
+
+
+def _posterior_tables():
+    homogeneous = [[posterior_idle(n, k, p) for k in range(n + 1)]
+                   for p in _oracle_scenarios()
+                   for n in (p.n_total, p.n_attackers)]
+    hetero = [[posterior_idle_hetero(kh, d, h) for kh in range(h.base.n_total)
+               for d in (0, 1)] for h in _hetero()]
+    return homogeneous, hetero
 
 
 LONG_RUN_DISCOUNTS = (1e-9, 0.5, 0.99, 1.0 - 1e-9)
@@ -176,6 +211,14 @@ GOLDEN = {
         "333d112b675b73a39b82e747d2f5ce1073dc87b19a4c461d33971586f610953c"),
     "direct_threshold_oracle": (_oracle_thresholds,
         "1460e72a5cae29f403129fff0fd96552c62cb65f6d33e7ca20602be31fc8b341"),
+    "direct_threshold": (_direct_thresholds,
+        "5f2884cf0563127e1eebbc6c184d7689d19bb41e2b12fe261ebf4bc53dc34e1c"),
+    "delta_threshold_closed_forms": (_delta_closed_forms,
+        "37f52676c09cbc77494f2d3e0b525140a604953d013e0ab2b23bf0f052e10113"),
+    "condition_i_bounds": (_penalty_windows,
+        "271386de8121ee239ad4830131cae442e42ffe02efcbaca66d3c66048b63e1a5"),
+    "posterior_tables": (_posterior_tables,
+        "81f2181ac594fdd9c4c32bbe11bcfe92c4387ea912228b9f167cd6efceb818f8"),
     "delta_threshold_oracle": (_delta_oracles,
         "b9d6e550f234ae895e0055a23d05030e33ce5f619ac84f14fcde52a82b8dd59b"),
     "long_run_values": (_long_run_values,
