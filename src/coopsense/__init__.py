@@ -10,14 +10,11 @@ from .model import (CooperationCase, HeteroParams, ScenarioParams,
                     TransmissionCase, check_a4, classify_cooperation_case,
                     classify_transmission_case, require_valid, validate,
                     validate_hetero)
-from .posterior import (Posterior, joint_report_mass, log_odds_idle,
-                        posterior_idle, posterior_idle_hetero,
-                        report_count_pmf, report_split_pmf)
-from .fusion import (Announcement, CpRegion, Region,
-                     check_condition_i_semantics, condition_i_bounds, fuse)
+from .posterior import (Posterior, log_odds_idle, posterior_idle,
+                        posterior_idle_hetero)
+from .fusion import Announcement, CpRegion, Region, condition_i_bounds, fuse
 from .oneshot import (ActionProfile, RewardBreakdown, SensingState,
-                      behavior_table, best_response, evaluate_profile,
-                      expected_slot_rewards, honest_equivalent_profile)
+                      behavior_table, best_response, expected_slot_rewards)
 from .direct import (DirectThreshold, direct_threshold,
                      direct_threshold_hetero, direct_threshold_oracle)
 from .indirect import (DeltaThreshold, LongTermRewards, delta_threshold,
@@ -39,16 +36,15 @@ __all__ = [
     "ScenarioParams", "SensingState", "SimConfig", "SimStats", "StatBlock",
     "TransmissionCase", "behavior_table", "best_response",
     "build_mdp", "build_policy_tables", "check_a4",
-    "check_condition_i_semantics", "classify_cooperation_case",
+    "classify_cooperation_case",
     "classify_transmission_case", "condition_i_bounds", "delta_threshold",
     "delta_threshold_oracle", "delta_threshold_sc", "delta_threshold_wc",
     "delta_threshold_worst_case", "direct_threshold",
     "direct_threshold_hetero", "direct_threshold_oracle",
-    "evaluate_profile", "expected_slot_rewards",
-    "fuse", "honest_equivalent_profile", "honest_policy",
-    "joint_report_mass", "log_odds_idle", "lr_dishonest", "lr_honest",
+    "expected_slot_rewards", "fuse", "honest_policy",
+    "log_odds_idle", "lr_dishonest", "lr_honest",
     "policy_value", "posterior_idle", "posterior_idle_hetero",
-    "report_count_pmf", "report_split_pmf", "require_valid",
+    "require_valid",
     "run_experiment", "run_trace", "start_value", "threshold_policy",
     "validate", "validate_hetero", "value_iteration",
     "verify_threshold_structure",

@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 from . import oneshot, posterior
 from .model import HeteroParams, ScenarioParams
-from .posterior import _exp_diff
+from .posterior import _exp_diff, _log_exp_diff
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,7 @@ class DirectThreshold:
 def _package(constraints: dict[str, tuple[float, float]]) -> DirectThreshold:
     # name -> (la, lb) of exp(la) - exp(lb); logs break ties at inf
     values = {k: _exp_diff(la, lb) for k, (la, lb) in constraints.items()}
-    logs = {k: la + math.log(-math.expm1(lb - la)) if la > lb else -math.inf
-            for k, (la, lb) in constraints.items()}
+    logs = {k: _log_exp_diff(la, lb) for k, (la, lb) in constraints.items()}
     value = max(0.0, max(values.values()))
     binding = max((k for k, v in values.items() if v == value),
                   key=logs.__getitem__, default="none")

@@ -71,20 +71,3 @@ def condition_i_bounds(params: ScenarioParams) -> CpRegion:
     return CpRegion(posterior._exp(log_lower), posterior._exp(log_upper),
                     log_lower, log_upper, region, boundary)
 
-
-def check_condition_i_semantics(params: ScenarioParams) -> bool:
-    """Self-consistency of the region test against the sensor-level signs.
-
-    The region membership must coincide with: transmitting on a unanimous
-    idle vote pays, transmitting after one busy report does not.  A single
-    busy report suffices on the failing side because the expected reward is
-    decreasing in the busy count.
-    """
-    n = params.n_total
-    cp = params.cp_rate1
-    within = condition_i_bounds(params).region is Region.II
-    post0 = posterior.posterior_idle(n, 0, params)
-    post1 = posterior.posterior_idle(n, 1, params)
-    unanimous_pays = post0.p_idle_given_reports / n - post0.p_busy_given_reports * cp > 0.0
-    one_busy_pays = post1.p_idle_given_reports / n - post1.p_busy_given_reports * cp > 0.0
-    return within == (unanimous_pays and not one_busy_pays)

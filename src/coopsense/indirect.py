@@ -44,11 +44,12 @@ class DeltaThreshold:
     cooperation_case: CooperationCase
 
 
-def _shared_slot_value(group_size: int, params: ScenarioParams) -> float:
+def _shared_slot_value(idle: list[float], busy: list[float],
+                       params: ScenarioParams) -> float:
     # per-attacker slot value of honest sharing on a unanimous idle vote,
-    # at unit rate: m_idle/n - (C_p/r) * m_busy
-    idle, busy = posterior.joint_report_mass(group_size, 0, params)
-    return idle / group_size - params.cp_rate1 * busy
+    # at unit rate, from count_masses of all N sensors:
+    # m_idle/N - (C_p/r) * m_busy
+    return idle[0] / params.n_total - params.cp_rate1 * busy[0]
 
 
 def lr_honest(params: ScenarioParams) -> float:
@@ -84,9 +85,9 @@ def _long_run(params: ScenarioParams
     scan = classify_transmission_case(params) is TransmissionCase.AT
     n, m = params.n_total, params.n_attackers
     cp, rate = params.cp_rate1, params.total_rate
-    honest = rate * m * _shared_slot_value(n, params)
-    w = _post_punishment_gain(params)
     idle, busy = posterior.count_masses(n, params)
+    honest = rate * m * _shared_slot_value(idle, busy, params)
+    w = _post_punishment_gain(params)
     sums = []
     reward_sum = trigger_sum = 0.0
     for k in range(n + 1 if scan else 1):
@@ -120,31 +121,32 @@ def lr_dishonest(params: ScenarioParams) -> LongTermRewards:
                            honest >= dishonest)
 
 
-def _log_mass_idle(group_size: int, params: ScenarioParams) -> float:
-    return math.log(params.p_idle) + group_size * math.log1p(-params.p_false_alarm)
-
-
-def _log_mass_busy(group_size: int, params: ScenarioParams) -> float:
-    return math.log1p(-params.p_idle) + group_size * math.log(params.p_missed_detection)
+def _log_unanimous_idle(group_size: int, params: ScenarioParams
+                        ) -> tuple[float, float]:
+    # logs of the joint masses (idle, busy) of group_size idle decisions
+    return posterior._log_joint(group_size, 0, params.p_idle,
+                                params.p_false_alarm,
+                                params.p_missed_detection)
 
 
 def _threshold_x_wc(params: ScenarioParams) -> float:
     n, m = params.n_total, params.n_attackers
-    a = _shared_slot_value(n, params)
-    ratio = math.exp(_log_mass_busy(n, params) - _log_mass_idle(n, params))
-    return a * ratio / (1.0 / m - 1.0 / n)
+    a = _shared_slot_value(*posterior.count_masses(n, params), params)
+    log_idle, log_busy = _log_unanimous_idle(n, params)
+    return a * math.exp(log_busy - log_idle) / (1.0 / m - 1.0 / n)
 
 
 def _threshold_x_sc(params: ScenarioParams) -> float:
     n, m = params.n_total, params.n_attackers
     cp = params.cp_rate1
+    log_idle_n, log_busy_n = _log_unanimous_idle(n, params)
+    log_idle_m, log_busy_m = _log_unanimous_idle(m, params)
     # a - g pairs the idle-mass terms and the busy-mass terms separately:
     # both shrink like (1-P_f)^N and the direct subtraction cancels badly
-    idle_part = _exp_diff(_log_mass_idle(n, params) - math.log(n),
-                          _log_mass_idle(m, params) - math.log(m))
-    busy_part = _exp_diff(_log_mass_busy(n, params), _log_mass_busy(m, params))
+    idle_part = _exp_diff(log_idle_n - math.log(n), log_idle_m - math.log(m))
+    busy_part = _exp_diff(log_busy_n, log_busy_m)
     a_minus_g = idle_part - cp * busy_part
-    ratio = math.exp(_log_mass_busy(n, params) - _log_mass_idle(n, params))
+    ratio = math.exp(log_busy_n - log_idle_n)
     return a_minus_g * ratio / (1.0 / m - 1.0 / n)
 
 

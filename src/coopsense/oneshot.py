@@ -5,14 +5,14 @@ count false busy reports b and Phase-II transmitters M_T.  Counts are
 lossless here: rewards depend only on the OR of the reports and on how
 many nodes transmit, never on which ones.
 
-reward_tensors prices each state's candidate profiles in action_order;
-every best response in the package is the first maximum of the attacker
-tensor in that order, and so over all profiles.  attack_scan, the
-threshold oracle's bisection step, reduces each state to its rank-0 reward
-and one scalar grab reward, the only one a direct punishment reaches.
-evaluate_profile is the scalar reference at any profile.  A heterogeneous
-single attacker plays the same game with M = 1, its own decision taking
-the attacker axis.
+_price is the one home of the slot-reward rule: it prices each state's
+candidate profiles in action_order, and every best response in the
+package is the first maximum of the attacker tensor in that order, and
+so over all profiles.  honest_flat is the one home of the honesty rule.
+attack_scan, the threshold oracle's bisection step, reduces each state
+to its rank-0 reward and one scalar grab reward, the only one a direct
+punishment reaches.  A heterogeneous single attacker plays the same game
+with M = 1, its own decision taking the attacker axis.
 """
 
 from __future__ import annotations
@@ -56,64 +56,9 @@ def _check_state(state: SensingState, params: ScenarioParams) -> None:
             f"attacker_busy {state.attacker_busy} outside [0, {params.n_attackers}]")
 
 
-def _check_profile(profile: ActionProfile, params: ScenarioParams) -> None:
-    m = params.n_attackers
-    if not 0 <= profile.busy_reports <= m:
-        raise ValueError(f"busy_reports {profile.busy_reports} outside [0, {m}]")
-    if not 0 <= profile.transmitters <= m:
-        raise ValueError(f"transmitters {profile.transmitters} outside [0, {m}]")
-
-
-def honest_equivalent_profile(state: SensingState, params: ScenarioParams) -> ActionProfile:
-    """Report truthfully, then transmit only on an idle announcement."""
-    _check_state(state, params)
-    announced_busy = state.honest_busy >= 1 or state.attacker_busy >= 1
-    return ActionProfile(state.attacker_busy,
-                         0 if announced_busy else params.n_attackers)
-
-
-def evaluate_profile(state: SensingState, profile: ActionProfile,
-                     params: ScenarioParams,
-                     include_direct_punishment: bool) -> RewardBreakdown:
-    """Expected rewards for one slot, conditional on the local decisions.
-
-    The posterior conditions on the true sensing outcome k, not on the
-    reports: falsifying a report changes the announcement, not the channel
-    evidence the attackers hold.
-    """
-    _check_state(state, params)
-    _check_profile(profile, params)
-    n, m = params.n_total, params.n_attackers
-    k = state.honest_busy + state.attacker_busy
-    b, m_t = profile.busy_reports, profile.transmitters
-    announced_busy = state.honest_busy >= 1 or b >= 1
-    announcement = Announcement.H1 if announced_busy else Announcement.H0
-    is_attack = profile != honest_equivalent_profile(state, params)
-
-    post = posterior.posterior_idle(n, k, params)
-    pi, pb = post.p_idle_given_reports, post.p_busy_given_reports
-    cp = params.cp_rate1
-    cb = params.cb_rate1 if include_direct_punishment else 0.0
-    rate = params.total_rate
-
-    if not announced_busy:
-        # every honest SU transmits alongside the m_t attackers; a busy
-        # channel collides all N transmissions but the penalty hits all N SUs
-        share = pi / (n - m + m_t)
-        attacker = m_t * share - m * pb * cp
-        honest = share - pb * cp
-    elif m_t >= 1:
-        attacker = pi - m * pb * (cp + cb)
-        honest = -pb * (cp + cb)
-    else:
-        attacker = 0.0
-        honest = 0.0
-    return RewardBreakdown(rate * attacker, rate * honest, announcement, is_attack)
-
-
 @dataclass(frozen=True, eq=False)
 class RewardTensors:
-    """Per-slot values of every state's candidates, indexed [honest_busy,
+    """Per-slot values of each state's candidates, indexed [honest_busy,
     attacker_busy, rank]: the attackers' aggregate reward, one honest SU's
     reward (at the attackers' rate), and the trigger probability of a
     collision after a busy announcement, the event that direct punishment
@@ -124,19 +69,25 @@ class RewardTensors:
     trigger: np.ndarray
 
 
-def _posteriors(params: ScenarioParams | HeteroParams
+_EVERY_STATE = np.s_[:, :]
+
+
+def _posteriors(params: ScenarioParams | HeteroParams,
+                at: tuple[slice, slice] = _EVERY_STATE
                 ) -> tuple[np.ndarray, np.ndarray, float]:
-    # P(idle) and P(busy) given every state's decisions, shaped
-    # [honest_busy, attacker_busy, 1], and the attackers' rate
+    # P(idle) and P(busy) given the decisions of the states at, slices of
+    # [honest_busy, attacker_busy], shaped like them plus a trailing 1,
+    # and the attackers' rate
     group = params.base
-    n_h, m = group.n_honest, group.n_attackers
+    honest = range(group.n_honest + 1)[at[0]]
     if isinstance(params, HeteroParams):
-        posts = [[posterior.posterior_idle_hetero(kh, d, params) for d in (0, 1)]
-                 for kh in range(n_h + 1)]
+        posts = [[posterior.posterior_idle_hetero(kh, d, params)
+                  for d in (0, 1)[at[1]]] for kh in honest]
         rate = params.rate_attacker
     else:
         posts = [[posterior.posterior_idle(group.n_total, kh + ka, group)
-                  for ka in range(m + 1)] for kh in range(n_h + 1)]
+                  for ka in range(group.n_attackers + 1)[at[1]]]
+                 for kh in honest]
         rate = group.total_rate
     pi = np.array([[p.p_idle_given_reports for p in row]
                    for row in posts])[:, :, None]
@@ -145,13 +96,15 @@ def _posteriors(params: ScenarioParams | HeteroParams
     return pi, pb, rate
 
 
-def _action_masks(order: np.ndarray, m: int
+def _action_masks(order: np.ndarray, group: ScenarioParams,
+                  at: tuple[slice, slice] = _EVERY_STATE
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # M_T, the busy announcement and the grab mask of every ranked
-    # profile, [honest_busy, attacker_busy, rank]; a grab transmits
-    # through a busy announcement, the only event a direct punishment fines
-    b, mt = np.divmod(order, m + 1)
-    kh = np.arange(order.shape[0])[:, None, None]
+    # M_T, the busy announcement and the grab mask of the ranked profiles
+    # of the states at, [honest_busy, attacker_busy, rank]; a grab
+    # transmits through a busy announcement, the only event a direct
+    # punishment fines
+    b, mt = np.divmod(order, group.n_attackers + 1)
+    kh = np.arange(group.n_honest + 1)[at[0], None, None]
     announced_busy = (kh >= 1) | (b >= 1)
     return mt, announced_busy, announced_busy & (mt >= 1)
 
@@ -163,26 +116,17 @@ def _grab_reward(pi: np.ndarray, pb: np.ndarray, m: int, cp: float,
     return rate * (pi - m * pb * (cp + cb))
 
 
-def reward_tensors(params: ScenarioParams | HeteroParams,
-                   include_direct_punishment: bool) -> RewardTensors:
-    """evaluate_profile's rewards for every state's candidates at once.
-
-    For a heterogeneous attacker the posteriors are posterior_idle_hetero
-    and the rate is rate_attacker; the penalties are charges, so they are
-    converted to that rate.
-    """
-    return best_profiles(params, include_direct_punishment)[2]
-
-
 def _price(params: ScenarioParams | HeteroParams, order: np.ndarray,
            pi: np.ndarray, pb: np.ndarray, rate: float,
-           include_direct_punishment: bool) -> RewardTensors:
-    # reward_tensors on action_order's and _posteriors' output
+           include_direct_punishment: bool,
+           at: tuple[slice, slice] = _EVERY_STATE) -> RewardTensors:
+    # the slot rewards of the ranked profiles of the states at, from
+    # action_order's and _posteriors' output there
     group = params.base
     n_h, m = group.n_honest, group.n_attackers
     cp = group.collision_penalty / rate
     cb = group.direct_punishment / rate if include_direct_punishment else 0.0
-    mt, announced_busy, grab = _action_masks(order, m)
+    mt, announced_busy, grab = _action_masks(order, group, at)
     # on an idle announcement every honest SU transmits alongside the M_T
     # attackers; a busy channel collides all of them and fines all N SUs
     share = pi / (n_h + mt)
@@ -223,15 +167,23 @@ def action_order(params: ScenarioParams) -> np.ndarray:
     candidate (0 if b == 0 else max(attacker_busy, 1), M_T), which comes
     no later; the first maximum over all (M+1)^2 profiles is a candidate.
     """
+    return _action_order(params)
+
+
+def _action_order(params: ScenarioParams,
+                  at: tuple[slice, slice] = _EVERY_STATE) -> np.ndarray:
+    # action_order of the states at; keys are distinct, so a state's
+    # order does not depend on which other states are sorted with it
     m = params.n_attackers
-    ka = np.arange(m + 1)[:, None]
+    ka = np.arange(m + 1)[at[1], None]
     column = np.arange(2 * (m + 1))
     b = (column > m) * np.maximum(ka, 1)
     mt = column % (m + 1)
     flat = b * (m + 1) + mt
     key = (np.abs(b - ka) * (m + 1) + m - mt) * (m + 1) + b
-    honest = honest_flat(params)[..., None]
-    return flat[ka, np.argsort(np.where(flat == honest, -1, key), axis=-1)]
+    honest = honest_flat(params)[at][..., None]
+    rows = np.arange(len(ka))[:, None]
+    return flat[rows, np.argsort(np.where(flat == honest, -1, key), axis=-1)]
 
 
 def _pick(table: np.ndarray, rank: np.ndarray) -> np.ndarray:
@@ -242,9 +194,14 @@ def _pick(table: np.ndarray, rank: np.ndarray) -> np.ndarray:
 def best_profiles(params: ScenarioParams | HeteroParams,
                   include_direct_punishment: bool
                   ) -> tuple[np.ndarray, np.ndarray, RewardTensors]:
-    """(action_order, every state's best-response rank, reward_tensors).
+    """(action_order, every state's best-response rank, the slot rewards
+    of every state's candidates in that order).
+
     The best response is the first maximum of the attackers' aggregate
-    reward in action_order."""
+    reward in action_order.  For a heterogeneous attacker the posteriors
+    are posterior_idle_hetero and the rate is rate_attacker; the
+    penalties are charges, so they are converted to that rate.
+    """
     order = action_order(params.base)
     tensors = _price(params, order, *_posteriors(params),
                      include_direct_punishment)
@@ -272,7 +229,7 @@ def attack_scan(params: ScenarioParams) -> Callable[[float], bool]:
     cp = params.collision_penalty / rate
     attacker = _price(params, order, pi, pb, rate, False).attacker
     first = attacker[..., 0]
-    grab = _action_masks(order, m)[2]
+    grab = _action_masks(order, params)[2]
     # rank 0 is one of the non-grabs, so their maximum is NaN or larger
     # than rank 0 exactly when another of them beats it
     rival = np.where(grab, -np.inf, attacker).max(axis=-1)
@@ -292,12 +249,13 @@ def attack_scan(params: ScenarioParams) -> Callable[[float], bool]:
     return attacked
 
 
-def _row(params: ScenarioParams, table: tuple, kh: int, ka: int) -> tuple:
-    # behavior_table's row of state (kh, ka), from best_profiles' output
-    order, best, tensors = table
-    at = kh, ka, best[kh, ka]
+def _response(params: ScenarioParams, kh: int, order: np.ndarray,
+              tensors: RewardTensors, at: tuple
+              ) -> tuple[ActionProfile, RewardBreakdown]:
+    # the best response of a state with kh honest busy decisions, read at
+    # at = (row, column, best rank) of action_order's and _price's output
     profile = profile_at(order[at], params.n_attackers)
-    return SensingState(kh, ka), profile, RewardBreakdown(
+    return profile, RewardBreakdown(
         float(tensors.attacker[at]), float(tensors.honest[at]),
         fusion.fuse(kh + profile.busy_reports, params.n_total, 1),
         bool(at[2] != 0))
@@ -306,17 +264,24 @@ def _row(params: ScenarioParams, table: tuple, kh: int, ka: int) -> tuple:
 def best_response(state: SensingState, params: ScenarioParams,
                   include_direct_punishment: bool) -> tuple[ActionProfile, RewardBreakdown]:
     """Maximizer of the attackers' aggregate reward, ties broken by
-    action_order."""
+    action_order; only this state's candidates are priced."""
     _check_state(state, params)
-    return _row(params, best_profiles(params, include_direct_punishment),
-                state.honest_busy, state.attacker_busy)[1:]
+    kh, ka = state.honest_busy, state.attacker_busy
+    at = np.s_[kh:kh + 1, ka:ka + 1]
+    order = _action_order(params, at)
+    tensors = _price(params, order, *_posteriors(params, at),
+                     include_direct_punishment, at)
+    return _response(params, kh, order, tensors,
+                     (0, 0, tensors.attacker[0, 0].argmax()))
 
 
 def behavior_table(params: ScenarioParams, include_direct_punishment: bool = True,
                    ) -> list[tuple[SensingState, ActionProfile, RewardBreakdown]]:
     """Best response in every sensing state, in lexicographic state order."""
-    table = best_profiles(params, include_direct_punishment)
-    return [_row(params, table, *at) for at in np.ndindex(table[1].shape)]
+    order, best, tensors = best_profiles(params, include_direct_punishment)
+    return [(SensingState(kh, ka),
+             *_response(params, kh, order, tensors, (kh, ka, best[kh, ka])))
+            for kh, ka in np.ndindex(best.shape)]
 
 
 def expected_slot_rewards(params: ScenarioParams | HeteroParams,

@@ -59,6 +59,13 @@ def _exp_diff(la: float, lb: float) -> float:
     return _exp(lb) * math.expm1(la - lb)
 
 
+def _log_exp_diff(la: float, lb: float) -> float:
+    # log(exp(la) - exp(lb)), -inf where the difference is not positive
+    if la > lb:
+        return la + math.log(-math.expm1(lb - la))
+    return -math.inf
+
+
 def _log_q(params: ScenarioParams) -> float:
     # log of the odds factor one busy decision takes away:
     # P_f P_m / ((1-P_f)(1-P_m))
@@ -72,6 +79,14 @@ def _nlog(count: int, log_term: float) -> float:
     if count == 0:
         return 0.0
     return count * log_term
+
+
+def _log_joint(n: int, k: int, p_i: float, p_f: float, p_m: float
+               ) -> tuple[float, float]:
+    # (log Pr[idle and k of n busy decisions], the same for busy),
+    # without the binomial coefficient, which both share
+    return (_log(p_i) + _nlog(n - k, _log1m(p_f)) + _nlog(k, _log(p_f)),
+            _log1m(p_i) + _nlog(n - k, _log(p_m)) + _nlog(k, _log1m(p_m)))
 
 
 def _from_log_parts(log_idle: float, log_busy: float) -> Posterior:
@@ -127,9 +142,7 @@ def _posterior_idle(n: int, k: int, p_i: float, p_f: float,
         raise ValueError("group_size must be >= 1")
     if not 0 <= k <= n:
         raise ValueError(f"busy_count {k} outside [0, {n}]")
-    log_idle = _log(p_i) + _nlog(n - k, _log1m(p_f)) + _nlog(k, _log(p_f))
-    log_busy = _log1m(p_i) + _nlog(n - k, _log(p_m)) + _nlog(k, _log1m(p_m))
-    return _from_log_parts(log_idle, log_busy)
+    return _from_log_parts(*_log_joint(n, k, p_i, p_f, p_m))
 
 
 def posterior_idle_hetero(honest_busy_count: int, attacker_report: int,
@@ -146,11 +159,9 @@ def posterior_idle_hetero(honest_busy_count: int, attacker_report: int,
     p_i, p_f, p_m = base.p_idle, base.p_false_alarm, base.p_missed_detection
     p_fa = hparams.p_false_alarm_attacker
     p_ma = hparams.p_missed_detection_attacker
-    log_idle = (_log(p_i) + _nlog(n_h - k, _log1m(p_f)) + _nlog(k, _log(p_f))
-                + (_log(p_fa) if d else _log1m(p_fa)))
-    log_busy = (_log1m(p_i) + _nlog(n_h - k, _log(p_m)) + _nlog(k, _log1m(p_m))
-                + (_log1m(p_ma) if d else _log(p_ma)))
-    return _from_log_parts(log_idle, log_busy)
+    log_idle, log_busy = _log_joint(n_h, k, p_i, p_f, p_m)
+    return _from_log_parts(log_idle + (_log(p_fa) if d else _log1m(p_fa)),
+                           log_busy + (_log1m(p_ma) if d else _log(p_ma)))
 
 
 @functools.lru_cache(maxsize=1 << 5)  # a scenario needs at most 8 keys
@@ -167,33 +178,19 @@ def _binomial_pmf(n: int, p: float) -> tuple[float, ...]:
 
 def count_masses(group_size: int, params: ScenarioParams
                  ) -> tuple[list[float], list[float]]:
-    """joint_report_mass at every count 0..group_size: (idle, busy) lists."""
+    """(Pr[idle and count=k], Pr[busy and count=k]) for every count k =
+    0..group_size of busy decisions, as (idle, busy) lists.
+
+    These joint masses are the numerators of the posterior: dividing one
+    by the sum of the pair reproduces posterior_idle without
+    cancellation, and the long-run reward sums use them directly.  Each
+    lies within 1e-13 relative of its exact value for group sizes up to
+    24.
+    """
     p_i, n = params.p_idle, group_size
     return ([p_i * x for x in _binomial_pmf(n, params.p_false_alarm)],
             [(1.0 - p_i) * x
              for x in _binomial_pmf(n, params.p_missed_detection)[::-1]])
-
-
-def joint_report_mass(group_size: int, busy_count: int,
-                      params: ScenarioParams) -> tuple[float, float]:
-    """(Pr[idle and count=k], Pr[busy and count=k]) for the report count.
-
-    These joint masses are the numerators of the posterior: dividing by
-    their sum reproduces posterior_idle without cancellation, and the
-    long-run reward sums use them directly.  Each lies within 1e-13
-    relative of its exact value for group sizes up to 24.
-    """
-    n, k = group_size, busy_count
-    if not 0 <= k <= n:
-        raise ValueError(f"busy_count {k} outside [0, {n}]")
-    p_i = params.p_idle
-    return (p_i * _binomial_pmf(n, params.p_false_alarm)[k],
-            (1.0 - p_i) * _binomial_pmf(n, params.p_missed_detection)[n - k])
-
-
-def report_count_pmf(group_size: int, busy_count: int, params: ScenarioParams) -> float:
-    """Probability that exactly busy_count of group_size sensors decide busy."""
-    return sum(joint_report_mass(group_size, busy_count, params))
 
 
 def _attacker_rates(params: ScenarioParams | HeteroParams) -> tuple[float, float]:
@@ -203,31 +200,18 @@ def _attacker_rates(params: ScenarioParams | HeteroParams) -> tuple[float, float
 
 
 def split_pmf(params: ScenarioParams | HeteroParams) -> np.ndarray:
-    """report_split_pmf of every split, bit for bit, as an (n_honest+1,
-    M+1) array indexed [honest busy count, attacker busy count]."""
+    """Joint probability of every (honest busy count, attacker busy
+    count) split, as an (n_honest+1, M+1) array indexed [honest busy
+    count, attacker busy count].
+
+    The two groups are conditionally independent given the channel state
+    but correlated through it, so this is not a product of the marginals.
+    A heterogeneous attacker is a group of one with its own error rates.
+    Each entry lies within 1e-13 relative of its exact value for N up to
+    24.
+    """
     base = params.base
     p_fa, p_ma = _attacker_rates(params)
     idle, busy = np.array(count_masses(base.n_honest, base))[:, :, None]
     return (idle * _binomial_pmf(base.n_attackers, p_fa)
             + busy * _binomial_pmf(base.n_attackers, p_ma)[::-1])
-
-
-def report_split_pmf(honest_busy: int, attacker_busy: int,
-                     params: ScenarioParams | HeteroParams) -> float:
-    """Joint probability of the (honest busy count, attacker busy count) split.
-
-    The two groups are conditionally independent given the channel state but
-    correlated through it, so this is not a product of the marginals.  A
-    heterogeneous attacker is a group of one with its own error rates.
-    Within 1e-13 relative of the exact value for N up to 24.
-    """
-    base = params.base
-    n_h, m = base.n_honest, base.n_attackers
-    if not 0 <= honest_busy <= n_h:
-        raise ValueError(f"honest_busy {honest_busy} outside [0, {n_h}]")
-    if not 0 <= attacker_busy <= m:
-        raise ValueError(f"attacker_busy {attacker_busy} outside [0, {m}]")
-    p_fa, p_ma = _attacker_rates(params)
-    idle, busy = joint_report_mass(n_h, honest_busy, base)
-    return (idle * _binomial_pmf(m, p_fa)[attacker_busy]
-            + busy * _binomial_pmf(m, p_ma)[m - attacker_busy])

@@ -222,7 +222,7 @@ def build_policy_tables(config: SimConfig) -> PolicyTables:
         flat = oneshot.honest_flat(group)
     else:
         order, best, _ = oneshot.best_profiles(params, mode == "direct")
-        flat = np.take_along_axis(order, best[..., None], axis=-1)[..., 0]
+        flat = oneshot._pick(order, best)
     b, mt = np.divmod(flat, group.n_attackers + 1)
     return PolicyTables(b, mt, oneshot.post_transmit(params))
 

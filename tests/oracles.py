@@ -1,5 +1,12 @@
 """Scalar references that the package's vectorized paths are tested against.
 
+evaluate_profile prices one slot of one state and profile with plain
+Python arithmetic, the reference that oneshot._price's tensors are held
+to bit for bit, and honest_equivalent_profile is the profile that
+oneshot.honest_flat indexes.  check_condition_i_semantics holds
+fusion.condition_i_bounds' log-space region test to the sensor-level
+signs of transmitting.
+
 run_slot plays one slot at a time, with plain Python arithmetic, by the
 rules of both phases, collaboration and the terminated phase after the
 indirect trigger, that sim._outcome_grid tabulates per cell and
@@ -39,13 +46,88 @@ from fractions import Fraction
 
 import numpy as np
 
-from coopsense.fusion import Announcement
+from coopsense import posterior
+from coopsense.fusion import Announcement, Region, condition_i_bounds
 from coopsense.mdp import MdpModel, build_mdp
 from coopsense.model import HeteroParams, ScenarioParams
-from coopsense.oneshot import (RewardTensors, _grab_reward, _posteriors,
-                               _pick, best_profiles, honest_flat)
+from coopsense.oneshot import (ActionProfile, RewardBreakdown, RewardTensors,
+                               SensingState, _check_state, _grab_reward,
+                               _posteriors, _pick, best_profiles, honest_flat)
 from coopsense.sim import (PolicyTables, SimConfig, SlotTrace,
                            _busy_probabilities, _reward_constants)
+
+
+def _check_profile(profile: ActionProfile, params: ScenarioParams) -> None:
+    m = params.n_attackers
+    if not 0 <= profile.busy_reports <= m:
+        raise ValueError(f"busy_reports {profile.busy_reports} outside [0, {m}]")
+    if not 0 <= profile.transmitters <= m:
+        raise ValueError(f"transmitters {profile.transmitters} outside [0, {m}]")
+
+
+def honest_equivalent_profile(state: SensingState, params: ScenarioParams) -> ActionProfile:
+    """Report truthfully, then transmit only on an idle announcement."""
+    _check_state(state, params)
+    announced_busy = state.honest_busy >= 1 or state.attacker_busy >= 1
+    return ActionProfile(state.attacker_busy,
+                         0 if announced_busy else params.n_attackers)
+
+
+def evaluate_profile(state: SensingState, profile: ActionProfile,
+                     params: ScenarioParams,
+                     include_direct_punishment: bool) -> RewardBreakdown:
+    """Expected rewards for one slot, conditional on the local decisions.
+
+    The posterior conditions on the true sensing outcome k, not on the
+    reports: falsifying a report changes the announcement, not the channel
+    evidence the attackers hold.
+    """
+    _check_state(state, params)
+    _check_profile(profile, params)
+    n, m = params.n_total, params.n_attackers
+    k = state.honest_busy + state.attacker_busy
+    b, m_t = profile.busy_reports, profile.transmitters
+    announced_busy = state.honest_busy >= 1 or b >= 1
+    announcement = Announcement.H1 if announced_busy else Announcement.H0
+    is_attack = profile != honest_equivalent_profile(state, params)
+
+    post = posterior.posterior_idle(n, k, params)
+    pi, pb = post.p_idle_given_reports, post.p_busy_given_reports
+    cp = params.cp_rate1
+    cb = params.cb_rate1 if include_direct_punishment else 0.0
+    rate = params.total_rate
+
+    if not announced_busy:
+        # every honest SU transmits alongside the m_t attackers; a busy
+        # channel collides all N transmissions but the penalty hits all N SUs
+        share = pi / (n - m + m_t)
+        attacker = m_t * share - m * pb * cp
+        honest = share - pb * cp
+    elif m_t >= 1:
+        attacker = pi - m * pb * (cp + cb)
+        honest = -pb * (cp + cb)
+    else:
+        attacker = 0.0
+        honest = 0.0
+    return RewardBreakdown(rate * attacker, rate * honest, announcement, is_attack)
+
+
+def check_condition_i_semantics(params: ScenarioParams) -> bool:
+    """Self-consistency of the region test against the sensor-level signs.
+
+    The region membership must coincide with: transmitting on a unanimous
+    idle vote pays, transmitting after one busy report does not.  A single
+    busy report suffices on the failing side because the expected reward is
+    decreasing in the busy count.
+    """
+    n = params.n_total
+    cp = params.cp_rate1
+    within = condition_i_bounds(params).region is Region.II
+    post0 = posterior.posterior_idle(n, 0, params)
+    post1 = posterior.posterior_idle(n, 1, params)
+    unanimous_pays = post0.p_idle_given_reports / n - post0.p_busy_given_reports * cp > 0.0
+    one_busy_pays = post1.p_idle_given_reports / n - post1.p_busy_given_reports * cp > 0.0
+    return within == (unanimous_pays and not one_busy_pays)
 
 
 @dataclass
@@ -133,7 +215,7 @@ def _full_grid(n_h: int, m: int
 
 def full_reward_tensors(params: ScenarioParams | HeteroParams,
                         include_direct_punishment: bool) -> RewardTensors:
-    """oneshot.reward_tensors' expression over every profile, indexed
+    """oneshot._price's expression over every profile, indexed
     [honest_busy, attacker_busy, b, M_T]."""
     group = params.base
     n_h, m = group.n_honest, group.n_attackers
@@ -182,7 +264,7 @@ def full_order_mdp(params: ScenarioParams) -> MdpModel:
 
 def tensor_attack_scan(params: ScenarioParams) -> Callable[[float], bool]:
     """attacked(C_b) of oneshot.attack_scan, from the full ranked tensor:
-    the grab entries recomputed with reward_tensors' expression, every
+    the grab entries recomputed with oneshot._price's expression, every
     other entry fixed, and an attack wherever argmax is not rank 0."""
     m = params.n_attackers
     order = full_action_order(params)

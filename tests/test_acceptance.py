@@ -18,6 +18,7 @@ from coopsense import cli
 from coopsense.sim import SimConfig, run_experiment
 
 from conftest import observable_scenario, region_ii_scenario, rel_err
+from oracles import check_condition_i_semantics, honest_equivalent_profile
 
 
 def _finish(label: str, budget: str, start: float,
@@ -73,7 +74,7 @@ def test_criterion_02_window_bounds_match_semantics():
             got = cs.condition_i_bounds(probe).region
             if got is not want:
                 failures.append(f"cp={cp:g}: region {got} != {want}")
-            if not cs.check_condition_i_semantics(probe):
+            if not check_condition_i_semantics(probe):
                 failures.append(f"cp={cp:g}: sign disagreement at {probe}")
     _finish("criterion 2: window bounds equivalent to sensor-level signs",
             "1s", start, failures)
@@ -107,7 +108,7 @@ def test_criterion_03_best_response_classes_and_rewards():
                     want = cs.ActionProfile(want_b, m)
                     want_value = grab_value
                 else:
-                    want = cs.honest_equivalent_profile(state, params)
+                    want = honest_equivalent_profile(state, params)
                     want_value = honest_value
                 if profile != want:
                     failures.append(f"{state}: {profile} != {want} @ {params}")
@@ -120,7 +121,7 @@ def test_criterion_03_best_response_classes_and_rewards():
 
 
 def _attacking_states(params: cs.ScenarioParams) -> int:
-    return sum(profile != cs.honest_equivalent_profile(state, params)
+    return sum(profile != honest_equivalent_profile(state, params)
                for state, profile, _ in cs.behavior_table(params, True))
 
 

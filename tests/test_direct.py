@@ -7,10 +7,10 @@ import pytest
 from coopsense.direct import (direct_threshold, direct_threshold_hetero,
                               direct_threshold_oracle)
 from coopsense.model import HeteroParams, ScenarioParams
-from coopsense.oneshot import (SensingState, best_response,
-                               honest_equivalent_profile)
+from coopsense.oneshot import SensingState, best_response
 
 from conftest import region_ii_scenario, rel_err
+from oracles import honest_equivalent_profile
 
 FIG4 = ScenarioParams(11, 1, 0.6, 0.08, 0.08, 6e10, discount=0.9)
 

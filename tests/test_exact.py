@@ -6,9 +6,7 @@ values; that bound survives the cancellation in lr_honest's sharing
 value near the top of the collision-penalty window.  Scenarios are
 region II with N from 2 to 24, a third of them with the penalty in the
 top 0.1 % of the window, some at a non-unit rate; the direct-threshold
-constraints are checked at every attacker count.  count_masses and
-split_pmf must also equal joint_report_mass and report_split_pmf bit
-for bit.
+constraints are checked at every attacker count.
 """
 
 import dataclasses
@@ -21,9 +19,7 @@ from coopsense.direct import direct_threshold, direct_threshold_hetero
 from coopsense.indirect import lr_dishonest, lr_honest
 from coopsense.model import HeteroParams, TransmissionCase
 from coopsense.oneshot import expected_slot_rewards
-from coopsense.posterior import (count_masses, joint_report_mass,
-                                 report_count_pmf, report_split_pmf,
-                                 split_pmf)
+from coopsense.posterior import count_masses, split_pmf
 
 from conftest import region_ii_scenario
 from oracles import (exact_count_masses, exact_direct_constraints,
@@ -66,22 +62,22 @@ def _near(value: float, exact: tuple[Fraction, Fraction]) -> bool:
 def test_count_masses_match_exact(params):
     for n in (params.n_total, params.n_attackers):
         view = list(zip(*count_masses(n, params)))
-        assert view == [joint_report_mass(n, k, params) for k in range(n + 1)]
+        assert len(view) == n + 1
         for k, (idle, busy) in enumerate(exact_count_masses(n, params)):
             got_idle, got_busy = view[k]
             assert _near(got_idle, (idle, idle)), (n, k)
             assert _near(got_busy, (busy, busy)), (n, k)
-            assert _near(report_count_pmf(n, k, params),
-                         (idle + busy, idle + busy)), (n, k)
+            assert _near(got_idle + got_busy, (idle + busy, idle + busy)), (n, k)
 
 
 @settings(max_examples=40, deadline=None)
 @given(params=st.one_of(scenarios(), scenarios(hetero=True)))
 def test_split_pmf_matches_exact(params):
     view = split_pmf(params).tolist()
-    for kh, row in enumerate(exact_split_pmf(params)):
+    exact_rows = exact_split_pmf(params)
+    assert [len(row) for row in view] == [len(row) for row in exact_rows]
+    for kh, row in enumerate(exact_rows):
         for ka, exact in enumerate(row):
-            assert view[kh][ka] == report_split_pmf(kh, ka, params)
             assert _near(view[kh][ka], (exact, exact)), (kh, ka)
 
 

@@ -14,14 +14,18 @@ from coopsense.model import (HeteroParams, ScenarioParams, validate,
 from coopsense.oneshot import (ActionProfile, SensingState, _pick,
                                action_order, attack_scan, behavior_table,
                                best_profiles, best_response,
-                               evaluate_profile, expected_slot_rewards,
-                               honest_equivalent_profile, profile_at,
-                               reward_tensors)
+                               expected_slot_rewards, profile_at)
 from coopsense.posterior import (posterior_idle, posterior_idle_hetero,
-                                 report_split_pmf)
+                                 split_pmf)
 
 from conftest import fined_scenarios, region_ii_scenario, rel_err
-from oracles import full_action_order, full_best_profiles, tensor_attack_scan
+from oracles import (evaluate_profile, full_action_order, full_best_profiles,
+                     honest_equivalent_profile, tensor_attack_scan)
+
+
+def _tensors(params, include_direct_punishment):
+    # the slot rewards of every state's candidates, ranked
+    return best_profiles(params, include_direct_punishment)[2]
 
 
 def test_honest_equivalent_profiles(fig_params):
@@ -170,11 +174,12 @@ def test_behavior_table_shape_and_columns(fig_params):
 
 def test_expected_rewards_weighting(fig_params):
     att, hon = expected_slot_rewards(fig_params, False, honest=True)
+    weights = split_pmf(fig_params).tolist()
     check_att = 0.0
     check_hon = 0.0
     for kh in range(5):
         for ka in range(3):
-            w = report_split_pmf(kh, ka, fig_params)
+            w = weights[kh][ka]
             state = SensingState(kh, ka)
             out = evaluate_profile(state,
                                    honest_equivalent_profile(state, fig_params),
@@ -214,7 +219,7 @@ def _candidates(ka, m):
 def test_reward_tensors_equal_scalar_reference():
     for params in fined_scenarios(31, 40):
         for flag in (False, True):
-            tensors = reward_tensors(params, flag)
+            tensors = _tensors(params, flag)
             for kh, ka, b, mt, rank in _entries(params):
                 ref = evaluate_profile(SensingState(kh, ka),
                                        ActionProfile(b, mt), params, flag)
@@ -300,7 +305,7 @@ def _tie_charges(params, ulps=4):
     # each with a few float neighbours, so that some land on exact ties
     m = params.n_attackers
     order = action_order(params)
-    attacker = reward_tensors(params, False).attacker
+    attacker = _tensors(params, False).attacker
     charges = []
     for kh in range(params.n_honest + 1):
         for ka in range(m + 1):
@@ -392,7 +397,7 @@ def test_attack_scan_matches_tensor_scan(params):
 def test_attack_scan_counts_a_nan_grab_as_an_attack():
     # argmax picks the first NaN, so a NaN grab reward beats rank 0
     with np.errstate(invalid="ignore"):
-        attacker = reward_tensors(
+        attacker = _tensors(
             dataclasses.replace(NAN_GRAB, direct_punishment=math.inf),
             True).attacker
         assert tensor_attack_scan(NAN_GRAB)(math.inf)
@@ -414,7 +419,7 @@ def test_hetero_tensor_prices_the_single_attacker():
         cb = direct_threshold_hetero(h).value * float(rng.uniform(0.3, 2.0))
         h = dataclasses.replace(
             h, base=dataclasses.replace(h.base, direct_punishment=cb))
-        attacker = reward_tensors(h, True).attacker
+        attacker = _tensors(h, True).attacker
         n_h, r_a = h.base.n_total - 1, h.rate_attacker
         cp = h.base.collision_penalty
         assert attacker.shape == (n_h + 1, 2, 4)

@@ -5,11 +5,16 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from coopsense.model import HeteroParams, ScenarioParams
-from coopsense.posterior import (joint_report_mass, log_odds_idle,
+from coopsense.posterior import (count_masses, log_odds_idle,
                                  posterior_idle, posterior_idle_hetero,
-                                 report_count_pmf, report_split_pmf)
+                                 split_pmf)
 
 from conftest import rel_err
+
+def _count_pmf(group_size, params):
+    # Pr[k of group_size sensors decide busy] for every k
+    return [idle + busy for idle, busy in zip(*count_masses(group_size, params))]
+
 
 scenario_st = st.builds(
     ScenarioParams,
@@ -32,7 +37,7 @@ def test_pinned_posteriors(fig_params):
                    6.48490973326519224799e-07) < 1e-13
     assert rel_err(posterior_idle(6, 1, p).p_idle_given_reports,
                    9.99961884569801839895e-01) < 1e-15
-    assert rel_err(report_count_pmf(6, 0, p),
+    assert rel_err(_count_pmf(6, p)[0],
                    3.63813105663999991624e-01) < 1e-14
 
 
@@ -80,9 +85,8 @@ def test_posterior_strictly_decreasing_when_informative(params):
 @given(params=scenario_st, k=st.integers(0, 15))
 def test_joint_masses_compose_pmf(params, k):
     k = min(k, params.n_total)
-    idle, busy = joint_report_mass(params.n_total, k, params)
+    idle, busy = (masses[k] for masses in count_masses(params.n_total, params))
     assert idle >= 0.0 and busy >= 0.0
-    assert rel_err(idle + busy, report_count_pmf(params.n_total, k, params)) < 1e-14
     # the idle mass is also pmf * posterior, exactly by construction
     post = posterior_idle(params.n_total, k, params)
     total = idle + busy
@@ -93,8 +97,7 @@ def test_joint_masses_compose_pmf(params, k):
 # binomial coefficients past the float range: the pmf stays finite
 @example(params=ScenarioParams(1100, 2, 0.6, 0.001, 0.3, 1e300))
 def test_pmf_normalizes(params):
-    total = sum(report_count_pmf(params.n_total, k, params)
-                for k in range(params.n_total + 1))
+    total = sum(_count_pmf(params.n_total, params))
     assert abs(total - 1.0) < 1e-12
 
 
@@ -111,12 +114,14 @@ def test_split_pmf_margins(params):
     if params.n_attackers >= params.n_total:
         return
     n_h, m = params.n_honest, params.n_attackers
-    grid = {(kh, ka): report_split_pmf(kh, ka, params)
-            for kh in range(n_h + 1) for ka in range(m + 1)}
+    table = split_pmf(params).tolist()
+    assert len(table) == n_h + 1 and {len(row) for row in table} == {m + 1}
+    grid = {(kh, ka): v for kh, row in enumerate(table)
+            for ka, v in enumerate(row)}
     assert abs(sum(grid.values()) - 1.0) < 1e-12
-    for k in range(params.n_total + 1):
+    for k, pmf in enumerate(_count_pmf(params.n_total, params)):
         lumped = sum(v for (kh, ka), v in grid.items() if kh + ka == k)
-        assert rel_err(lumped, report_count_pmf(params.n_total, k, params)) < 1e-11
+        assert rel_err(lumped, pmf) < 1e-11
 
 
 def test_impossible_pattern_raises():
@@ -130,12 +135,12 @@ def test_large_group_falls_back_to_lgamma():
     exact = ScenarioParams(40, 1, 0.5, 0.05, 0.05, 1.0)
     # the log-space pmf against the linear formula with an exact
     # binomial coefficient
-    big = report_count_pmf(80, 3, p)
+    big = _count_pmf(80, p)[3]
     assert math.isfinite(big) and big > 0.0
     direct = (0.5 * math.comb(80, 3) * 0.05**3 * 0.95**77
               + 0.5 * math.comb(80, 3) * 0.95**3 * 0.05**77)
     assert rel_err(big, direct) < 1e-12
-    assert report_count_pmf(40, 3, exact) > 0.0
+    assert _count_pmf(40, exact)[3] > 0.0
 
 
 def test_hetero_posterior_pinned():
