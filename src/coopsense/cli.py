@@ -266,6 +266,12 @@ def cmd_analyze(run: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_thresholds(run: RunConfig, args: argparse.Namespace) -> int:
     params = run.params
+    error_values = run.options.get("attacker_error_values")
+    hetero = error_values is not None
+    if hetero and run.hetero is None:
+        raise ConfigError("attacker_error_values needs a heterogeneous "
+                          "scenario (p_false_alarm_attacker and "
+                          "p_missed_detection_attacker)")
     n_values = run.options.get("n_values", [params.n_total])
     p_idle_values = [float(p) for p in
                      run.options.get("p_idle_values", [params.p_idle])]
@@ -280,8 +286,6 @@ def cmd_thresholds(run: RunConfig, args: argparse.Namespace) -> int:
         for problem in validate(dataclasses.replace(
             params, n_total=n, n_attackers=1, p_idle=p_idle,
             collision_penalty=c_p))]
-    error_values = run.options.get("attacker_error_values")
-    hetero = error_values is not None and run.hetero is not None
     hetero_points = [
         dataclasses.replace(run.hetero, p_false_alarm_attacker=float(p_fa),
                             p_missed_detection_attacker=float(p_ma))

@@ -118,6 +118,10 @@ def _is_real(x) -> bool:
     return _is_count(x) or isinstance(x, float)
 
 
+def _is_rate(x) -> bool:
+    return _is_real(x) and 0.0 < x < math.inf
+
+
 def _is_prob_open(x) -> bool:
     return _is_real(x) and 0.0 < x < 1.0
 
@@ -157,8 +161,7 @@ def validate(params: ScenarioParams) -> list[str]:
         v.append("direct_punishment must be finite and >= 0")
     if not (_is_real(p.discount) and 0.0 < p.discount < 1.0):
         v.append("discount must lie in (0, 1)")
-    if not (_is_real(p.total_rate) and p.total_rate > 0.0
-            and math.isfinite(p.total_rate)):
+    if not _is_rate(p.total_rate):
         v.append("total_rate must be finite and > 0")
     return v
 
@@ -173,12 +176,12 @@ def validate_hetero(hparams: HeteroParams) -> list[str]:
         v.append("p_false_alarm_attacker must lie in (0, 1)")
     if not _is_prob_open(h.p_missed_detection_attacker):
         v.append("p_missed_detection_attacker must lie in (0, 1)")
-    if not (_is_real(h.rate_attacker) and h.rate_attacker > 0):
-        v.append("rate_attacker must be > 0")
+    if not _is_rate(h.rate_attacker):
+        v.append("rate_attacker must be finite and > 0")
     if len(h.rates_honest) != h.base.n_honest:
         v.append("rates_honest must list one rate per honest SU")
-    elif not all(_is_real(r) and r > 0 for r in h.rates_honest):
-        v.append("every honest rate must be > 0")
+    elif not all(_is_rate(r) for r in h.rates_honest):
+        v.append("every honest rate must be finite and > 0")
     if h.base.total_rate != 1.0:
         v.append("per-SU rates replace total_rate; set base.total_rate = 1")
     return v

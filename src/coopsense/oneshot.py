@@ -25,7 +25,7 @@ import numpy as np
 
 from . import fusion, posterior
 from .fusion import Announcement
-from .model import HeteroParams, ScenarioParams
+from .model import HeteroParams, ScenarioParams, _is_count
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,12 @@ class RewardBreakdown:
 
 
 def _check_state(state: SensingState, params: ScenarioParams) -> None:
-    if not 0 <= state.honest_busy <= params.n_honest:
-        raise ValueError(f"honest_busy {state.honest_busy} outside [0, {params.n_honest}]")
-    if not 0 <= state.attacker_busy <= params.n_attackers:
-        raise ValueError(
-            f"attacker_busy {state.attacker_busy} outside [0, {params.n_attackers}]")
+    for name, top in (("honest_busy", params.n_honest),
+                      ("attacker_busy", params.n_attackers)):
+        count = getattr(state, name)
+        if not (_is_count(count) and 0 <= count <= top):
+            raise ValueError(
+                f"{name} {count!r} is not an integer in [0, {top}]")
 
 
 @dataclass(frozen=True, eq=False)

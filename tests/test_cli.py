@@ -115,6 +115,38 @@ def test_thresholds_invalid_grid_is_config_error(tmp_path, capsys, options,
     assert not (tmp_path / "out").exists()
 
 
+def test_thresholds_attacker_errors_need_hetero_fields(tmp_path, capsys):
+    # used to exit 0 without writing hetero_thresholds.csv
+    doc = _doc("thresholds", options={"attacker_error_values": [0.1]},
+               out_dir=str(tmp_path / "out"))
+    assert cli.main(["thresholds", "--config",
+                     _write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "attacker_error_values" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rate_attacker", math.inf),
+    ("rates_honest", [1.0, 1.0, 1.0, 1.0, math.inf]),
+], ids=["attacker", "honest"])
+def test_simulate_infinite_hetero_rate_is_config_error(tmp_path, capsys,
+                                                       field, value):
+    # JSON Infinity parses; simulate used to write a NaN reference, exit 0
+    scenario = dict(SCENARIO, n_attackers=1, collision_penalty=100.0,
+                    p_false_alarm_attacker=0.05,
+                    p_missed_detection_attacker=0.3, **{field: value})
+    doc = _doc("simulate",
+               options={"punishment_mode": "direct", "horizon": 50,
+                        "replications": 2},
+               out_dir=str(tmp_path / "out"), scenario=scenario)
+    assert cli.main(["simulate", "--config",
+                     _write_config(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "must be finite and > 0" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_outputs_and_reference(tmp_path):
     scenario = dict(SCENARIO, collision_penalty=100.0)
     doc = _doc("simulate",

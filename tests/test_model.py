@@ -51,8 +51,8 @@ def test_bools_are_not_numbers(fig_params):
                      p_false_alarm_attacker=0.05,
                      p_missed_detection_attacker=0.05, rate_attacker=True,
                      rates_honest=(1.0, 1.0, True, 1.0, 1.0))
-    assert validate_hetero(h) == ["rate_attacker must be > 0",
-                                  "every honest rate must be > 0"]
+    assert validate_hetero(h) == ["rate_attacker must be finite and > 0",
+                                  "every honest rate must be finite and > 0"]
 
 
 def test_uninformative_sensing_rejected(fig_params):
@@ -86,6 +86,17 @@ def test_hetero_defaults_and_validation(fig_params):
                          p_missed_detection_attacker=0.05,
                          rates_honest=(1.0, 2.0))
     assert any("rates_honest" in p for p in validate_hetero(short))
+
+    # infinite rates used to pass, and simulate wrote a NaN reference
+    for field, value, problem in [
+            ("rate_attacker", math.inf, "rate_attacker must be finite and > 0"),
+            ("rate_attacker", math.nan, "rate_attacker must be finite and > 0"),
+            ("rates_honest", (1.0, 1.0, math.inf, 1.0, 1.0),
+             "every honest rate must be finite and > 0"),
+            ("rates_honest", (math.nan,) * 5,
+             "every honest rate must be finite and > 0")]:
+        broken = dataclasses.replace(h, **{field: value})
+        assert validate_hetero(broken) == [problem]
 
 
 def test_rate1_properties(fig_params):

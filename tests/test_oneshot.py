@@ -52,6 +52,19 @@ def test_state_and_profile_bounds(fig_params):
                          False)
 
 
+@pytest.mark.parametrize("state, field", [
+    (SensingState(1.5, 0), "honest_busy"),
+    (SensingState(1, None), "attacker_busy"),
+    (SensingState(True, 0), "honest_busy"),
+    (SensingState(0, False), "attacker_busy"),
+    (SensingState(-1, 0), "honest_busy"),
+    (SensingState(0, 3), "attacker_busy"),
+])
+def test_best_response_rejects_a_non_count_state(fig_params, state, field):
+    with pytest.raises(ValueError, match=f"^{field} .* is not an integer"):
+        best_response(state, fig_params, False)
+
+
 def test_shared_slot_breakdown(fig_params):
     # everyone idle, attackers report truthfully and transmit with the rest
     state = SensingState(0, 0)
