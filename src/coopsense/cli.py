@@ -269,9 +269,8 @@ def cmd_thresholds(run: RunConfig, args: argparse.Namespace) -> int:
     error_values = run.options.get("attacker_error_values")
     hetero = error_values is not None
     if hetero and run.hetero is None:
-        raise ConfigError("attacker_error_values needs a heterogeneous "
-                          "scenario (p_false_alarm_attacker and "
-                          "p_missed_detection_attacker)")
+        raise ConfigError("attacker_error_values needs the heterogeneous "
+                          "scenario fields")
     n_values = run.options.get("n_values", [params.n_total])
     p_idle_values = [float(p) for p in
                      run.options.get("p_idle_values", [params.p_idle])]

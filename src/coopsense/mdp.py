@@ -7,10 +7,11 @@ closed forms in the indirect module: both must produce the same numbers
 from entirely different computations.
 
 The action axis of a pre-punishment state is oneshot.action_order, its
-candidate profiles in the one-shot tie-break, honest-equivalent first;
-policy_value takes any other profile as its candidate, which has the same
-reward and trigger.  Actions of equal value get bit-identical values, so
-a first-wins argmax reproduces the one-shot tie-breaking exactly.
+candidate profiles in the one-shot tie-break, honest-equivalent at rank
+0; policy_value takes any other profile as the candidate oneshot's rule
+maps it to, which has the same reward and trigger.  Actions of equal
+value get bit-identical values, so a first-wins argmax reproduces the
+one-shot tie-breaking exactly.
 
 Sensing is independent across slots: the next state is drawn from the
 split pmf, or from the attackers-alone pmf once punishment triggers.  So
@@ -29,7 +30,7 @@ import numpy as np
 
 from . import oneshot, posterior
 from .model import ScenarioParams
-from .oneshot import ActionProfile
+from .oneshot import ActionProfile, _candidate, _is_count
 
 StateKey = tuple  # ("pre", honest_busy, attacker_busy) | ("post", attacker_busy)
 Action = ActionProfile | int  # pre: report/transmit profile; post: transmitter count
@@ -175,14 +176,9 @@ def value_iteration(model: MdpModel, tolerance: float
     return values, _policy(model, ranks)
 
 
-def _is_count(x: object, m: int) -> bool:
-    return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
-            and 0 <= x <= m)
-
-
 def _ranks(model: MdpModel, policy: Policy) -> np.ndarray:
     # each state's action rank under policy, a pre profile taken as its
-    # oneshot.action_order candidate; ValueError names the first state
+    # _candidate; ValueError names the first state
     # whose action is missing or not one of its actions
     m, n_pre = model.params.n_attackers, model.n_pre
     codes = []
@@ -197,8 +193,7 @@ def _ranks(model: MdpModel, policy: Policy) -> np.ndarray:
             codes.append(a)
         elif (isinstance(a, ActionProfile) and _is_count(a.busy_reports, m)
               and _is_count(a.transmitters, m)):
-            b = 0 if a.busy_reports == 0 else max(s[2], 1)
-            codes.append(b * (m + 1) + a.transmitters)
+            codes.append(_candidate(a, s[2], m))
         else:
             raise ValueError(f"policy action {a!r} in state {s} is not an "
                              f"ActionProfile with counts in [0, {m}]")

@@ -8,7 +8,9 @@ many nodes transmit, never on which ones.
 _price is the one home of the slot-reward rule: it prices each state's
 candidate profiles in action_order, and every best response in the
 package is the first maximum of the attacker tensor in that order, and
-so over all profiles.  honest_flat is the one home of the honesty rule.
+so over all profiles.  action_order is the one home of the tie-break
+rule, with honesty at rank 0, and _candidate of the profile-to-candidate
+rule.  The private layers take their states as (kh, ka) index arrays.
 attack_scan, the threshold oracle's bisection step, reduces each state
 to its rank-0 reward and one scalar grab reward, the only one a direct
 punishment reaches.  A heterogeneous single attacker plays the same game
@@ -25,7 +27,7 @@ import numpy as np
 
 from . import fusion, posterior
 from .fusion import Announcement
-from .model import HeteroParams, ScenarioParams, _is_count
+from .model import HeteroParams, ScenarioParams
 
 
 @dataclass(frozen=True)
@@ -48,11 +50,17 @@ class RewardBreakdown:
     is_attack: bool
 
 
+def _is_count(x: object, top: int) -> bool:
+    # an int or numpy integer in [0, top]; bool is an int, but no count
+    return (isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+            and 0 <= x <= top)
+
+
 def _check_state(state: SensingState, params: ScenarioParams) -> None:
     for name, top in (("honest_busy", params.n_honest),
                       ("attacker_busy", params.n_attackers)):
         count = getattr(state, name)
-        if not (_is_count(count) and 0 <= count <= top):
+        if not _is_count(count, top):
             raise ValueError(
                 f"{name} {count!r} is not an integer in [0, {top}]")
 
@@ -70,43 +78,42 @@ class RewardTensors:
     trigger: np.ndarray
 
 
-_EVERY_STATE = np.s_[:, :]
+def _every_state(group: ScenarioParams) -> tuple[np.ndarray, np.ndarray]:
+    # (kh, ka) of every state, broadcasting to [honest_busy, attacker_busy]
+    return np.ogrid[:group.n_honest + 1, :group.n_attackers + 1]
 
 
-def _posteriors(params: ScenarioParams | HeteroParams,
-                at: tuple[slice, slice] = _EVERY_STATE
-                ) -> tuple[np.ndarray, np.ndarray, float]:
-    # P(idle) and P(busy) given the decisions of the states at, slices of
-    # [honest_busy, attacker_busy], shaped like them plus a trailing 1,
-    # and the attackers' rate
-    group = params.base
-    honest = range(group.n_honest + 1)[at[0]]
+def _posteriors(params: ScenarioParams | HeteroParams, kh: np.ndarray,
+                ka: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    # P(idle) and P(busy) given the decisions of the states (kh, ka),
+    # shaped like them plus a trailing 1, and the attackers' rate; a
+    # homogeneous posterior depends on the busy total alone, so each total
+    # from the states' lowest to their highest (all, or one) is formed once
     if isinstance(params, HeteroParams):
-        posts = [[posterior.posterior_idle_hetero(kh, d, params)
-                  for d in (0, 1)[at[1]]] for kh in honest]
+        posts = [posterior.posterior_idle_hetero(h, d, params)
+                 for h in range(params.base.n_honest + 1) for d in (0, 1)]
+        index = 2 * kh + ka
         rate = params.rate_attacker
     else:
-        posts = [[posterior.posterior_idle(group.n_total, kh + ka, group)
-                  for ka in range(group.n_attackers + 1)[at[1]]]
-                 for kh in honest]
-        rate = group.total_rate
-    pi = np.array([[p.p_idle_given_reports for p in row]
-                   for row in posts])[:, :, None]
-    pb = np.array([[p.p_busy_given_reports for p in row]
-                   for row in posts])[:, :, None]
-    return pi, pb, rate
+        total = kh + ka
+        low = total.min()
+        posts = [posterior.posterior_idle(params.n_total, k, params)
+                 for k in range(low, total.max() + 1)]
+        index = total - low
+        rate = params.total_rate
+    pi = np.array([p.p_idle_given_reports for p in posts])[index]
+    pb = np.array([p.p_busy_given_reports for p in posts])[index]
+    return pi[..., None], pb[..., None], rate
 
 
-def _action_masks(order: np.ndarray, group: ScenarioParams,
-                  at: tuple[slice, slice] = _EVERY_STATE
+def _action_masks(order: np.ndarray, group: ScenarioParams, kh: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # M_T, the busy announcement and the grab mask of the ranked profiles
-    # of the states at, [honest_busy, attacker_busy, rank]; a grab
+    # of states with kh honest busy decisions, [..., rank]; a grab
     # transmits through a busy announcement, the only event a direct
     # punishment fines
     b, mt = np.divmod(order, group.n_attackers + 1)
-    kh = np.arange(group.n_honest + 1)[at[0], None, None]
-    announced_busy = (kh >= 1) | (b >= 1)
+    announced_busy = (kh[..., None] >= 1) | (b >= 1)
     return mt, announced_busy, announced_busy & (mt >= 1)
 
 
@@ -117,17 +124,16 @@ def _grab_reward(pi: np.ndarray, pb: np.ndarray, m: int, cp: float,
     return rate * (pi - m * pb * (cp + cb))
 
 
-def _price(params: ScenarioParams | HeteroParams, order: np.ndarray,
-           pi: np.ndarray, pb: np.ndarray, rate: float,
-           include_direct_punishment: bool,
-           at: tuple[slice, slice] = _EVERY_STATE) -> RewardTensors:
-    # the slot rewards of the ranked profiles of the states at, from
-    # action_order's and _posteriors' output there
+def _price(params: ScenarioParams | HeteroParams, kh: np.ndarray,
+           order: np.ndarray, pi: np.ndarray, pb: np.ndarray, rate: float,
+           include_direct_punishment: bool) -> RewardTensors:
+    # the slot rewards of the ranked profiles of states with kh honest
+    # busy decisions, from _action_order's and _posteriors' output there
     group = params.base
     n_h, m = group.n_honest, group.n_attackers
     cp = group.collision_penalty / rate
     cb = group.direct_punishment / rate if include_direct_punishment else 0.0
-    mt, announced_busy, grab = _action_masks(order, group, at)
+    mt, announced_busy, grab = _action_masks(order, group, kh)
     # on an idle announcement every honest SU transmits alongside the M_T
     # attackers; a busy channel collides all of them and fines all N SUs
     share = pi / (n_h + mt)
@@ -144,14 +150,11 @@ def profile_at(flat: int, m: int) -> ActionProfile:
     return ActionProfile(*divmod(int(flat), m + 1))
 
 
-def honest_flat(params: ScenarioParams) -> np.ndarray:
-    """Flat index b*(M+1) + M_T of every state's honest-equivalent
-    profile, indexed [honest_busy, attacker_busy]: ka*(M+1), plus M
-    transmitters in the unanimous-idle state."""
-    m = params.n_attackers
-    kh = np.arange(params.n_honest + 1)[:, None]
-    ka = np.arange(m + 1)
-    return ka * (m + 1) + np.where(kh + ka == 0, m, 0)
+def _candidate(profile: ActionProfile, attacker_busy: int, m: int) -> int:
+    # flat index of the candidate that profile prices like in a state with
+    # attacker_busy attacker busy decisions (see action_order)
+    b = 0 if profile.busy_reports == 0 else max(attacker_busy, 1)
+    return b * (m + 1) + profile.transmitters
 
 
 def action_order(params: ScenarioParams) -> np.ndarray:
@@ -167,24 +170,31 @@ def action_order(params: ScenarioParams) -> np.ndarray:
     announcement, so a profile (b, M_T) prices bit for bit like the
     candidate (0 if b == 0 else max(attacker_busy, 1), M_T), which comes
     no later; the first maximum over all (M+1)^2 profiles is a candidate.
+
+    In closed form, with ka = attacker_busy: ranks r = 0..M hold b = ka,
+    with M_T = M - r in the unanimous-idle state (honest (0, M) first)
+    and M_T = (M + 1 - r) mod (M + 1) elsewhere (honest (ka, 0) first,
+    then M..1); ranks M+1..2M+1 hold b = 1 if ka == 0 else 0, with
+    M_T = 2M + 1 - r.
     """
-    return _action_order(params)
+    return _action_order(params.n_attackers, *_every_state(params))
 
 
-def _action_order(params: ScenarioParams,
-                  at: tuple[slice, slice] = _EVERY_STATE) -> np.ndarray:
-    # action_order of the states at; keys are distinct, so a state's
-    # order does not depend on which other states are sorted with it
-    m = params.n_attackers
-    ka = np.arange(m + 1)[at[1], None]
-    column = np.arange(2 * (m + 1))
-    b = (column > m) * np.maximum(ka, 1)
-    mt = column % (m + 1)
-    flat = b * (m + 1) + mt
-    key = (np.abs(b - ka) * (m + 1) + m - mt) * (m + 1) + b
-    honest = honest_flat(params)[at][..., None]
-    rows = np.arange(len(ka))[:, None]
-    return flat[rows, np.argsort(np.where(flat == honest, -1, key), axis=-1)]
+def _action_order(m: int, kh: np.ndarray, ka: np.ndarray) -> np.ndarray:
+    # action_order of the states (kh, ka).  A state's order depends only
+    # on its row, ka or M + 1 for the unanimous-idle state, so each row
+    # from the states' lowest to their highest (all, or one) is formed once
+    row = np.where(kh + ka == 0, m + 1, ka)
+    low = row.min()
+    rows = np.arange(low, row.max() + 1)[:, None]
+    rank = np.arange(2 * (m + 1))
+    first = rank <= m
+    rows_ka = rows % (m + 1)  # the unanimous-idle row has ka = 0
+    b = np.where(first, rows_ka, rows_ka == 0)
+    # M_T counts down from M in each block, except that outside the
+    # unanimous-idle state the first block starts at the honest M_T = 0
+    mt = (m - rank + (first & (rows <= m))) % (m + 1)
+    return (b * (m + 1) + mt)[row - low]
 
 
 def _pick(table: np.ndarray, rank: np.ndarray) -> np.ndarray:
@@ -203,8 +213,9 @@ def best_profiles(params: ScenarioParams | HeteroParams,
     are posterior_idle_hetero and the rate is rate_attacker; the
     penalties are charges, so they are converted to that rate.
     """
-    order = action_order(params.base)
-    tensors = _price(params, order, *_posteriors(params),
+    kh, ka = _every_state(params.base)
+    order = _action_order(params.base.n_attackers, kh, ka)
+    tensors = _price(params, kh, order, *_posteriors(params, kh, ka),
                      include_direct_punishment)
     return order, tensors.attacker.argmax(axis=-1), tensors
 
@@ -225,12 +236,13 @@ def attack_scan(params: ScenarioParams) -> Callable[[float], bool]:
     best_profiles' bit for bit.
     """
     m = params.n_attackers
-    order = action_order(params)
-    pi, pb, rate = _posteriors(params)
+    kh, ka = _every_state(params)
+    order = _action_order(m, kh, ka)
+    pi, pb, rate = _posteriors(params, kh, ka)
     cp = params.collision_penalty / rate
-    attacker = _price(params, order, pi, pb, rate, False).attacker
+    attacker = _price(params, kh, order, pi, pb, rate, False).attacker
     first = attacker[..., 0]
-    grab = _action_masks(order, params)[2]
+    grab = _action_masks(order, params, kh)[2]
     # rank 0 is one of the non-grabs, so their maximum is NaN or larger
     # than rank 0 exactly when another of them beats it
     rival = np.where(grab, -np.inf, attacker).max(axis=-1)
@@ -251,15 +263,15 @@ def attack_scan(params: ScenarioParams) -> Callable[[float], bool]:
 
 
 def _response(params: ScenarioParams, kh: int, order: np.ndarray,
-              tensors: RewardTensors, at: tuple
+              tensors: RewardTensors, index: tuple
               ) -> tuple[ActionProfile, RewardBreakdown]:
     # the best response of a state with kh honest busy decisions, read at
-    # at = (row, column, best rank) of action_order's and _price's output
-    profile = profile_at(order[at], params.n_attackers)
+    # index, ending in the best rank, of _action_order's and _price's output
+    profile = profile_at(order[index], params.n_attackers)
     return profile, RewardBreakdown(
-        float(tensors.attacker[at]), float(tensors.honest[at]),
+        float(tensors.attacker[index]), float(tensors.honest[index]),
         fusion.fuse(kh + profile.busy_reports, params.n_total, 1),
-        bool(at[2] != 0))
+        bool(index[-1] != 0))
 
 
 def best_response(state: SensingState, params: ScenarioParams,
@@ -267,13 +279,12 @@ def best_response(state: SensingState, params: ScenarioParams,
     """Maximizer of the attackers' aggregate reward, ties broken by
     action_order; only this state's candidates are priced."""
     _check_state(state, params)
-    kh, ka = state.honest_busy, state.attacker_busy
-    at = np.s_[kh:kh + 1, ka:ka + 1]
-    order = _action_order(params, at)
-    tensors = _price(params, order, *_posteriors(params, at),
-                     include_direct_punishment, at)
-    return _response(params, kh, order, tensors,
-                     (0, 0, tensors.attacker[0, 0].argmax()))
+    kh, ka = np.array(state.honest_busy), np.array(state.attacker_busy)
+    order = _action_order(params.n_attackers, kh, ka)
+    tensors = _price(params, kh, order, *_posteriors(params, kh, ka),
+                     include_direct_punishment)
+    return _response(params, state.honest_busy, order, tensors,
+                     (tensors.attacker.argmax(),))
 
 
 def behavior_table(params: ScenarioParams, include_direct_punishment: bool = True,

@@ -219,7 +219,7 @@ def build_policy_tables(config: SimConfig) -> PolicyTables:
                              "homogeneous attackers (no heterogeneous MDP)")
         flat = _mdp_flat(params)
     elif policy == "honest":
-        flat = oneshot.honest_flat(group)
+        flat = oneshot.action_order(group)[..., 0]
     else:
         order, best, _ = oneshot.best_profiles(params, mode == "direct")
         flat = oneshot._pick(order, best)

@@ -2,8 +2,8 @@
 
 evaluate_profile prices one slot of one state and profile with plain
 Python arithmetic, the reference that oneshot._price's tensors are held
-to bit for bit, and honest_equivalent_profile is the profile that
-oneshot.honest_flat indexes.  check_condition_i_semantics holds
+to bit for bit, and honest_equivalent_profile is the profile at rank 0
+of oneshot.action_order.  check_condition_i_semantics holds
 fusion.condition_i_bounds' log-space region test to the sensor-level
 signs of transmitting.
 
@@ -51,8 +51,8 @@ from coopsense.fusion import Announcement, Region, condition_i_bounds
 from coopsense.mdp import MdpModel, build_mdp
 from coopsense.model import HeteroParams, ScenarioParams
 from coopsense.oneshot import (ActionProfile, RewardBreakdown, RewardTensors,
-                               SensingState, _check_state, _grab_reward,
-                               _posteriors, _pick, best_profiles, honest_flat)
+                               SensingState, _check_state, _every_state,
+                               _grab_reward, _posteriors, _pick, best_profiles)
 from coopsense.sim import (PolicyTables, SimConfig, SlotTrace,
                            _busy_probabilities, _reward_constants)
 
@@ -196,9 +196,11 @@ def full_action_order(params: ScenarioParams) -> np.ndarray:
     m = params.n_attackers
     flat = np.arange((m + 1) ** 2)
     b, mt = np.divmod(flat, m + 1)
+    kh = np.arange(params.n_honest + 1)[:, None, None]
     ka = np.arange(m + 1)[:, None]
     key = (np.abs(b - ka) * (m + 1) + m - mt) * (m + 1) + b
-    honest = honest_flat(params)[..., None]
+    # honest_equivalent_profile: (ka, 0), or (0, M) when all sensed idle
+    honest = ka * (m + 1) + np.where(kh + ka == 0, m, 0)
     return np.argsort(np.where(flat == honest, -1, key), axis=-1)
 
 
@@ -219,7 +221,7 @@ def full_reward_tensors(params: ScenarioParams | HeteroParams,
     [honest_busy, attacker_busy, b, M_T]."""
     group = params.base
     n_h, m = group.n_honest, group.n_attackers
-    pi, pb, rate = _posteriors(params)
+    pi, pb, rate = _posteriors(params, *_every_state(params.base))
     pi, pb = pi[..., None], pb[..., None]
     cp = group.collision_penalty / rate
     cb = group.direct_punishment / rate if include_direct_punishment else 0.0
@@ -268,7 +270,7 @@ def tensor_attack_scan(params: ScenarioParams) -> Callable[[float], bool]:
     other entry fixed, and an attack wherever argmax is not rank 0."""
     m = params.n_attackers
     order = full_action_order(params)
-    pi, pb, rate = _posteriors(params)
+    pi, pb, rate = _posteriors(params, *_every_state(params))
     cp = params.collision_penalty / rate
     attacker = full_reward_tensors(params, False).attacker
     fixed = _full_rank(attacker, order)

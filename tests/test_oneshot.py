@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from coopsense import posterior
 from coopsense.direct import (direct_threshold, direct_threshold_hetero,
                               direct_threshold_oracle)
 from coopsense.fusion import Announcement, Region, condition_i_bounds
@@ -63,6 +64,13 @@ def test_state_and_profile_bounds(fig_params):
 def test_best_response_rejects_a_non_count_state(fig_params, state, field):
     with pytest.raises(ValueError, match=f"^{field} .* is not an integer"):
         best_response(state, fig_params, False)
+
+
+def test_best_response_takes_numpy_counts(fig_params):
+    # as policy_value takes numpy counts in a policy
+    assert best_response(SensingState(np.int64(1), np.int64(2)), fig_params,
+                         True) == best_response(SensingState(1, 2),
+                                                fig_params, True)
 
 
 def test_shared_slot_breakdown(fig_params):
@@ -277,8 +285,10 @@ def test_best_response_matches_exhaustive_scan():
                     assert profile == _exhaustive_best(state, params, flag)
 
 
-@pytest.mark.parametrize("n_honest", range(1, 6))
-@pytest.mark.parametrize("m", range(1, 7))
+@pytest.mark.parametrize("m, n_honest", [
+    *itertools.product(range(1, 7), range(1, 6)),
+    # the size test_size runs
+    (60, 1), (60, 2)])
 def test_action_order_is_the_documented_tie_break(n_honest, m):
     params = ScenarioParams(n_honest + m, m, 0.5, 0.1, 0.1, 1.0)
     order = action_order(params)
@@ -290,6 +300,24 @@ def test_action_order_is_the_documented_tie_break(n_honest, m):
                 p != honest, abs(p.busy_reports - ka), -p.transmitters,
                 p.busy_reports))
             assert [profile_at(f, m) for f in order[kh, ka]] == want
+
+
+def test_posteriors_are_formed_once_per_busy_total(monkeypatch):
+    # a homogeneous posterior depends on the busy total alone: all
+    # (n_h+1)(M+1) states take the N + 1 totals once each, one state one
+    params = ScenarioParams(120, 60, 0.5, 0.05, 0.3, 1.0)
+    calls = []
+
+    def counted(n, k, p):
+        calls.append(k)
+        return posterior_idle(n, k, p)
+
+    monkeypatch.setattr(posterior, "posterior_idle", counted)
+    best_profiles(params, True)
+    assert sorted(calls) == list(range(121))
+    calls.clear()
+    best_response(SensingState(30, 20), params, True)
+    assert calls == [50]
 
 
 @st.composite
