@@ -4,7 +4,7 @@ run_experiment cuts the replications into contiguous blocks of about
 BLOCK_SLOTS slots and runs the outcome kernel once per (rows x horizon)
 block.  It runs the blocks on up to `workers` threads only from a horizon
 of THREAD_HORIZON slots on: a shorter row is mostly short numpy calls
-that hold the GIL, and there two threads took about twice the time of
+that hold the GIL, and there two threads took up to twice the time of
 one.  Below it the blocks run serially whatever `workers` says.
 
 The outcome grid settles every (idle, honest busy count,
@@ -27,10 +27,21 @@ Draws: each row's stream gives the channel uniforms, then the honest and
 then the attacker busy counts, exactly as Generator.random and
 Generator.binomial read it.  Where numpy samples every count by inversion
 (n * min(p, 1-p) <= 30), each count reads one uniform, so a row reads
-its stream with one random(3 * horizon) call and maps each uniform to its
-count through the cut points of numpy's inversion loop, found once per
-(n, p) by bisection.  A configuration that needs BTPE, and a row in which
-numpy would redraw a uniform, take numpy's samplers per row instead.
+its stream with one random(3 * horizon) call, into a buffer that each
+thread allocates once per run and refills for every block.  The cut
+points of numpy's inversion loop, found once per (n, p) by bisection,
+give each uniform a uint8 index into its group's idle and busy count
+tables; a slot's honest and attacker indices form one code, and a table
+built once per run maps each code straight to the slot's outcome cell,
+so no count array is formed.  A configuration that needs BTPE, and a row
+in which numpy would redraw a uniform, take numpy's samplers per row
+instead, and their counts take the cell formula.
+
+Weights: the discounted sums weight slot t by discount ** t, the powers
+numpy's own ** gives.  Past about 1,000 to 7,000 slots at discounts of
+0.5 to 0.9 they underflow to 0.0, where numpy's power is several times
+slower, so _discount_weights stops computing them at the first chunk
+that ends in 0.0.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -59,17 +71,21 @@ MODES = ("none", "direct", "indirect")
 BLOCK_SLOTS = 8192
 
 # run_experiment runs its blocks on threads only at horizons of this many
-# slots or more.  Time of 2 workers over 1 worker by horizon, N=5, M=2,
-# about 400k slots per shape, median of 9 alternating calls (2 cores,
-# numpy 2.4.6):
+# slots or more.  Time of 2 workers over 1 worker by horizon, N=5/M=2,
+# about 400k slots per shape, medians over three runs of the median of 9
+# alternating calls (2 cores, Python 3.11.7, numpy 2.4.6):
 #
 #   horizon    192  1,000  4,096  8,192  16,384  32,768  65,536  100,000
-#   indirect  2.47   1.87   1.82   1.70    1.16    0.76    0.95     0.82
-#   none      2.07   2.50   2.01   2.15    1.08    0.85    0.81     0.82
+#   indirect  1.82   1.81   1.64   2.03    0.97    0.72    0.75     0.72
+#   none      1.87   1.77   1.59   1.51    1.01    0.90    0.81     0.80
 #
 # Outputs never depend on it: blocks, draws and merge order are the same
 # on either side.
 THREAD_HORIZON = 4 * BLOCK_SLOTS
+
+# _discount_weights computes this many powers at a time; at discounts from
+# 0.5 to 0.9 only the first 1,075 to 7,073 weights are above 0.0
+_WEIGHT_CHUNK = 4096
 
 # numpy's Generator.binomial (random_binomial in its distributions.c)
 # samples by inversion where n * min(p, 1-p) is at most this, else by BTPE.
@@ -295,21 +311,27 @@ def _outcome_grid(config: SimConfig, tables: PolicyTables
         _slot_rules(idle, kh, ka, config, tables), ended))
 
 
-def _block_outcomes(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
-                    config: SimConfig, grid: tuple[np.ndarray, ...]
+def _cells(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
+           config: SimConfig) -> np.ndarray:
+    """The _outcome_grid cells, in its collaborating half, of slots'
+    channel states and busy counts."""
+    *_, m, n_h = _reward_constants(config)
+    return (idle * (n_h + 1) + kh) * (m + 1) + ka
+
+
+def _block_outcomes(cell: np.ndarray, config: SimConfig,
+                    grid: tuple[np.ndarray, ...]
                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Each slot's _outcome_grid cell in a (rows x horizon) block, and
+    """A (rows x horizon) block's _block_cells cells as they settle, and
     each row's punishment trigger slot (-1 when none).  Under indirect
     punishment every slot after a row's first exclusive hit takes its
-    cell in the grid's terminated half."""
-    *_, m, n_h = _reward_constants(config)
-    cell = (idle * (n_h + 1) + kh) * (m + 1) + ka
+    cell in the grid's terminated half, in place."""
     if config.punishment_mode != "indirect":
-        return cell, np.full(idle.shape[0], -1)
+        return cell, np.full(cell.shape[0], -1)
     exclusive_hit = grid[3][cell]
     triggered = exclusive_hit.any(axis=1)
     first = np.argmax(exclusive_hit, axis=1)
-    after = triggered[:, None] & (np.arange(idle.shape[1]) > first[:, None])
+    after = triggered[:, None] & (np.arange(cell.shape[1]) > first[:, None])
     np.add(cell, len(grid[3]) // 2, out=cell, where=after)
     return cell, np.where(triggered, first, -1)
 
@@ -484,67 +506,119 @@ def _cut_index(uniform: np.ndarray, cuts: np.ndarray) -> np.ndarray:
     """How many cut points each uniform exceeds: one branch-free compare
     per cut, several times faster than a binary search per uniform."""
     index = np.zeros(uniform.shape, dtype=np.uint8)  # tables hold < 90 cuts
+    above = np.empty(uniform.shape, dtype=np.uint8)
     for cut in cuts:
-        index += uniform > cut
+        # a bool result added as uint8 would take numpy's casting loop
+        np.greater(uniform, cut, out=above.view(bool))
+        index += above
     return index
 
 
-def _invert(uniform: np.ndarray, idle: np.ndarray,
-            idle_table: tuple[np.ndarray, np.ndarray],
-            busy_table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-    """Counts of uniforms in [0, 1): idle_table's where idle, else
-    busy_table's."""
-    (idle_cuts, idle_counts), (busy_cuts, busy_counts) = idle_table, busy_table
+def _table_index(uniform: np.ndarray, idle: np.ndarray,
+                 busy_cuts: np.ndarray, idle_cuts: np.ndarray) -> np.ndarray:
+    """Each uniform's index into the busy table's counts followed by the
+    idle table's: the busy cut index where the channel is busy, else the
+    idle one past the busy counts."""
+    uniform = np.ascontiguousarray(uniform)  # compares run faster on it
     busy = _cut_index(uniform, busy_cuts)
-    # index into busy_counts + idle_counts, selected by uint8 arithmetic
-    # (np.where on a random mask costs several times more); the wrapped
-    # difference is exact mod 256 and the index stays below 256
-    to_idle = _cut_index(uniform, idle_cuts) + np.uint8(len(busy_counts)) - busy
-    index = busy + idle * to_idle
-    return np.concatenate((busy_counts, idle_counts))[index.astype(np.intp)]
+    index = _cut_index(uniform, idle_cuts)
+    # selected by uint8 arithmetic (np.where on a random mask costs several
+    # times more); the wrapped difference is exact mod 256 and the index
+    # stays below 256
+    index += np.uint8(len(busy_cuts) + 1)
+    index -= busy
+    index *= idle.view(np.uint8)
+    index += busy
+    return index
 
 
-def _block_draws(config: SimConfig, words: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The draws of _binomial_draws, by inversion of one uniform call per
-    row.
+def _cell_codes(config: SimConfig
+                ) -> tuple[tuple[np.ndarray, ...], np.ndarray] | None:
+    """The inversion cut points (honest busy, honest idle, attacker busy,
+    attacker idle) and the _outcome_grid cell of every code
+    honest index * L_a + attacker index, where each index is a
+    _table_index and L_a the length of the attacker's two tables; -1
+    marks the codes where numpy would redraw a uniform.  (A code that
+    pairs an idle honest index with a busy attacker one never occurs.)
 
-    Where every count is sampled by numpy's inversion, each slot's counts
-    read exactly one double each, the same one Generator.random returns,
-    so a row reads its stream with one random(3 * horizon) call: channel,
-    honest and attacker uniforms, in that order.  A configuration numpy
-    samples otherwise goes to _binomial_draws, and so does a row in which
-    numpy would redraw a uniform.
+    None where numpy samples some count otherwise (BTPE, or no uniform
+    read).  Built once per run: per block it costs more than it saves.
     """
     (h_idle, h_busy), (a_idle, a_busy) = _busy_probabilities(config)
     *_, m, n_h = _reward_constants(config)
-    honest = _inversion_table(n_h, h_idle), _inversion_table(n_h, h_busy)
-    attacker = _inversion_table(m, a_idle), _inversion_table(m, a_busy)
-    if None in honest + attacker:
-        return _binomial_draws(config, words)
+    tables = (_inversion_table(n_h, h_busy), _inversion_table(n_h, h_idle),
+              _inversion_table(m, a_busy), _inversion_table(m, a_idle))
+    if None in tables:
+        return None
+    (hb_cuts, hb), (hi_cuts, hi), (ab_cuts, ab), (ai_cuts, ai) = tables
+    kh = np.concatenate((hb, hi))[:, None]
+    ka = np.concatenate((ab, ai))
+    idle = np.arange(len(kh))[:, None] >= len(hb)
+    codes = np.where((kh < 0) | (ka < 0), -1, _cells(idle, kh, ka, config))
+    return (hb_cuts, hi_cuts, ab_cuts, ai_cuts), codes.ravel()
+
+
+def _block_cells(config: SimConfig, words: np.ndarray,
+                 inversion: tuple[tuple[np.ndarray, ...], np.ndarray] | None,
+                 uniform: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each slot's idle flag and collaborating _outcome_grid cell in the
+    block of the replication streams whose _stream_words rows are words.
+
+    Where every count is sampled by numpy's inversion (inversion, from
+    _cell_codes, is not None), each slot's counts read exactly one double
+    each, the same one Generator.random returns, so a row reads its
+    stream into uniform, a (rows x 3 * horizon) buffer, with one call:
+    channel, honest and attacker uniforms, in that order.  The two cut
+    indices of a slot form its code, and the code table gives its cell.
+    A configuration numpy samples otherwise takes its counts from
+    _binomial_draws, and so does a row in which numpy would redraw a
+    uniform.
+    """
+    if inversion is None:
+        idle, kh, ka = _binomial_draws(config, words)
+        return idle, _cells(idle, kh, ka, config)
+    (hb_cuts, hi_cuts, ab_cuts, ai_cuts), codes = inversion
     h = config.horizon
-    uniform = np.empty((len(words), 3 * h))
     for stream_words, row in zip(words, uniform):
         _stream(stream_words).random(out=row)
     idle = uniform[:, :h] < config.params.base.p_idle
-    kh = _invert(uniform[:, h:2 * h], idle, *honest)
-    ka = _invert(uniform[:, 2 * h:], idle, *attacker)
-    redrawn = (kh.min(axis=1) < 0) | (ka.min(axis=1) < 0)
-    for i in np.flatnonzero(redrawn):
+    code = _table_index(uniform[:, h:2 * h], idle, hb_cuts, hi_cuts
+                        ).astype(np.intp)
+    code *= len(ab_cuts) + len(ai_cuts) + 2
+    code += _table_index(uniform[:, 2 * h:], idle, ab_cuts, ai_cuts)
+    cell = codes.take(code)
+    for i in np.flatnonzero(cell.min(axis=1) < 0):
         # numpy reads more uniforms for this row than the one call holds
-        _, kh[i:i + 1], ka[i:i + 1] = _binomial_draws(config, words[i:i + 1])
-    return idle, kh, ka
+        _, kh, ka = _binomial_draws(config, words[i:i + 1])
+        cell[i] = _cells(idle[i], kh[0], ka[0], config)
+    return idle, cell
 
 
 def _run_block(words: np.ndarray, config: SimConfig,
-               grid: tuple[np.ndarray, ...], weights: np.ndarray) -> tuple:
-    idle, kh, ka = _block_draws(config, words)
-    cell, triggers = _block_outcomes(idle, kh, ka, config, grid)
+               grid: tuple[np.ndarray, ...],
+               inversion: tuple[tuple[np.ndarray, ...], np.ndarray] | None,
+               weights: np.ndarray, uniform: np.ndarray) -> tuple:
+    idle, cell = _block_cells(config, words, inversion, uniform)
+    cell, triggers = _block_outcomes(cell, config, grid)
     att, hon, collision = (column[cell] for column in grid[:3])
     return (att.mean(axis=1), hon.mean(axis=1),
             (att * weights).sum(axis=1), (hon * weights).sum(axis=1),
-            int(np.count_nonzero(collision)), int(np.count_nonzero(~idle)),
-            triggers)
+            int(np.count_nonzero(collision)),
+            idle.size - int(np.count_nonzero(idle)), triggers)
+
+
+def _discount_weights(delta: float, horizon: int) -> np.ndarray:
+    """delta ** np.arange(horizon), bit for bit: numpy's own power over
+    chunks of _WEIGHT_CHUNK exponents, up to the first chunk that ends in
+    0.0.  Every later weight underflows to 0.0 too, and numpy's power is
+    several times slower on an entry that underflows."""
+    weights = np.zeros(horizon)
+    for start in range(0, horizon, _WEIGHT_CHUNK):
+        chunk = delta ** np.arange(start, min(start + _WEIGHT_CHUNK, horizon))
+        weights[start:start + len(chunk)] = chunk
+        if chunk[-1] == 0.0:
+            break
+    return weights
 
 
 def _stat_block(values: np.ndarray) -> StatBlock:
@@ -566,21 +640,29 @@ def run_experiment(config: SimConfig, workers: int = 1) -> SimStats:
     if problems:
         raise ValueError("; ".join(problems))
     grid = _outcome_grid(config, build_policy_tables(config))
+    inversion = _cell_codes(config)
     params = config.params.base
     delta = params.discount
-    weights = delta ** np.arange(config.horizon)
+    weights = _discount_weights(delta, config.horizon)
     size = max(1, BLOCK_SLOTS // config.horizon)
     words = _stream_words(config.base_seed, range(config.replications))
     blocks = [words[start:start + size]
               for start in range(0, config.replications, size)]
+    # one uniform buffer per thread, refilled for every block, so that the
+    # heap is not trimmed and faulted back in after each block
+    local = threading.local()
+
+    def run_block(block: np.ndarray) -> tuple:
+        if not hasattr(local, "uniform"):
+            local.uniform = np.empty((len(blocks[0]), 3 * config.horizon))
+        return _run_block(block, config, grid, inversion, weights,
+                          local.uniform[:len(block)])
+
     if workers > 1 and config.horizon >= THREAD_HORIZON:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(
-                lambda block: _run_block(block, config, grid, weights),
-                blocks))
+            rows = list(pool.map(run_block, blocks))
     else:
-        rows = [_run_block(block, config, grid, weights)
-                for block in blocks]
+        rows = [run_block(block) for block in blocks]
 
     cols = list(zip(*rows))
     per_att, per_hon, disc_att, disc_hon, triggers = (
@@ -617,7 +699,7 @@ def validate_trace(config: SimConfig, slots: int) -> list[str]:
 
 def run_trace(config: SimConfig, slots: int) -> list[SlotTrace]:
     """The first slots slots of replication 0, as run_experiment draws
-    and settles them: the same _block_draws, outcome grid and cells, so
+    and settles them: the same _block_cells, outcome grid and cells, so
     the trace is an episode that the estimate averages.  From the slot
     after the trigger on, the cells are the grid's terminated half:
     reporting has stopped, so the announcement is None, and the
@@ -626,13 +708,16 @@ def run_trace(config: SimConfig, slots: int) -> list[SlotTrace]:
     if problems:
         raise ValueError("; ".join(problems))
     grid = _outcome_grid(config, build_policy_tables(config))
-    idle, kh, ka = _block_draws(config, _stream_words(config.base_seed,
-                                                      range(1)))
-    cell, triggers = _block_outcomes(idle, kh, ka, config, grid)
+    idle, cell = _block_cells(
+        config, _stream_words(config.base_seed, range(1)),
+        _cell_codes(config), np.empty((1, 3 * config.horizon)))
+    *_, m, n_h = _reward_constants(config)
+    _, kh, ka = np.unravel_index(cell[0], (2, n_h + 1, m + 1))
+    cell, triggers = _block_outcomes(cell, config, grid)
     att, hon, collision, _, announcement, transmitters, penalty = (
         column[cell[0]] for column in grid)
     first = triggers[0] if triggers[0] >= 0 else config.horizon
-    columns = (~idle[0], kh[0], ka[0], announcement, transmitters, collision,
+    columns = (~idle[0], kh, ka, announcement, transmitters, collision,
                att, hon, penalty, np.arange(config.horizon) >= first)
     return [SlotTrace(*fields) for fields in zip(
         *(column[:slots].tolist() for column in columns))]

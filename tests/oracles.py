@@ -10,10 +10,11 @@ signs of transmitting.
 run_slot plays one slot at a time, with plain Python arithmetic, by the
 rules of both phases, collaboration and the terminated phase after the
 indirect trigger, that sim._outcome_grid tabulates per cell and
-sim._block_outcomes applies to whole blocks.
-test_scalar_and_vector_paths_agree replays recorded draws through it: it
-pins every field of run_trace, and the estimator's rewards, collision
-flags and trigger slot of every replication of a block.
+sim._block_outcomes applies to whole blocks of sim._block_cells' cells.
+test_scalar_and_vector_paths_agree replays the draws decoded from those
+cells through it: it pins every field of run_trace, and the estimator's
+rewards, collision flags and trigger slot of every replication of a
+block.
 
 full_action_order and full_reward_tensors order and price all (M+1)^2
 profiles of every state, where the package keeps each state's 2(M+1)

@@ -11,8 +11,9 @@ from coopsense.mdp import build_mdp, optimal_ranks, threshold_policy
 from coopsense.model import (HeteroParams, ScenarioParams, validate,
                              validate_hetero)
 from coopsense.oneshot import expected_slot_rewards, post_transmit
-from coopsense.sim import (PolicyTables, SimConfig, _block_draws,
-                           _block_outcomes, _cut_index, _inversion_count,
+from coopsense.sim import (PolicyTables, SimConfig, _block_cells,
+                           _block_outcomes, _cell_codes, _cells, _cut_index,
+                           _discount_weights, _inversion_count,
                            _inversion_table, _outcome_grid, _stream,
                            _stream_words, build_policy_tables,
                            run_experiment, run_trace, validate_config)
@@ -35,6 +36,18 @@ HETERO_ALONE = HeteroParams(
                         direct_punishment=12.0),
     p_false_alarm_attacker=0.1, p_missed_detection_attacker=0.35,
     rate_attacker=1.5)
+
+
+def _block_counts(config, words):
+    """Each slot's idle flag and busy counts, decoded from the cells of
+    _block_cells; the cells must carry the idle flag it returns."""
+    idle, cell = _block_cells(config, words, _cell_codes(config),
+                              np.empty((len(words), 3 * config.horizon)))
+    base = config.params.base
+    m = base.n_attackers
+    cell_idle, kh, ka = np.unravel_index(cell, (2, base.n_total - m + 1, m + 1))
+    assert (cell_idle == idle).all()
+    return idle, kh, ka
 
 
 class _Replay:
@@ -68,14 +81,14 @@ def test_scalar_and_vector_paths_agree(mode, cb):
     config = SimConfig(params=params, punishment_mode=mode, horizon=400,
                        replications=6, base_seed=9)
     tables = build_policy_tables(config)
-    idle, kh, ka = _block_draws(
+    idle, kh, ka = _block_counts(
         config, _stream_words(config.base_seed, range(config.replications)))
     # every field of run_trace, by repr so that -0.0 differs from 0.0; at
     # seed 19 the indirect punishment starts in slot 121 and a later slot
     # is an exclusive hit by the slot rules, at seed 9 it never starts
     for seed in (19, 9):
         trace_config = dataclasses.replace(config, base_seed=seed)
-        row = _block_draws(trace_config, _stream_words(seed, range(1)))
+        row = _block_counts(trace_config, _stream_words(seed, range(1)))
         replay = _Replay(*(column[0] for column in row), params.p_idle)
         runtime = SlotRuntime(config, tables)
         for t, trace in enumerate(run_trace(trace_config, config.horizon)):
@@ -84,7 +97,8 @@ def test_scalar_and_vector_paths_agree(mode, cb):
     # the last row never sees a busy slot, so it never triggers
     idle[-1] = True
     grid = _outcome_grid(config, tables)
-    cell, triggers = _block_outcomes(idle, kh, ka, config, grid)
+    cell, triggers = _block_outcomes(_cells(idle, kh, ka, config), config,
+                                     grid)
     att, hon, collision = (column[cell] for column in grid[:3])
     assert triggers[-1] == -1
     if mode == "indirect":
@@ -128,7 +142,8 @@ def _reference_draws(config, r):
 
 
 def _assert_reference_draws(config, reps):
-    idle, kh, ka = _block_draws(config, _stream_words(config.base_seed, reps))
+    idle, kh, ka = _block_counts(config,
+                                 _stream_words(config.base_seed, reps))
     for i, r in enumerate(reps):
         ref_idle, ref_kh, ref_ka = _reference_draws(config, r)
         assert (idle[i] == ref_idle).all(), f"replication {r}"
@@ -200,7 +215,7 @@ def test_redraw_rows_fall_back_to_numpy(monkeypatch):
     fallback_rows = []
 
     def counting_fallback(config, words):
-        fallback_rows.extend(words)
+        fallback_rows.extend(words.tolist())
         return binomial_draws(config, words)
 
     monkeypatch.setattr(sim, "_inversion_table", first_cut_only)
@@ -208,6 +223,41 @@ def test_redraw_rows_fall_back_to_numpy(monkeypatch):
     config = SimConfig(params=AT_WC, horizon=3, replications=40, base_seed=4)
     _assert_reference_draws(config, range(40))
     assert 0 < len(fallback_rows) < 40
+    # the redrawn rows are those with a count other than the one below
+    # its table's first cut point
+    (h_idle, h_busy), (a_idle, a_busy) = sim._busy_probabilities(config)
+    m = AT_WC.n_attackers
+    n_h = AT_WC.n_total - m
+    below = [[inversion_table(n, p)[1][0] for p in pair]
+             for n, pair in ((n_h, (h_busy, h_idle)), (m, (a_busy, a_idle)))]
+    redrawn = []
+    for r in range(40):
+        idle, kh, ka = _reference_draws(config, r)
+        if (kh != np.choose(idle, below[0])).any() \
+                or (ka != np.choose(idle, below[1])).any():
+            redrawn.append(r)
+    words = _stream_words(config.base_seed, range(40))
+    assert fallback_rows == words[redrawn].tolist()
+
+
+@pytest.mark.parametrize("n,p_fa,p_md", [(60, 0.1, 0.5), (2999, 0.01, 0.01)])
+def test_cut_indices_have_room_at_the_inversion_limit(n, p_fa, p_md):
+    # up to n * min(p, 1-p) = 30 numpy inverts: n=60 at p=0.5 gives a
+    # table of 62 counts, and n * p just below 30 at p near 0.01 the
+    # longest, 87 counts (bound int(30 + 10 * sqrt(30 * 0.99 + 1)) = 85);
+    # an index into a group's two tables must stay below 256 for its
+    # uint8 arithmetic
+    params = ScenarioParams(2 * n, n, 0.5, p_fa, p_md, 1.0)
+    assert not validate(params)
+    config = SimConfig(params=params, horizon=500, replications=3,
+                       base_seed=11)
+    cuts, codes = _cell_codes(config)
+    honest, attacker = (len(busy_cuts) + len(idle_cuts) + 2
+                        for busy_cuts, idle_cuts in (cuts[:2], cuts[2:]))
+    assert max(len(c) + 1 for c in cuts) == (62 if n == 60 else 87)
+    assert honest < 256 and attacker < 256
+    assert codes.shape == (honest * attacker,)
+    _assert_reference_draws(config, range(3))
 
 
 _NEAR_KEY_LIMIT = 2**32 - 1  # the last index of one spawn-key word
@@ -235,6 +285,37 @@ def test_stream_words_match_seed_sequence(seed, start, count):
         ours, fresh = _stream(row), _numpy_stream(seed, r)
         assert ours.bit_generator.state == fresh.bit_generator.state, r
         assert (ours.random(8) == fresh.random(8)).all(), r
+
+
+@settings(max_examples=60, deadline=None)
+@given(delta=st.one_of(st.floats(0.0, 1.0, exclude_min=True,
+                                 exclude_max=True),
+                       st.sampled_from([1e-300, 1e-9, 0.5, 1.0 - 1e-9])),
+       horizon=st.one_of(st.integers(1, 10_000),
+                         st.sampled_from([1, 4095, 4096, 4097, 100_003])))
+@example(delta=0.8, horizon=100_003)
+@example(delta=1.0 - 1e-9, horizon=100_003)
+def test_discount_weights_are_numpys_powers(delta, horizon):
+    weights = _discount_weights(delta, horizon)
+    reference = delta ** np.arange(horizon)
+    assert weights.dtype == reference.dtype
+    assert weights.shape == reference.shape
+    assert weights.tobytes() == reference.tobytes()  # sign bits included
+
+
+def test_discount_weights_stop_after_the_first_zero_chunk(monkeypatch):
+    arange, starts = np.arange, []
+
+    def recording_arange(start, stop):
+        starts.append(start)
+        return arange(start, stop)
+
+    monkeypatch.setattr(np, "arange", recording_arange)
+    weights = _discount_weights(0.9, 100_003)
+    monkeypatch.undo()
+    # 0.9 ** k underflows from k = 7,073 on, within the second chunk
+    assert starts == [0, sim._WEIGHT_CHUNK]
+    assert weights[7072] > 0.0 and not weights[7073:].any()
 
 
 def test_runs_are_deterministic():

@@ -1,9 +1,15 @@
-"""Peak memory of the exact layers at a large group.
+"""Memory use in fresh processes: peak memory of the exact layers at a
+large group, and the simulator's page faults on long rows.
 
 Each exact layer prices 2(M+1) candidate profiles per sensing state, so a
 fresh process that runs them all at N=120, M=60 stays within a budget far
 below the (M+1)^2 profile grid's: that grid took about 580 MB for the
 one-shot pricing alone.
+
+The simulator refills one uniform buffer per thread for every block.  A
+1-worker run_experiment call over 20 rows of 100,000 slots took 22,801
+minor page faults when each block allocated its own: glibc trimmed the
+heap after every row and faulted it back in for the next.
 """
 
 import os
@@ -39,11 +45,40 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
 """
 
 
-def test_exact_layers_fit_the_budget_at_n120_m60():
+def _last_word(script: str) -> str:
+    """The last word script prints, run in a fresh interpreter."""
     env = dict(os.environ,
                PYTHONPATH=str(Path(coopsense.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True,
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=300)
     assert done.returncode == 0, done.stderr
-    peak_mb = int(done.stdout.split()[-1]) / 1024  # ru_maxrss is in KiB
+    return done.stdout.split()[-1]
+
+
+def test_exact_layers_fit_the_budget_at_n120_m60():
+    peak_mb = int(_last_word(SCRIPT)) / 1024  # ru_maxrss is in KiB
     assert peak_mb < BUDGET_MB, peak_mb
+
+
+# a quarter of the 22,801 faults a call took with per-block buffers
+FAULT_BUDGET = 22_801 // 4
+
+FAULT_SCRIPT = """
+import resource
+from coopsense.model import ScenarioParams
+from coopsense.sim import SimConfig, run_experiment
+
+params = ScenarioParams(5, 2, 0.6, 0.08, 0.08, 2.0, discount=0.7,
+                        direct_punishment=3.0)
+config = SimConfig(params=params, punishment_mode="direct",
+                   horizon=100_000, replications=20, base_seed=1)
+run_experiment(config)  # warm-up: tables, caches and the first buffers
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_experiment(config)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_long_rows_do_not_fault_the_heap_back_in():
+    faults = int(_last_word(FAULT_SCRIPT))
+    assert faults <= FAULT_BUDGET, faults
