@@ -54,8 +54,10 @@ from coopsense.model import HeteroParams, ScenarioParams
 from coopsense.oneshot import (ActionProfile, RewardBreakdown, RewardTensors,
                                SensingState, _check_state, _every_state,
                                _grab_reward, _posteriors, _pick, best_profiles)
-from coopsense.sim import (PolicyTables, SimConfig, SlotTrace,
-                           _busy_probabilities, _reward_constants)
+from coopsense.sim import (_ONE_BITS, INVERSION_LIMIT, PolicyTables,
+                           SimConfig, SlotTrace, _busy_probabilities,
+                           _float_of_bits, _inversion_count, _inversion_start,
+                           _reward_constants)
 
 
 def _check_profile(profile: ActionProfile, params: ScenarioParams) -> None:
@@ -185,6 +187,52 @@ def run_slot(rng: np.random.Generator, runtime: SlotRuntime) -> SlotTrace:
                      Announcement.H1 if announced else Announcement.H0,
                      t_total, collision, att, hon, penalty,
                      runtime.punishment_on)
+
+
+def bisected_inversion_table(n: int, p: float
+                             ) -> tuple[np.ndarray, np.ndarray] | None:
+    """sim._inversion_table by a full-range bisection per cut: cut k is
+    the largest double below 1.0 whose inversion count is at most k,
+    bisected over every bit pattern from the previous cut to 1.0."""
+    if n == 0 or p == 0.0:
+        return None
+    flip = p > 0.5
+    p_inv = 1.0 - p if flip else p
+    if p_inv * n > INVERSION_LIMIT:
+        return None
+    bound = _inversion_start(n, p_inv)[2]
+    cuts = []
+    lo = 0  # bits of 0.0, whose count is 0
+    for k in range(bound + 1):
+        hi = _ONE_BITS  # uniforms lie below 1.0
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _inversion_count(_float_of_bits(mid), n, p_inv) <= k:
+                lo = mid
+            else:
+                hi = mid
+        cuts.append(_float_of_bits(lo))
+    counts = np.arange(bound + 2)
+    if flip:
+        counts = n - counts
+    counts[-1] = -1
+    return np.array(cuts), counts
+
+
+def gathered_reduction(cell: np.ndarray, idle: np.ndarray,
+                       grid: tuple[np.ndarray, ...], weights: np.ndarray
+                       ) -> tuple:
+    """sim._run_block's reduction of a block's settled cells by gathering
+    the attacker, honest and collision columns over every slot: per-row
+    means, weighted sums over every slot (weights padded with zeros to the
+    horizon), then the collision and busy-slot counts."""
+    att, hon, collision = (column[cell] for column in grid[:3])
+    padded = np.zeros(cell.shape[1])
+    padded[:len(weights)] = weights
+    return (att.mean(axis=1), hon.mean(axis=1),
+            (att * padded).sum(axis=1), (hon * padded).sum(axis=1),
+            int(np.count_nonzero(collision)),
+            idle.size - int(np.count_nonzero(idle)))
 
 
 def full_action_order(params: ScenarioParams) -> np.ndarray:

@@ -8,6 +8,13 @@ at 1 and 3 workers, which must agree exactly.  Any change to a draw, a
 reward bit, a reduction order or a field's Python type changes a digest;
 a change meant to alter these outputs says so and pins new digests.
 
+The simulator sums discounted rewards over the weights that have not
+underflowed to 0.0 only.  It takes a row's per-slot means from its cell
+counts where the row is at least twice that prefix and no shorter than
+the outcome grid, and from its gathered rewards elsewhere: SHAPES take
+the gathers (at discounts of 0.8 and 0.9 the prefix is 3,340 and 7,073
+slots), LONG_SHAPES the counts.
+
 Besides the cases on SCENARIO and HETERO, three cases sit where numpy's
 binomial sampler changes method: LARGE draws its busy honest counts with
 BTPE (n * min(p, 1-p) > 30), flip_boundary has a busy probability of
@@ -96,27 +103,27 @@ SEED_BASES = {"two_word_seed": 2**32 + 5, "four_word_seed": 2**127 + 1,
 
 GOLDEN = {
     "none":
-        "23e009cfe16296658a16b2f5ce228618fd21225dd5d0ea721e91ba544f85f237",
+        "26041d42e405db2ce05aeb83c6e5842c05788a5c062024d627c64c911b37d65b",
     "direct":
-        "daa3380724804207974e5e50bf868d58ed1ba43ace58fdf4e85ec60acf548ed1",
+        "dba01ac470287833fb734de8d2920867d71a441e03f97c4496c96d52099fcc0e",
     "indirect":
-        "4533183252e47af0e692ac14790621ea89632171ded1621df33926f31fa8c65d",
+        "61f3fa09d11795f61ff5f4cbe7eeaa0adbff055865d9e46effb123d353dfbf5c",
     "honest":
-        "15db2129c116cb1b1906eadfafc27b5ee4e0dc0031689e467cdc39151a72f184",
+        "c2df5cce1084130fe46a20750eb1742719f8d3e997354548d2a68b7eb25c3804",
     "custom_indirect":
-        "f06e33efed7e7564187135ba8126bf3ba27eec60addbf5d9374a0bb0a9275a3d",
+        "0fc508af832633dc6f843780068a29972190757d9574ed3558d3192b7621c864",
     "hetero_direct":
         "87a6893e7d3a7018b05ae5fe12af5beac65c4a156f577ee4070d383356559fc1",
     "large_n_btpe":
         "b8864c06c47562bd9dd760a8f6ff3b47a2190c3cb50c4e7b06c68d9dda1909ee",
     "flip_boundary":
-        "c3cff291d6071d146d8b6c81efd4967a58984f4107a9fe7b3f48c921d4f0de4c",
+        "df5d76d398ac70367d2dcdb181181432b8d24fded3d5ad4dd2f0759f073d35e2",
     "hetero_flip":
         "a64231d407d737c98fa5b63a16e7dde398f0de9f5c63c9c05ddb889aacd90e71",
     "two_word_seed":
         "c02e2a232a03b5d0911e9b79cdc4a368b1b3abe875ba3cf36d253d1fb338d93d",
     "four_word_seed":
-        "195ff7c97b870d4753957a9db5f969818a39cfedfa5581f1333ee90c9c959f7f",
+        "9fb1e72e78271c76c0fe883fa735c6a5ad0cf4c36043de1478dc6b59f140e308",
     "wide_seed":
         "0db4b97bf66fb8a852aab8b7f64032c131515acdab9d47dbf505742ae0c74df2",
 }
@@ -170,15 +177,15 @@ LONG_CASES = {
 
 LONG_GOLDEN = {
     "direct":
-        "d7a6fd17e3467f42c4ea4c7b630063c16db955567fbd6610a3613dc1e229a2e7",
+        "c5cbc254b5f49c14fd6a4884311c95bdeee433c1f2496e9f81d535fff25704cc",
     "hetero_direct":
-        "def66a4f3973f961104f680400cd16eaf939f7a8f885a653687673239f60700f",
+        "e33b138774cb1c72c45da6eedb1ef4b81267f7009d0b809d4d7d5078e5340064",
     "indirect":
-        "57cf015bf6bc23ada726e11eab8e2e617b80c74ca0a073a6f2f27ede64a5b830",
+        "6f790cc161005c9bf3abe880ae1842bc3d6c2e2be454bb25d3001e48c551d786",
     "late_trigger":
-        "0503820563acbdbcdbd206c240bae19ad20cdb8cceea707614a0ae40451fee81",
+        "3a1b43c899cac4eb2e7aadff48c33621e8562c3ed92cdd950a625f08ebe53f3a",
     "none":
-        "2b58f5ae72ca7fe6ce04fd7b78d69b3b09b0a81147d107378e8e204bbace0356",
+        "ffe8277adf164cf4280901672d4234e97bcd40e58fd25feea16ba2c5af01fa36",
 }
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,7 +20,8 @@ from coopsense.sim import (PolicyTables, SimConfig, _block_cells,
                            run_experiment, run_trace, validate_config)
 
 from conftest import observable_scenario, region_ii_scenario, rel_err
-from oracles import SlotRuntime, run_slot
+from oracles import (SlotRuntime, bisected_inversion_table,
+                     gathered_reduction, run_slot)
 
 AT_WC = ScenarioParams(6, 2, 0.6, 0.08, 0.08, 100.0, discount=0.9)
 # test_golden_sim.SCENARIO: cooperation case SC, so the attackers keep
@@ -203,6 +205,36 @@ def test_cut_points_classify_like_the_inversion_loop(n, p):
             assert counts[_cut_index(np.array([u]), cuts)[0]] == expected, u
 
 
+@st.composite
+def _inversion_args(draw):
+    """(n, p) mostly within numpy's inversion limit, p on either side of
+    0.5, and now and then any p, which puts large n past the limit."""
+    n = draw(st.integers(1, 3000))
+    if draw(st.booleans()):
+        return n, draw(st.floats(0.0, 1.0, exclude_min=True,
+                                 exclude_max=True))
+    p = draw(st.floats(0.0, min(n, 30.0), exclude_min=True)) / n
+    return n, 1.0 - p if draw(st.booleans()) else p
+
+
+@settings(max_examples=30, deadline=None)
+@given(args=_inversion_args())
+# the flip: numpy inverts p itself at 0.5 and 1 - p just above it
+@example(args=(8, 0.5))
+@example(args=(8, float(np.nextafter(0.5, 1.0))))
+# the inversion limit: the widest table, and the longest
+@example(args=(60, 0.5))
+@example(args=(2999, 0.01))
+def test_inversion_tables_match_full_bisection(args):
+    n, p = args
+    table, reference = _inversion_table(n, p), bisected_inversion_table(n, p)
+    if reference is None:
+        assert table is None
+        return
+    assert table[0].tobytes() == reference[0].tobytes()
+    assert table[1].tolist() == reference[1].tolist()
+
+
 def test_redraw_rows_fall_back_to_numpy(monkeypatch):
     # numpy redraws only uniforms within a few ulps of 1; keeping each
     # table's first cut point alone makes every uniform above it a redraw
@@ -298,9 +330,12 @@ def test_stream_words_match_seed_sequence(seed, start, count):
 def test_discount_weights_are_numpys_powers(delta, horizon):
     weights = _discount_weights(delta, horizon)
     reference = delta ** np.arange(horizon)
+    prefix = len(weights)
     assert weights.dtype == reference.dtype
-    assert weights.shape == reference.shape
-    assert weights.tobytes() == reference.tobytes()  # sign bits included
+    assert 1 <= prefix <= horizon and weights[-1] > 0.0
+    # sign bits included
+    assert weights.tobytes() == reference[:prefix].tobytes()
+    assert reference[prefix:].tobytes() == bytes(8 * (horizon - prefix))
 
 
 def test_discount_weights_stop_after_the_first_zero_chunk(monkeypatch):
@@ -315,7 +350,95 @@ def test_discount_weights_stop_after_the_first_zero_chunk(monkeypatch):
     monkeypatch.undo()
     # 0.9 ** k underflows from k = 7,073 on, within the second chunk
     assert starts == [0, sim._WEIGHT_CHUNK]
-    assert weights[7072] > 0.0 and not weights[7073:].any()
+    reference = 0.9 ** np.arange(100_003)
+    assert weights.tobytes() == reference[:7073].tobytes()
+    assert reference[7073:].tobytes() == bytes(8 * (100_003 - 7073))
+
+
+_SCALE = 2**1074  # every finite double times this is an integer
+
+
+def _scaled(x: float) -> int:
+    numerator, denominator = float(x).as_integer_ratio()
+    return numerator * (_SCALE // denominator)
+
+
+# a float field may sit this many ulps of its scale (the exact sum of
+# absolute terms) from the exact value: numpy's pairwise sums of at most
+# 4,097 terms round at most 25 times per term, the products and the
+# division once more each
+REDUCTION_ULPS = 32
+
+# N=80 draws its busy honest counts with BTPE (as test_golden_sim.LARGE)
+BTPE = ScenarioParams(80, 3, 0.5, 0.05, 0.45, 2.0, discount=0.8,
+                      direct_punishment=5.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(mode=st.sampled_from(sim.MODES), rows=st.integers(1, 50),
+       horizon=st.sampled_from([1, 7, 192, 4097]),
+       reach=st.floats(0.01, 1.5), kind=st.sampled_from(
+           ["inversion", "btpe", "redraw"]),
+       seed=st.integers(0, 2**32 - 1))
+# per-row counts over 50 rows, a BTPE row and redrawn rows
+@example(mode="indirect", rows=50, horizon=192, reach=0.3,
+         kind="inversion", seed=1)
+@example(mode="none", rows=2, horizon=4097, reach=0.4, kind="btpe",
+         seed=2)
+@example(mode="direct", rows=50, horizon=192, reach=0.2, kind="redraw",
+         seed=3)
+# the gathers: weights over most of the row, and more cells than slots
+@example(mode="indirect", rows=50, horizon=4097, reach=1.5,
+         kind="inversion", seed=4)
+@example(mode="direct", rows=50, horizon=7, reach=0.3, kind="redraw",
+         seed=5)
+def test_block_reduction_is_exact_within_stated_ulps(mode, rows, horizon,
+                                                     reach, kind, seed):
+    # the weights underflow after about reach * horizon slots
+    delta = max(2.0 ** (-1075.0 / (reach * horizon)), 5e-324)
+    params = dataclasses.replace(BTPE if kind == "btpe" else NT_SC,
+                                 discount=delta, direct_punishment=20.0)
+    rng = np.random.default_rng(seed)
+    m, n_h = params.n_attackers, params.n_honest
+    tables = PolicyTables(b=rng.integers(0, m + 1, (n_h + 1, m + 1)),
+                          transmit=rng.integers(0, m + 1, (n_h + 1, m + 1)),
+                          post_transmit=rng.integers(0, m + 1, m + 1))
+    config = SimConfig(params=params, punishment_mode=mode,
+                       attacker_policy=tables, horizon=horizon,
+                       replications=rows, base_seed=seed)
+    grid = _outcome_grid(config, tables)
+    inversion = _cell_codes(config)
+    assert (inversion is None) == (kind == "btpe")
+    if kind == "redraw":
+        # the code of an idle slot that nobody senses busy redraws its row
+        cuts, codes = inversion
+        codes = codes.copy()
+        codes[codes == _cells(True, 0, 0, config)] = -1
+        inversion = cuts, codes
+    weights = _discount_weights(delta, horizon)
+    words = _stream_words(seed, range(rows))
+    buffer = np.empty((rows, 3 * horizon))
+    out = sim._run_block(words, config, grid, inversion, weights, buffer)
+    idle, cell = _block_cells(config, words, inversion, buffer)
+    cell, triggers = _block_outcomes(cell, config, grid)
+    assert out[4:6] == gathered_reduction(cell, idle, grid, weights)[4:]
+    assert out[6].tolist() == triggers.tolist()
+
+    scaled_weights = [_scaled(w) for w in weights]
+    for column, per_slot, discounted in ((grid[0], out[0], out[2]),
+                                         (grid[1], out[1], out[3])):
+        scaled = [_scaled(value) for value in column]
+        for r, row in enumerate(cell.tolist()):
+            terms = [scaled[c] for c in row]
+            weighted = [a * w for a, w in zip(terms, scaled_weights)]
+            for value, exact, scale in (
+                    (per_slot[r], Fraction(sum(terms), horizon * _SCALE),
+                     Fraction(sum(map(abs, terms)), horizon * _SCALE)),
+                    (discounted[r], Fraction(sum(weighted), _SCALE**2),
+                     Fraction(sum(map(abs, weighted)), _SCALE**2))):
+                error = abs(Fraction(value) - exact)
+                assert error <= REDUCTION_ULPS * Fraction(
+                    math.ulp(float(scale))), (r, value, float(exact))
 
 
 def test_runs_are_deterministic():
