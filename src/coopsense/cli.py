@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -196,9 +197,9 @@ def _write_json(path: Path, payload: dict) -> None:
     payload = dict(payload)
     payload["schema_version"] = SCHEMA_VERSION
     path.parent.mkdir(parents=True, exist_ok=True)
+    # one write: json.dump writes every token of its encoding separately
     with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _scenario_echo(run: RunConfig) -> dict:
@@ -398,7 +399,9 @@ def cmd_simulate(run: RunConfig, args: argparse.Namespace) -> int:
             "replications": config.replications,
             "base_seed": config.base_seed,
         },
-        "stats": dataclasses.asdict(stats),
+        # dataclasses.asdict would deep-copy every trigger count
+        "stats": {name: vars(value) if isinstance(value, sim.StatBlock)
+                  else value for name, value in vars(stats).items()},
         "analytic": _analytic_reference(config),
     }
     if "json" in run.formats:
@@ -616,8 +619,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main()'s parser: built on its first call, not at import, then reused
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.workers < 1:
             raise ConfigError("--workers must be at least 1")

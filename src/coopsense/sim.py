@@ -2,10 +2,12 @@
 
 run_experiment cuts the replications into contiguous blocks of about
 BLOCK_SLOTS slots and runs the outcome kernel once per (rows x horizon)
-block.  It runs the blocks on up to `workers` threads only from a horizon
-of THREAD_HORIZON slots on: a shorter row is mostly short numpy calls
-that hold the GIL, and there two threads took up to twice the time of
-one.  Below it the blocks run serially whatever `workers` says.
+block: larger blocks pay the kernel's numpy calls fewer times, until
+their temporaries grow large enough for every call to fault the heap
+back in.  It runs the blocks on up to `workers` threads only from a
+horizon of THREAD_HORIZON slots on: a shorter row is mostly short numpy
+calls that hold the GIL, and there two threads took up to twice the
+time of one.  Below it the blocks run serially whatever `workers` says.
 
 The outcome grid settles every (idle, honest busy count,
 attacker busy count) cell twice: by _slot_rules while the SUs
@@ -79,22 +81,35 @@ from .posterior import _attacker_rates
 MODES = ("none", "direct", "indirect")
 
 # Replications run in contiguous blocks of max(1, BLOCK_SLOTS // horizon)
-# rows.  The size depends on the horizon only, never on the worker count,
-# and small blocks keep the kernel's temporaries in a few hundred kB.
-BLOCK_SLOTS = 8192
+# rows.  The size depends on the horizon only, never on the worker count.
+# Fewer, larger blocks of short rows make fewer numpy calls, but past this
+# size their temporaries make glibc's malloc map and trim heap pages that
+# every call faults back in (with its mmap and trim thresholds raised by
+# environment variables the faults vanish).  A 1,000 x 192 indirect call,
+# N=6/M=4, after two warm-up calls, 15 calls in each of 10 fresh processes
+# per size, alternating (2 cores, Python 3.11.7, numpy 2.4.6):
+#
+#   BLOCK_SLOTS                8,192  16,384  32,768  65,536
+#   fastest call, ms            10.6     9.6    12.0    12.0
+#   median process median, ms   18.7    15.8    18.7    20.8
+#   minor faults per call          0       0     414     863
+#
+# Horizons of 16,384 slots or more run one row a block.
+BLOCK_SLOTS = 16384
 
 # run_experiment runs its blocks on threads only at horizons of this many
-# slots or more.  Time of 2 workers over 1 worker by horizon, N=5/M=2,
-# about 400k slots per shape, medians over three runs of the median of 9
-# alternating calls (2 cores, Python 3.11.7, numpy 2.4.6):
+# slots or more.  Time of 2 workers over 1 worker by horizon, threads
+# forced at every horizon, N=5/M=2, about 400k slots per shape, medians
+# over three runs of the median of 9 alternating calls (2 cores, Python
+# 3.11.7, numpy 2.4.6):
 #
 #   horizon    192  1,000  4,096  8,192  16,384  32,768  65,536  100,000
-#   indirect  1.82   1.81   1.64   2.03    0.97    0.72    0.75     0.72
-#   none      1.87   1.77   1.59   1.51    1.01    0.90    0.81     0.80
+#   indirect  1.66   1.42   1.25   1.29    1.45    0.94    0.78     0.86
+#   none      2.06   1.53   1.22   1.28    1.21    0.87    0.85     0.93
 #
 # Outputs never depend on it: blocks, draws and merge order are the same
 # on either side.
-THREAD_HORIZON = 4 * BLOCK_SLOTS
+THREAD_HORIZON = 32768
 
 # _discount_weights computes this many powers at a time; at discounts from
 # 0.5 to 0.9 only the first 1,075 to 7,073 weights are above 0.0
@@ -341,10 +356,11 @@ def _block_outcomes(cell: np.ndarray, config: SimConfig,
     cell in the grid's terminated half, in place."""
     if config.punishment_mode != "indirect":
         return cell, np.full(cell.shape[0], -1)
+    rows, horizon = cell.shape
     exclusive_hit = grid[3][cell]
-    triggered = exclusive_hit.any(axis=1)
-    first = np.argmax(exclusive_hit, axis=1)
-    after = triggered[:, None] & (np.arange(cell.shape[1]) > first[:, None])
+    first = np.argmax(exclusive_hit, axis=1)  # 0 in a row with no hit
+    triggered = exclusive_hit[np.arange(rows), first]
+    after = np.arange(horizon) > np.where(triggered, first, horizon)[:, None]
     np.add(cell, len(grid[3]) // 2, out=cell, where=after)
     return cell, np.where(triggered, first, -1)
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from coopsense import cli
+from coopsense import cli, sim
+from coopsense.model import ScenarioParams
 
 SCENARIO = {
     "n_total": 6, "n_attackers": 2, "p_idle": 0.6,
@@ -162,6 +164,40 @@ def test_simulate_outputs_and_reference(tmp_path):
     assert "mean" in payload["stats"]["per_slot_attacker"]
     trace = list(csv.DictReader(open(tmp_path / "trace.csv")))
     assert len(trace) == 4
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # main() builds its parser once per process; a usage error on it and
+    # another subcommand leave the next simulate call's output unchanged
+    assert cli._parser() is cli._parser()
+    scenario = dict(SCENARIO, collision_penalty=100.0)
+    doc = _doc("simulate",
+               options={"punishment_mode": "indirect", "horizon": 192,
+                        "replications": 30}, scenario=scenario)
+    config = _write_config(tmp_path, doc)
+    analyze = _write_config(tmp_path, _doc("analyze"), "analyze.json")
+    calls = (["simulate", "--config", config, "--out", str(tmp_path / "a"),
+              "--seed", "3"],
+             ["simulate", "--seed", "3"],  # no --config: argparse exits 2
+             ["analyze", "--config", analyze, "--out", str(tmp_path / "b")],
+             ["simulate", "--config", config, "--out", str(tmp_path / "c"),
+              "--seed", "3"])
+    codes = []
+    for argv in calls:
+        try:
+            codes.append(cli.main(argv))
+        except SystemExit as exc:
+            codes.append(exc.code)
+    assert codes == [0, 2, 0, 0]
+    assert "--config" in capsys.readouterr().err
+    first = (tmp_path / "a" / "simulation.json").read_bytes()
+    assert (tmp_path / "c" / "simulation.json").read_bytes() == first
+    # the stats block is dataclasses.asdict's, without its deep copies
+    stats = sim.run_experiment(sim.SimConfig(
+        params=ScenarioParams(**scenario), punishment_mode="indirect",
+        horizon=192, replications=30, base_seed=3))
+    assert json.loads(first)["stats"] == json.loads(
+        json.dumps(dataclasses.asdict(stats)))
 
 
 @pytest.mark.parametrize("slots", [-1, 501], ids=["negative", "past_horizon"])

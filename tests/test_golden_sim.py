@@ -30,7 +30,8 @@ The simulator runs its blocks on threads only from a crossover horizon on,
 so the shapes above compare two serial runs.  LONG_SHAPES, at 40,000 and
 100,003 slots, sit past the crossover: their 3-worker runs go through the
 thread pool.  In their late_trigger case, indirect punishment triggers
-after slot 8,192 (the simulator's BLOCK_SLOTS).
+after slot 8,192, deep in a row that is a block of its own: the
+terminated phase starts well inside the row, not at its first slots.
 """
 
 import dataclasses

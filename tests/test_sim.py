@@ -454,6 +454,60 @@ def test_worker_count_does_not_change_stats():
                                                                workers=4)
 
 
+# sim.BLOCK_SLOTS as the module sets it, before any test patches it
+BLOCK_SLOTS = sim.BLOCK_SLOTS
+
+
+@pytest.mark.parametrize("mode,params,horizon,replications,redraw", [
+    ("none", NT_SC, 192, 200, False),
+    ("direct", dataclasses.replace(NT_SC, direct_punishment=20.0), 192, 200,
+     False),
+    ("indirect", NT_SC, 7, 3000, False),
+    ("direct", BTPE, 192, 100, False),
+    ("indirect", NT_SC, 4, 5000, True),
+], ids=["none", "direct", "indirect", "btpe", "redraw"])
+def test_outputs_do_not_depend_on_the_block(monkeypatch, mode, params,
+                                            horizon, replications, redraw):
+    fallback_rows = []
+    if redraw:
+        # as in test_redraw_rows_fall_back_to_numpy: some rows are redrawn
+        inversion_table, binomial_draws = (sim._inversion_table,
+                                           sim._binomial_draws)
+
+        def first_cut_only(n, p):
+            cuts, counts = inversion_table(n, p)
+            return cuts[:1], np.append(counts[:1], -1)
+
+        def counting_fallback(config, words):
+            fallback_rows.extend(words.tolist())
+            return binomial_draws(config, words)
+
+        monkeypatch.setattr(sim, "_inversion_table", first_cut_only)
+        monkeypatch.setattr(sim, "_binomial_draws", counting_fallback)
+    # random tables: rewards of many values, whose sums round by order
+    rng = np.random.default_rng(9)
+    m, n_h = params.n_attackers, params.n_honest
+    tables = PolicyTables(b=rng.integers(0, m + 1, (n_h + 1, m + 1)),
+                          transmit=rng.integers(0, m + 1, (n_h + 1, m + 1)),
+                          post_transmit=rng.integers(0, m + 1, m + 1))
+    config = SimConfig(params=params, punishment_mode=mode,
+                       attacker_policy=tables, horizon=horizon,
+                       replications=replications, base_seed=9)
+    assert (_cell_codes(config) is None) == (params is BTPE)
+    runs = []
+    # one row a block, the former 8,192 slots, today's size, one block
+    for size in (1, horizon, 8192, BLOCK_SLOTS, replications * horizon):
+        monkeypatch.setattr(sim, "BLOCK_SLOTS", size)
+        runs.append(run_experiment(config))
+    assert all(stats == runs[0] for stats in runs[1:])
+    redrawn = len(fallback_rows) // len(runs)
+    assert len(fallback_rows) == redrawn * len(runs)
+    assert (0 < redrawn < replications) == redraw
+    if mode == "indirect":
+        triggered = sum(runs[0].punishment_trigger_slots.values())
+        assert 0 < triggered < replications
+
+
 def test_threads_run_from_the_crossover_horizon_on(monkeypatch):
     pool_class, pools = sim.ThreadPoolExecutor, []
 

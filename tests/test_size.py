@@ -16,6 +16,11 @@ A block is reduced through per-row cell counts and the weights' nonzero
 prefix: on a 100,000-slot row, gathering the attacker, honest and
 collision columns over every slot put the block's peak at 34 bytes per
 slot.
+
+Short rows run in blocks of about BLOCK_SLOTS slots.  Blocks of 16,384
+slots of 192-slot rows took no minor faults per 1,000-replication call
+once warm; blocks of 24,576, 32,768 and 65,536 slots, and one block for
+the whole call, took 256, 414, 863 and 2,155.
 """
 
 import os
@@ -120,3 +125,60 @@ def test_a_long_rows_block_allocates_little_beside_its_buffer(mode):
     finally:
         tracemalloc.stop()
     assert peak <= BLOCK_BYTES_PER_SLOT * config.horizon, peak
+
+
+# half the 256 faults a 1,000 x 192 call took in blocks of 24,576 slots
+SHORT_FAULT_BUDGET = 256 // 2
+
+SHORT_FAULT_SCRIPT = """
+import resource
+from coopsense.model import ScenarioParams
+from coopsense.sim import SimConfig, run_experiment
+
+params = ScenarioParams(6, 4, 0.43093601412916105, 0.022458411436171683,
+                        0.30247914532927933, 7.864081233717548,
+                        discount=0.8)
+config = SimConfig(params=params, punishment_mode="indirect", horizon=192,
+                   replications=1_000, base_seed=1)
+# warm-up: tables and caches, and glibc's malloc, which raises its mmap
+# and trim thresholds on the first frees of large blocks
+for _ in range(2):
+    run_experiment(config)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_experiment(config)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_short_rows_do_not_fault_the_heap_back_in():
+    faults = int(_last_word(SHORT_FAULT_SCRIPT))
+    assert faults <= SHORT_FAULT_BUDGET, faults
+
+
+# the peak beside its buffer of a block of 192-slot rows, per slot of a
+# 16,384-slot block: 38 bytes a slot at 85 rows (the int64 codes and
+# cells, the gathered rewards and their weighted products); a block of
+# more slots takes more, and with it the faults above
+SHORT_BLOCK_BYTES = 44 * 16_384
+
+
+def test_a_short_rows_block_allocates_little_beside_its_buffer():
+    params = ScenarioParams(6, 4, 0.43093601412916105, 0.022458411436171683,
+                            0.30247914532927933, 7.864081233717548,
+                            discount=0.8)
+    rows = max(1, sim.BLOCK_SLOTS // 192)
+    config = sim.SimConfig(params=params, punishment_mode="indirect",
+                           horizon=192, replications=rows, base_seed=1)
+    grid = sim._outcome_grid(config, sim.build_policy_tables(config))
+    block = (sim._stream_words(config.base_seed, range(rows)), config, grid,
+             sim._cell_codes(config),
+             sim._discount_weights(params.discount, config.horizon),
+             np.empty((rows, 3 * config.horizon)))
+    sim._run_block(*block)  # warm-up
+    tracemalloc.start()
+    try:
+        sim._run_block(*block)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SHORT_BLOCK_BYTES, peak
