@@ -389,7 +389,11 @@ def cmd_simulate(run: RunConfig, args: argparse.Namespace) -> int:
     if trace_slots is not None:
         problems += sim.validate_trace(config, trace_slots)
     _reject("simulation options", problems)
-    stats = sim.run_experiment(config, workers=args.workers)
+    # one set of tables for the estimate and the trace: an optimal indirect
+    # policy solves the termination MDP to build them
+    resolved = dataclasses.replace(
+        config, attacker_policy=sim.build_policy_tables(config))
+    stats = sim.run_experiment(resolved, workers=args.workers)
     payload = {
         "scenario": _scenario_echo(run),
         "simulation": {
@@ -407,7 +411,7 @@ def cmd_simulate(run: RunConfig, args: argparse.Namespace) -> int:
     if "json" in run.formats:
         _write_json(run.out_dir / "simulation.json", payload)
     if trace_slots is not None and "csv" in run.formats:
-        traces = sim.run_trace(config, trace_slots)
+        traces = sim.run_trace(resolved, trace_slots)
         rows = [(i, t.channel_busy, t.honest_busy, t.attacker_busy,
                  "" if t.announcement is None else t.announcement.name,
                  t.transmitters, t.collision, t.attacker_reward,

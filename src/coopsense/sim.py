@@ -33,11 +33,12 @@ its stream with one random(3 * horizon) call, into a buffer that each
 thread allocates once per run and refills for every block.  The cut
 points of numpy's inversion loop, found once per (n, p) by bisection,
 give each uniform a uint8 index into its group's idle and busy count
-tables; a slot's honest and attacker indices form one code, and a table
-built once per run maps each code straight to the slot's outcome cell,
-so no count array is formed.  A configuration that needs BTPE, and a row
-in which numpy would redraw a uniform, take numpy's samplers per row
-instead, and their counts take the cell formula.
+tables; a slot's honest and attacker indices form one code, in the
+narrowest unsigned dtype that holds every code, and a table built once
+per run maps each code straight to the slot's outcome cell, so no count
+array is formed.  A configuration that needs BTPE, and a row in which
+numpy would redraw a uniform, take numpy's samplers per row instead, and
+their counts take the cell formula.
 
 Weights: the discounted sums weight slot t by discount ** t, the powers
 numpy's own ** gives.  Past about 1,000 to 7,000 slots at discounts of
@@ -48,15 +49,22 @@ discounted sums run over that prefix of each row only.
 
 Reduction: every slot is one outcome-grid cell, so where a row is at
 least twice the weights' prefix and no shorter than the grid,
-_run_block reduces a block through one bincount of its cells, offset by
-row: each row's per-slot means are its cell counts times the grid's
-reward columns, summed in grid order (no BLAS call, so the bits do not
-depend on the numpy build), and the collision and busy-slot counts are
-the block's count totals.  Only the weighted sums gather rewards, over
-the prefix.  Elsewhere the weighted sums cover most of the row and need
-its rewards anyway, so the block gathers the reward and collision
-columns over every slot and averages them; a row's outputs depend on
-the configuration only, never on its block.
+_run_block reduces a block through per-row cell counts: each row's
+per-slot means are its cell counts times the grid's reward columns,
+summed in grid order (no BLAS call, so the bits do not depend on the
+numpy build), and the collision and busy-slot counts are the block's
+count totals.  These long rows form no per-slot cell: _counted_block
+counts each row's codes with one bincount, and the code table folds the
+code counts into cell counts.  Those are exact integers, so the sums are
+the ones a count of the cells gives, bit for bit.  Under indirect
+punishment a code-indexed hit table finds each row's first exclusive
+hit, and the codes after it move up into a second phase of codes that
+the table folds into the grid's terminated half.  Only the weighted sums
+gather cells and rewards, over the prefix.  Elsewhere the weighted sums
+cover most of the row and need its rewards anyway, so the block forms
+every slot's cell, gathers the reward and collision columns over every
+slot and averages them; a row's outputs depend on the configuration
+only, never on its block.
 """
 
 from __future__ import annotations
@@ -99,14 +107,16 @@ BLOCK_SLOTS = 16384
 
 # run_experiment runs its blocks on threads only at horizons of this many
 # slots or more.  Time of 2 workers over 1 worker by horizon, threads
-# forced at every horizon, N=5/M=2, about 400k slots per shape, medians
-# over three runs of the median of 9 alternating calls (2 cores, Python
-# 3.11.7, numpy 2.4.6):
+# forced at every horizon, N=5/M=2 at discount 0.7, about 400k slots per
+# shape, medians over three runs of the median of 9 alternating calls,
+# with long rows reduced through code counts (2 cores, Python 3.11.7,
+# numpy 2.4.6):
 #
 #   horizon    192  1,000  4,096  8,192  16,384  32,768  65,536  100,000
-#   indirect  1.66   1.42   1.25   1.29    1.45    0.94    0.78     0.86
-#   none      2.06   1.53   1.22   1.28    1.21    0.87    0.85     0.93
+#   indirect  1.06   1.10   1.38   1.23    1.29    0.84    0.95     0.78
+#   none      1.36   1.12   1.06   1.09    1.03    0.84    0.78     0.93
 #
+# A second set of three runs put the crossover at the same place.
 # Outputs never depend on it: blocks, draws and merge order are the same
 # on either side.
 THREAD_HORIZON = 32768
@@ -614,6 +624,36 @@ def _cell_codes(config: SimConfig
     return (hb_cuts, hi_cuts, ab_cuts, ai_cuts), codes.ravel()
 
 
+def _block_codes(config: SimConfig, words: np.ndarray,
+                 inversion: tuple[tuple[np.ndarray, ...], np.ndarray],
+                 uniform: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each slot's idle flag and _cell_codes code in the block of the
+    replication streams whose _stream_words rows are words.
+
+    inversion is _cell_codes' result: numpy samples every count by
+    inversion, so each slot's counts read exactly one double each, the
+    same one Generator.random returns, and a row reads its stream into
+    uniform, a (rows x 3 * horizon) buffer, with one call: channel, honest
+    and attacker uniforms, in that order.  The two cut indices of a slot
+    form its code, in the narrowest unsigned dtype that holds every code
+    (under indirect punishment also every code plus the number of codes,
+    which _counted_block gives the slots after a row's trigger): uint8 in
+    every configuration the benchmarks run, uint16 where the table is
+    longer (each index is below 176).
+    """
+    (hb_cuts, hi_cuts, ab_cuts, ai_cuts), codes = inversion
+    h = config.horizon
+    for stream_words, row in zip(words, uniform):
+        _stream(stream_words).random(out=row)
+    idle = uniform[:, :h] < config.params.base.p_idle
+    phases = 2 if config.punishment_mode == "indirect" else 1
+    code = _table_index(uniform[:, h:2 * h], idle, hb_cuts, hi_cuts).astype(
+        np.min_scalar_type(phases * len(codes) - 1), copy=False)
+    code *= len(ab_cuts) + len(ai_cuts) + 2
+    code += _table_index(uniform[:, 2 * h:], idle, ab_cuts, ai_cuts)
+    return idle, code
+
+
 def _block_cells(config: SimConfig, words: np.ndarray,
                  inversion: tuple[tuple[np.ndarray, ...], np.ndarray] | None,
                  uniform: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -621,28 +661,16 @@ def _block_cells(config: SimConfig, words: np.ndarray,
     block of the replication streams whose _stream_words rows are words.
 
     Where every count is sampled by numpy's inversion (inversion, from
-    _cell_codes, is not None), each slot's counts read exactly one double
-    each, the same one Generator.random returns, so a row reads its
-    stream into uniform, a (rows x 3 * horizon) buffer, with one call:
-    channel, honest and attacker uniforms, in that order.  The two cut
-    indices of a slot form its code, and the code table gives its cell.
-    A configuration numpy samples otherwise takes its counts from
-    _binomial_draws, and so does a row in which numpy would redraw a
+    _cell_codes, is not None), the code table maps each _block_codes code
+    to its cell.  A configuration numpy samples otherwise takes its counts
+    from _binomial_draws, and so does a row in which numpy would redraw a
     uniform.
     """
     if inversion is None:
         idle, kh, ka = _binomial_draws(config, words)
         return idle, _cells(idle, kh, ka, config)
-    (hb_cuts, hi_cuts, ab_cuts, ai_cuts), codes = inversion
-    h = config.horizon
-    for stream_words, row in zip(words, uniform):
-        _stream(stream_words).random(out=row)
-    idle = uniform[:, :h] < config.params.base.p_idle
-    code = _table_index(uniform[:, h:2 * h], idle, hb_cuts, hi_cuts
-                        ).astype(np.intp)
-    code *= len(ab_cuts) + len(ai_cuts) + 2
-    code += _table_index(uniform[:, 2 * h:], idle, ab_cuts, ai_cuts)
-    cell = codes.take(code)
+    idle, code = _block_codes(config, words, inversion, uniform)
+    cell = inversion[1].take(code)
     for i in np.flatnonzero(cell.min(axis=1) < 0):
         # numpy reads more uniforms for this row than the one call holds
         _, kh, ka = _binomial_draws(config, words[i:i + 1])
@@ -650,34 +678,99 @@ def _block_cells(config: SimConfig, words: np.ndarray,
     return idle, cell
 
 
+def _row_counts(keys: np.ndarray, size: int) -> np.ndarray:
+    """Each row's count of every key below size, one bincount for the
+    block: row r's key k is bin r * size + k."""
+    rows = len(keys)
+    if rows > 1:  # a long row runs alone and needs no offset pass
+        keys = keys + np.arange(0, rows * size, size)[:, None]
+    return np.bincount(keys.ravel(), minlength=rows * size).reshape(rows, size)
+
+
+def _counted_block(config: SimConfig, words: np.ndarray,
+                   grid: tuple[np.ndarray, ...],
+                   inversion: tuple[tuple[np.ndarray, ...], np.ndarray] | None,
+                   prefix: int, uniform: np.ndarray
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's count of every settled _outcome_grid cell, its settled
+    cells over the first prefix slots, and its trigger slot (-1 when none),
+    as _block_cells and _block_outcomes would give them.
+
+    Where inversion is not None no slot's cell is formed: under indirect
+    punishment a row's first exclusive hit is found through a code-indexed
+    hit table and every code after it moves up by the number of codes,
+    into the terminated phase, as _block_outcomes moves cells.  Each row
+    counts its codes, and the code table folds those counts into cell
+    counts: exact integers, so the reduction's sums in grid order are the
+    same.  Only the prefix gathers cells.  A configuration that needs
+    BTPE, and a row with a count on a redraw code (-1), count the cells of
+    _block_cells and _block_outcomes instead.
+    """
+    size = len(grid[0])
+    if inversion is None:
+        cell, triggers = _block_outcomes(
+            _block_cells(config, words, None, uniform)[1], config, grid)
+        return _row_counts(cell, size), cell[:, :prefix], triggers
+    table = inversion[1]
+    code = _block_codes(config, words, inversion, uniform)[1]
+    rows, n = code.shape[0], len(table)
+    triggers = np.full(rows, -1)
+    if config.punishment_mode == "indirect":
+        known = table >= 0
+        hit = np.zeros(n, dtype=bool)
+        hit[known] = grid[3][table[known]]
+        hits = hit.take(code)
+        first = np.argmax(hits, axis=1)  # 0 in a row with no hit
+        triggered = np.flatnonzero(hits[np.arange(rows), first])
+        del hits  # freed before the bincount reads its intp copy of code
+        for r in triggered:
+            code[r, first[r] + 1:] += n
+        triggers[triggered] = first[triggered]
+        table = np.concatenate((table, np.where(known, table + size // 2, -1)))
+    counts = _row_counts(code, len(table))
+    cell = table.take(code[:, :prefix])
+    known = table >= 0
+    cell_counts = np.zeros((rows, size), dtype=np.int64)
+    np.add.at(cell_counts, (np.arange(rows)[:, None], table[known]),
+              counts[:, known])
+    for r in np.flatnonzero(counts[:, ~known].any(axis=1)):
+        # numpy reads more uniforms for this row than the one call holds:
+        # the row takes its samplers, as a BTPE configuration does
+        cell_counts[r], cell[r], triggers[r] = (column[0] for column in (
+            _counted_block(config, words[r:r + 1], grid, None, prefix,
+                           uniform)))
+    return cell_counts, cell, triggers
+
+
 def _run_block(words: np.ndarray, config: SimConfig,
                grid: tuple[np.ndarray, ...],
                inversion: tuple[tuple[np.ndarray, ...], np.ndarray] | None,
                weights: np.ndarray, uniform: np.ndarray) -> tuple:
-    idle, cell = _block_cells(config, words, inversion, uniform)
-    cell, triggers = _block_outcomes(cell, config, grid)
-    rows, horizon = cell.shape
+    horizon = config.horizon
     size, prefix = len(grid[0]), len(weights)
     att, hon = grid[:2]
-    # The counts pay off where most weights are zero.  Reduction time per
-    # block, counts against gathers (2 cores, numpy 2.4.6): 72 vs 57 us
-    # on 42 rows of 192 slots, every weight nonzero; 59 vs 69 us on one
-    # 8,192-slot row whose weights end at slot 3,340; 258 vs 355 us on
-    # one 100,000-slot row.  A grid longer than the row would count more
-    # cells than the block has slots.
+    # The counts pay off where most weights are zero.  Time per block,
+    # code counts against gathers, draws included (N=6/M=4, indirect,
+    # discount 0.8; lower quartiles of 150 alternating calls; 2 cores,
+    # Python 3.11.7, numpy 2.4.6): 768 vs 581 us on 85 rows of 192
+    # slots, every weight nonzero; 224 vs 218 us on one 8,192-slot row
+    # whose weights end at slot 3,340; 1,653 vs 2,620 us on one
+    # 100,000-slot row.  The two paths round the means differently, so
+    # the rule cannot move without moving output bits.  A grid longer
+    # than the row would count more cells than the block has slots.
     if max(size, 2 * prefix) <= horizon:
-        # row r's cell c is bin r * size + c
-        counts = np.bincount(
-            (cell + np.arange(0, rows * size, size)[:, None]).ravel(),
-            minlength=rows * size).reshape(rows, size)
+        counts, cell, triggers = _counted_block(config, words, grid,
+                                                inversion, prefix, uniform)
         per_att = (counts * att).sum(axis=1) / horizon
         per_hon = (counts * hon).sum(axis=1) / horizon
         totals = counts.sum(axis=0)
         collisions = int(totals[grid[2]].sum())
         # cells run (phase, idle, honest busy, attacker busy)
         busy_slots = int(totals.reshape(2, 2, -1)[:, 0].sum())
-        att, hon = att[cell[:, :prefix]], hon[cell[:, :prefix]]
+        att, hon = att[cell], hon[cell]
     else:
+        idle, cell = _block_cells(config, words, inversion, uniform)
+        cell, triggers = _block_outcomes(cell, config, grid)
         att, hon, collision = (column[cell] for column in grid[:3])
         per_att, per_hon = att.mean(axis=1), hon.mean(axis=1)
         collisions = int(np.count_nonzero(collision))

@@ -14,7 +14,10 @@ sim._block_outcomes applies to whole blocks of sim._block_cells' cells.
 test_scalar_and_vector_paths_agree replays the draws decoded from those
 cells through it: it pins every field of run_trace, and the estimator's
 rewards, collision flags and trigger slot of every replication of a
-block.
+block.  gathered_reduction and counted_reduction reduce those settled
+cells by gathering every slot and by counting each row's cells: the
+reductions of sim._run_block, whose long rows count codes and never
+form the cells, are held to them.
 
 full_action_order and full_reward_tensors order and price all (M+1)^2
 profiles of every state, where the package keeps each state's 2(M+1)
@@ -232,6 +235,25 @@ def gathered_reduction(cell: np.ndarray, idle: np.ndarray,
     return (att.mean(axis=1), hon.mean(axis=1),
             (att * padded).sum(axis=1), (hon * padded).sum(axis=1),
             int(np.count_nonzero(collision)),
+            idle.size - int(np.count_nonzero(idle)))
+
+
+def counted_reduction(cell: np.ndarray, idle: np.ndarray,
+                      grid: tuple[np.ndarray, ...], weights: np.ndarray
+                      ) -> tuple:
+    """sim._run_block's reduction of a block's settled cells through each
+    row's cell counts, one row at a time: per-row means as the counts
+    times the attacker and honest columns summed in grid order, weighted
+    sums over the weights' prefix, then the collision and busy-slot counts
+    by gathering, as gathered_reduction counts them."""
+    att, hon, collision = grid[:3]
+    counts = np.array([np.bincount(row, minlength=len(att)) for row in cell])
+    horizon, prefix = cell.shape[1], len(weights)
+    return ((counts * att).sum(axis=1) / horizon,
+            (counts * hon).sum(axis=1) / horizon,
+            (att[cell[:, :prefix]] * weights).sum(axis=1),
+            (hon[cell[:, :prefix]] * weights).sum(axis=1),
+            int(np.count_nonzero(collision[cell])),
             idle.size - int(np.count_nonzero(idle)))
 
 

@@ -284,6 +284,44 @@ def test_simulate_worker_invariance(tmp_path):
     assert (tmp_path / "simulation.json").read_bytes() == first
 
 
+def test_simulate_builds_the_policy_tables_once(tmp_path, monkeypatch):
+    # the optimal indirect tables solve the termination MDP; the estimate
+    # and the trace share one build, and read the same as separate builds
+    scenario = dict(SCENARIO, collision_penalty=100.0)
+    doc = _doc("simulate",
+               options={"punishment_mode": "indirect", "horizon": 300,
+                        "replications": 4, "trace_slots": 300},
+               out_dir=str(tmp_path), scenario=scenario)
+    doc["output"]["formats"] = ["json", "csv"]
+    config = sim.SimConfig(params=ScenarioParams(**scenario),
+                           punishment_mode="indirect", horizon=300,
+                           replications=4, base_seed=7)
+    stats, trace = sim.run_experiment(config), sim.run_trace(config, 300)
+    build, calls = sim.build_policy_tables, []
+
+    def counted(config):
+        calls.append(config.attacker_policy)
+        return build(config)
+
+    monkeypatch.setattr(sim, "build_policy_tables", counted)
+    assert cli.main(["simulate", "--config", _write_config(tmp_path, doc),
+                     "--seed", "7"]) == 0
+    assert calls[0] == "optimal"
+    assert all(isinstance(policy, sim.PolicyTables) for policy in calls[1:])
+    payload = json.loads((tmp_path / "simulation.json").read_text())
+    assert payload["simulation"]["attacker_policy"] == "optimal"
+    assert payload["stats"]["per_slot_attacker"]["mean"] \
+        == stats.per_slot_attacker.mean
+    assert payload["stats"]["punishment_trigger_slots"] == {
+        str(slot): count
+        for slot, count in stats.punishment_trigger_slots.items()}
+    rows = list(csv.DictReader(open(tmp_path / "trace.csv")))
+    assert [row["punishment_on"] == "True" for row in rows] \
+        == [slot.punishment_on for slot in trace]
+    assert [float(row["attacker_reward"]) for row in rows] \
+        == [slot.attacker_reward for slot in trace]
+
+
 def test_verify_passes_and_perturbation_fails(tmp_path):
     doc = _doc("verify", options={"instances": 3, "seed": 1,
                                   "sim_instances": 1},

@@ -21,7 +21,7 @@ from coopsense.sim import (PolicyTables, SimConfig, _block_cells,
 
 from conftest import observable_scenario, region_ii_scenario, rel_err
 from oracles import (SlotRuntime, bisected_inversion_table,
-                     gathered_reduction, run_slot)
+                     counted_reduction, gathered_reduction, run_slot)
 
 AT_WC = ScenarioParams(6, 2, 0.6, 0.08, 0.08, 100.0, discount=0.9)
 # test_golden_sim.SCENARIO: cooperation case SC, so the attackers keep
@@ -441,6 +441,90 @@ def test_block_reduction_is_exact_within_stated_ulps(mode, rows, horizon,
                     math.ulp(float(scale))), (r, value, float(exact))
 
 
+# long-row blocks that _run_block reduces through code counts: the code
+# table of SPARSE has 120 codes (240 under indirect punishment, both
+# uint8), WIDE's 1,344 (uint16)
+SPARSE = ScenarioParams(7, 4, 0.5, 0.05, 0.1, 2.0, discount=0.5,
+                        direct_punishment=20.0)
+WIDE = ScenarioParams(40, 10, 0.5, 0.1, 0.3, 2.0, discount=0.5,
+                      direct_punishment=20.0)
+
+
+def _rare_state(config, idle, target):
+    """The counts (kh >= 1, ka) whose probability in a slot with the
+    channel idle (or busy) is nearest target, by ratio."""
+    base = config.params.base
+    (h_idle, h_busy), (a_idle, a_busy) = sim._busy_probabilities(config)
+    p_h, p_a = (h_idle, a_idle) if idle else (h_busy, a_busy)
+
+    def pmf(n, p, k):
+        return math.comb(n, k) * p**k * (1.0 - p)**(n - k)
+
+    def probability(state):
+        kh, ka = state
+        return ((base.p_idle if idle else 1.0 - base.p_idle)
+                * pmf(base.n_honest, p_h, kh) * pmf(base.n_attackers, p_a, ka))
+
+    states = [(kh, ka) for kh in range(1, base.n_honest + 1)
+              for ka in range(base.n_attackers + 1)]
+    return min(states, key=lambda state: abs(math.log(probability(state)
+                                                      / target)))
+
+
+@pytest.mark.parametrize("redraw", [False, True], ids=["", "redraw"])
+@pytest.mark.parametrize("params,horizon,rows,seed", [
+    (SPARSE, 20_000, 1, 0), (SPARSE, 4_000, 4, 0), (WIDE, 4_000, 4, 0)],
+    ids=["row", "rows", "uint16"])
+@pytest.mark.parametrize("mode", sim.MODES)
+def test_code_counts_reduce_like_the_settled_cells(mode, params, horizon,
+                                                   rows, seed, redraw):
+    # random tables, except that under indirect punishment one state of
+    # about one slot a row alone hits exclusively, so that some rows of a
+    # block trigger and some do not; a redraw marks the code of a
+    # similarly rare idle state
+    rng = np.random.default_rng(seed)
+    m, n_h = params.n_attackers, params.n_honest
+    b = rng.integers(0, m + 1, (n_h + 1, m + 1))
+    transmit = rng.integers(0, m + 1, (n_h + 1, m + 1))
+    config = SimConfig(params=params, punishment_mode=mode, horizon=horizon,
+                       replications=rows, base_seed=seed)
+    if mode == "indirect":
+        announced = (np.arange(n_h + 1)[:, None] >= 1) | (b >= 1)
+        transmit[announced] = 0
+        transmit[_rare_state(config, False, 1 / horizon)] = 1
+    tables = PolicyTables(b=b, transmit=transmit,
+                          post_transmit=rng.integers(0, m + 1, m + 1))
+    config = dataclasses.replace(config, attacker_policy=tables)
+    grid = _outcome_grid(config, tables)
+    weights = _discount_weights(params.discount, horizon)
+    assert max(len(grid[0]), 2 * len(weights)) <= horizon  # the counts
+    cuts, codes = _cell_codes(config)
+    if redraw:
+        codes = codes.copy()
+        codes[codes == _cells(True, *_rare_state(config, True, 1 / horizon),
+                              config)] = -1
+    inversion = cuts, codes
+    words = _stream_words(seed, range(rows))
+    buffer = np.empty((rows, 3 * horizon))
+    out = sim._run_block(words, config, grid, inversion, weights, buffer)
+    code = sim._block_codes(config, words, inversion, buffer)[1]
+    assert code.dtype == (np.uint16 if params is WIDE else np.uint8)
+    redrawn = int(np.count_nonzero((codes.take(code) < 0)
+                                   .any(axis=1)))
+    idle, cell = _block_cells(config, words, inversion, buffer)
+    cell, triggers = _block_outcomes(cell, config, grid)
+    reference = counted_reduction(cell, idle, grid, weights)
+    assert [column.tobytes() for column in out[:4]] \
+        == [column.tobytes() for column in reference[:4]]
+    assert out[4:6] == reference[4:] \
+        == gathered_reduction(cell, idle, grid, weights)[4:]
+    assert out[6].tolist() == triggers.tolist()
+    if rows > 1:
+        assert (0 < redrawn < rows) == redraw
+        if mode == "indirect":
+            assert 0 < np.count_nonzero(triggers >= 0) < rows
+
+
 def test_runs_are_deterministic():
     config = SimConfig(params=AT_WC, punishment_mode="indirect", horizon=500,
                        replications=6, base_seed=123)
@@ -465,7 +549,9 @@ BLOCK_SLOTS = sim.BLOCK_SLOTS
     ("indirect", NT_SC, 7, 3000, False),
     ("direct", BTPE, 192, 100, False),
     ("indirect", NT_SC, 4, 5000, True),
-], ids=["none", "direct", "indirect", "btpe", "redraw"])
+    ("direct", dataclasses.replace(NT_SC, direct_punishment=20.0), 20_000, 3,
+     False),
+], ids=["none", "direct", "indirect", "btpe", "redraw", "long"])
 def test_outputs_do_not_depend_on_the_block(monkeypatch, mode, params,
                                             horizon, replications, redraw):
     fallback_rows = []

@@ -12,10 +12,10 @@ The simulator refills one uniform buffer per thread for every block.  A
 minor page faults when each block allocated its own: glibc trimmed the
 heap after every row and faulted it back in for the next.
 
-A block is reduced through per-row cell counts and the weights' nonzero
-prefix: on a 100,000-slot row, gathering the attacker, honest and
+A long row is reduced through per-row code counts and the weights'
+nonzero prefix: on a 100,000-slot row, gathering the attacker, honest and
 collision columns over every slot put the block's peak at 34 bytes per
-slot.
+slot, and counting int64 cells at 17.
 
 Short rows run in blocks of about BLOCK_SLOTS slots.  Blocks of 16,384
 slots of 192-slot rows took no minor faults per 1,000-replication call
@@ -101,12 +101,14 @@ def test_long_rows_do_not_fault_the_heap_back_in():
     assert faults <= FAULT_BUDGET, faults
 
 
-# the peak of one block beside its uniform buffer: the int64 cell codes and
-# cells (16 bytes a slot) and a few bytes of flags and indices
-BLOCK_BYTES_PER_SLOT = 24
+# the peak of one block beside its uniform buffer: the intp copy of the
+# uint8 codes that bincount (and under indirect punishment the hit table's
+# gather) reads, 8 bytes a slot, and a few bytes of codes, idle flags and
+# cut indices; cells are formed over the weights' prefix only
+BLOCK_BYTES_PER_SLOT = 12
 
 
-@pytest.mark.parametrize("mode", ["none", "indirect"])
+@pytest.mark.parametrize("mode", sim.MODES)
 def test_a_long_rows_block_allocates_little_beside_its_buffer(mode):
     params = ScenarioParams(5, 2, 0.6, 0.08, 0.08, 2.0, discount=0.7)
     config = sim.SimConfig(params=params, punishment_mode=mode,
