@@ -152,7 +152,8 @@ def _threshold_x_sc(params: ScenarioParams) -> float:
 
 def _threshold_from_x(x: float, case: CooperationCase) -> DeltaThreshold:
     raw = 1.0 / (1.0 + x)
-    deterrable = x > 0.0
+    # below about 1.1e-16, 1 + x rounds to 1 and no discount below 1 deters
+    deterrable = x > 0.0 and raw < 1.0
     return DeltaThreshold(raw if deterrable else 1.0, raw, deterrable, case)
 
 

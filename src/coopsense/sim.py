@@ -12,10 +12,12 @@ time of one.  Below it the blocks run serially whatever `workers` says.
 The outcome grid settles every (idle, honest busy count,
 attacker busy count) cell twice: by _slot_rules while the SUs
 collaborate, and by oneshot.post_transmit after the indirect trigger.
-The kernel moves every slot after a row's first exclusive hit into the
-terminated half; the estimator and run_trace (replication 0) read both
-phases from the grid, so a trace is an episode that the estimate
-averages.  The tests pin the kernel and the trace to a scalar reference.
+Every block enters as keys and a key table that maps each key to its
+collaborating cell, and _settle alone moves every key after a row's
+first exclusive hit into a second phase that maps to the terminated
+half; the estimator and run_trace (replication 0) read both phases from
+the grid, so a trace is an episode that the estimate averages.  The
+tests pin the kernel and the trace to a scalar reference.
 
 Determinism contract: replication r draws from
 PCG64(SeedSequence(base_seed, spawn_key=(r,))), the block size depends on
@@ -33,12 +35,14 @@ its stream with one random(3 * horizon) call, into a buffer that each
 thread allocates once per run and refills for every block.  The cut
 points of numpy's inversion loop, found once per (n, p) by bisection,
 give each uniform a uint8 index into its group's idle and busy count
-tables; a slot's honest and attacker indices form one code, in the
-narrowest unsigned dtype that holds every code, and a table built once
-per run maps each code straight to the slot's outcome cell, so no count
-array is formed.  A configuration that needs BTPE, and a row in which
-numpy would redraw a uniform, take numpy's samplers per row instead, and
-their counts take the cell formula.
+tables; a slot's honest and attacker indices form its key, a code in the
+narrowest unsigned dtype that holds every code (of both phases under
+indirect punishment), and the code table built once per run maps each
+code to the slot's outcome cell, so no count array is formed.  A configuration that needs BTPE
+takes numpy's samplers instead (_sampled): its keys are its cells,
+under an identity table.  A row in which numpy would redraw a uniform
+holds a code that the table maps to -1; _run_block runs it again alone
+through _sampled, and so does run_trace.
 
 Weights: the discounted sums weight slot t by discount ** t, the powers
 numpy's own ** gives.  Past about 1,000 to 7,000 slots at discounts of
@@ -47,24 +51,21 @@ slower, so _discount_weights stops computing them at the first chunk
 that ends in 0.0 and returns them up to the last nonzero one: the
 discounted sums run over that prefix of each row only.
 
-Reduction: every slot is one outcome-grid cell, so where a row is at
-least twice the weights' prefix and no shorter than the grid,
-_run_block reduces a block through per-row cell counts: each row's
-per-slot means are its cell counts times the grid's reward columns,
-summed in grid order (no BLAS call, so the bits do not depend on the
-numpy build), and the collision and busy-slot counts are the block's
-count totals.  These long rows form no per-slot cell: _counted_block
-counts each row's codes with one bincount, and the code table folds the
-code counts into cell counts.  Those are exact integers, so the sums are
-the ones a count of the cells gives, bit for bit.  Under indirect
-punishment a code-indexed hit table finds each row's first exclusive
-hit, and the codes after it move up into a second phase of codes that
-the table folds into the grid's terminated half.  Only the weighted sums
-gather cells and rewards, over the prefix.  Elsewhere the weighted sums
-cover most of the row and need its rewards anyway, so the block forms
-every slot's cell, gathers the reward and collision columns over every
-slot and averages them; a row's outputs depend on the configuration
-only, never on its block.
+Reduction: no inversion row forms a per-slot cell; _run_block reads
+the grid through the settled key table.  Where a row is at least
+twice the weights' prefix and no shorter than the grid, the block is
+reduced through counts: one bincount counts each row's keys, and the
+key table folds them into cell counts, exact integers, so each row's
+per-slot means, its cell counts times the grid's reward columns summed
+in grid order (no BLAS call, so the bits do not depend on the numpy
+build), are the ones a count of its cells gives, bit for bit; the
+collision count is the block's cell-count total, and only the weighted
+sums map keys to cells, over the weights' prefix.  Elsewhere the
+weighted sums cover most of the row and need its rewards anyway, so the
+block takes the reward and collision columns through per-key tables
+over every slot and averages them.  Either way the busy-slot count comes
+from the channel uniforms, and a row's outputs depend on the
+configuration only, never on its block.
 """
 
 from __future__ import annotations
@@ -357,24 +358,6 @@ def _cells(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
     return (idle * (n_h + 1) + kh) * (m + 1) + ka
 
 
-def _block_outcomes(cell: np.ndarray, config: SimConfig,
-                    grid: tuple[np.ndarray, ...]
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """A (rows x horizon) block's _block_cells cells as they settle, and
-    each row's punishment trigger slot (-1 when none).  Under indirect
-    punishment every slot after a row's first exclusive hit takes its
-    cell in the grid's terminated half, in place."""
-    if config.punishment_mode != "indirect":
-        return cell, np.full(cell.shape[0], -1)
-    rows, horizon = cell.shape
-    exclusive_hit = grid[3][cell]
-    first = np.argmax(exclusive_hit, axis=1)  # 0 in a row with no hit
-    triggered = exclusive_hit[np.arange(rows), first]
-    after = np.arange(horizon) > np.where(triggered, first, horizon)[:, None]
-    np.add(cell, len(grid[3]) // 2, out=cell, where=after)
-    return cell, np.where(triggered, first, -1)
-
-
 def _stream_words(base_seed: int, reps: range) -> np.ndarray:
     """SeedSequence(base_seed, spawn_key=(r,)).generate_state(4, np.uint64)
     for every r in reps, one row each.
@@ -637,9 +620,9 @@ def _block_codes(config: SimConfig, words: np.ndarray,
     and attacker uniforms, in that order.  The two cut indices of a slot
     form its code, in the narrowest unsigned dtype that holds every code
     (under indirect punishment also every code plus the number of codes,
-    which _counted_block gives the slots after a row's trigger): uint8 in
-    every configuration the benchmarks run, uint16 where the table is
-    longer (each index is below 176).
+    which _settle gives the slots after a row's trigger): uint8 in every
+    configuration the benchmarks run, uint16 where the table is longer
+    (each index is below 176).
     """
     (hb_cuts, hi_cuts, ab_cuts, ai_cuts), codes = inversion
     h = config.horizon
@@ -654,28 +637,61 @@ def _block_codes(config: SimConfig, words: np.ndarray,
     return idle, code
 
 
-def _block_cells(config: SimConfig, words: np.ndarray,
-                 inversion: tuple[tuple[np.ndarray, ...], np.ndarray] | None,
-                 uniform: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each slot's idle flag and collaborating _outcome_grid cell in the
-    block of the replication streams whose _stream_words rows are words.
+def _sampled(config: SimConfig, words: np.ndarray
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each slot's idle flag and collaborating _outcome_grid cell, and the
+    identity table of those cells, in the rows of the replication streams
+    whose _stream_words rows are words, from _binomial_draws: the draws
+    of a configuration that needs BTPE, and of a row in which numpy would
+    redraw a uniform."""
+    idle, kh, ka = _binomial_draws(config, words)
+    *_, m, n_h = _reward_constants(config)
+    identity = np.arange(2 * (n_h + 1) * (m + 1))
+    return idle, _cells(idle, kh, ka, config), identity
 
-    Where every count is sampled by numpy's inversion (inversion, from
-    _cell_codes, is not None), the code table maps each _block_codes code
-    to its cell.  A configuration numpy samples otherwise takes its counts
-    from _binomial_draws, and so does a row in which numpy would redraw a
-    uniform.
-    """
+
+def _block_keys(config: SimConfig, words: np.ndarray,
+                inversion: tuple[tuple[np.ndarray, ...], np.ndarray] | None,
+                uniform: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each slot's idle flag and key in the block of the replication
+    streams whose _stream_words rows are words, and the table that maps
+    each key to its collaborating _outcome_grid cell (-1 where numpy
+    would redraw a uniform): the _block_codes codes and _cell_codes table
+    where inversion is not None, else _sampled's cells."""
     if inversion is None:
-        idle, kh, ka = _binomial_draws(config, words)
-        return idle, _cells(idle, kh, ka, config)
-    idle, code = _block_codes(config, words, inversion, uniform)
-    cell = inversion[1].take(code)
-    for i in np.flatnonzero(cell.min(axis=1) < 0):
-        # numpy reads more uniforms for this row than the one call holds
-        _, kh, ka = _binomial_draws(config, words[i:i + 1])
-        cell[i] = _cells(idle[i], kh[0], ka[0], config)
-    return idle, cell
+        return _sampled(config, words)
+    return (*_block_codes(config, words, inversion, uniform), inversion[1])
+
+
+def _settle(key: np.ndarray, table: np.ndarray, config: SimConfig,
+            grid: tuple[np.ndarray, ...]
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A (rows x horizon) block's keys as they settle, their table, and
+    each row's punishment trigger slot (-1 when none).
+
+    Under indirect punishment a per-key hit table finds each row's first
+    exclusive hit, every later key moves up by len(table) in place, and
+    the table doubles: its second half maps those keys into the grid's
+    terminated half.  The key dtype must hold 2 * len(table) - 1.
+    """
+    rows, horizon = key.shape
+    if config.punishment_mode != "indirect":
+        return key, table, np.full(rows, -1)
+    known = table >= 0
+    hits = (grid[3].take(table) & known).take(key)
+    first = np.argmax(hits, axis=1)  # 0 in a row with no hit
+    triggered = hits[np.arange(rows), first]
+    del hits
+    # one masked add for the block: a loop over triggered rows costs
+    # about 1 us a row, a Python int addend takes a slower loop, and
+    # int32 on both sides of the compare halves its time
+    last = np.where(triggered, first, horizon).astype(np.int32)
+    np.add(key, key.dtype.type(len(table)), out=key,
+           where=np.arange(horizon, dtype=np.int32) > last[:, None])
+    table = np.concatenate((table, np.where(known, table + len(grid[0]) // 2,
+                                            -1)))
+    return key, table, np.where(triggered, first, -1)
 
 
 def _row_counts(keys: np.ndarray, size: int) -> np.ndarray:
@@ -687,68 +703,16 @@ def _row_counts(keys: np.ndarray, size: int) -> np.ndarray:
     return np.bincount(keys.ravel(), minlength=rows * size).reshape(rows, size)
 
 
-def _counted_block(config: SimConfig, words: np.ndarray,
-                   grid: tuple[np.ndarray, ...],
-                   inversion: tuple[tuple[np.ndarray, ...], np.ndarray] | None,
-                   prefix: int, uniform: np.ndarray
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's count of every settled _outcome_grid cell, its settled
-    cells over the first prefix slots, and its trigger slot (-1 when none),
-    as _block_cells and _block_outcomes would give them.
-
-    Where inversion is not None no slot's cell is formed: under indirect
-    punishment a row's first exclusive hit is found through a code-indexed
-    hit table and every code after it moves up by the number of codes,
-    into the terminated phase, as _block_outcomes moves cells.  Each row
-    counts its codes, and the code table folds those counts into cell
-    counts: exact integers, so the reduction's sums in grid order are the
-    same.  Only the prefix gathers cells.  A configuration that needs
-    BTPE, and a row with a count on a redraw code (-1), count the cells of
-    _block_cells and _block_outcomes instead.
-    """
-    size = len(grid[0])
-    if inversion is None:
-        cell, triggers = _block_outcomes(
-            _block_cells(config, words, None, uniform)[1], config, grid)
-        return _row_counts(cell, size), cell[:, :prefix], triggers
-    table = inversion[1]
-    code = _block_codes(config, words, inversion, uniform)[1]
-    rows, n = code.shape[0], len(table)
-    triggers = np.full(rows, -1)
-    if config.punishment_mode == "indirect":
-        known = table >= 0
-        hit = np.zeros(n, dtype=bool)
-        hit[known] = grid[3][table[known]]
-        hits = hit.take(code)
-        first = np.argmax(hits, axis=1)  # 0 in a row with no hit
-        triggered = np.flatnonzero(hits[np.arange(rows), first])
-        del hits  # freed before the bincount reads its intp copy of code
-        for r in triggered:
-            code[r, first[r] + 1:] += n
-        triggers[triggered] = first[triggered]
-        table = np.concatenate((table, np.where(known, table + size // 2, -1)))
-    counts = _row_counts(code, len(table))
-    cell = table.take(code[:, :prefix])
-    known = table >= 0
-    cell_counts = np.zeros((rows, size), dtype=np.int64)
-    np.add.at(cell_counts, (np.arange(rows)[:, None], table[known]),
-              counts[:, known])
-    for r in np.flatnonzero(counts[:, ~known].any(axis=1)):
-        # numpy reads more uniforms for this row than the one call holds:
-        # the row takes its samplers, as a BTPE configuration does
-        cell_counts[r], cell[r], triggers[r] = (column[0] for column in (
-            _counted_block(config, words[r:r + 1], grid, None, prefix,
-                           uniform)))
-    return cell_counts, cell, triggers
-
-
 def _run_block(words: np.ndarray, config: SimConfig,
                grid: tuple[np.ndarray, ...],
                inversion: tuple[tuple[np.ndarray, ...], np.ndarray] | None,
                weights: np.ndarray, uniform: np.ndarray) -> tuple:
     horizon = config.horizon
     size, prefix = len(grid[0]), len(weights)
-    att, hon = grid[:2]
+    idle, key, table = _block_keys(config, words, inversion, uniform)
+    # a redraw never changes the channel uniforms
+    busy_slots = idle.size - int(np.count_nonzero(idle))
+    del idle  # freed before the counts' intp copy of the keys
     # The counts pay off where most weights are zero.  Time per block,
     # code counts against gathers, draws included (N=6/M=4, indirect,
     # discount 0.8; lower quartiles of 150 alternating calls; 2 cores,
@@ -758,26 +722,44 @@ def _run_block(words: np.ndarray, config: SimConfig,
     # 100,000-slot row.  The two paths round the means differently, so
     # the rule cannot move without moving output bits.  A grid longer
     # than the row would count more cells than the block has slots.
-    if max(size, 2 * prefix) <= horizon:
-        counts, cell, triggers = _counted_block(config, words, grid,
-                                                inversion, prefix, uniform)
-        per_att = (counts * att).sum(axis=1) / horizon
-        per_hon = (counts * hon).sum(axis=1) / horizon
-        totals = counts.sum(axis=0)
-        collisions = int(totals[grid[2]].sum())
-        # cells run (phase, idle, honest busy, attacker busy)
-        busy_slots = int(totals.reshape(2, 2, -1)[:, 0].sum())
-        att, hon = att[cell], hon[cell]
+    counted = max(size, 2 * prefix) <= horizon
+    if not counted:
+        key = key.astype(np.intp, copy=False)  # once, not per take
+    key, table, triggers = _settle(key, table, config, grid)
+    known = table >= 0
+    if counted:
+        # exact integer counts, folded into cell counts and summed in
+        # grid order (no BLAS call, so the bits do not depend on the build)
+        counts = _row_counts(key, len(table))
+        redrawn = np.flatnonzero(counts[:, ~known].any(axis=1))
+        counts[redrawn] = 0
+        cells = np.zeros((len(key), size), dtype=np.int64)
+        np.add.at(cells, (np.arange(len(key))[:, None], table[known]),
+                  counts[:, known])
+        per_att = (cells * grid[0]).sum(axis=1) / horizon
+        per_hon = (cells * grid[1]).sum(axis=1) / horizon
+        collisions = int(cells.sum(axis=0)[grid[2]].sum())
+        cell = table.take(key[:, :prefix])
+        att, hon = grid[0][cell], grid[1][cell]
     else:
-        idle, cell = _block_cells(config, words, inversion, uniform)
-        cell, triggers = _block_outcomes(cell, config, grid)
-        att, hon, collision = (column[cell] for column in grid[:3])
+        att, hon, collision = (column.take(table) for column in grid[:3])
+        att[~known] = np.nan  # so a row with a redraw key has a NaN mean
+        att, hon, collision = att.take(key), hon.take(key), collision.take(key)
         per_att, per_hon = att.mean(axis=1), hon.mean(axis=1)
-        collisions = int(np.count_nonzero(collision))
-        busy_slots = idle.size - int(np.count_nonzero(idle))
+        redrawn = np.flatnonzero(np.isnan(per_att))
+        collisions = int(np.count_nonzero(collision)) \
+            - int(np.count_nonzero(collision[redrawn]))
         att, hon = att[:, :prefix], hon[:, :prefix]
-    return (per_att, per_hon, (att * weights).sum(axis=1),
-            (hon * weights).sum(axis=1), collisions, busy_slots, triggers)
+    out = [per_att, per_hon, (att * weights).sum(axis=1),
+           (hon * weights).sum(axis=1), collisions, busy_slots, triggers]
+    for r in redrawn:
+        # numpy reads more uniforms for this row than the one call holds:
+        # the row takes its samplers, as a BTPE configuration does
+        row = _run_block(words[r:r + 1], config, grid, None, weights, uniform)
+        for column, value in zip(out[:4] + out[6:], row[:4] + row[6:]):
+            column[r] = value[0]
+        out[4] += row[4]
+    return tuple(out)
 
 
 def _discount_weights(delta: float, horizon: int) -> np.ndarray:
@@ -874,23 +856,26 @@ def validate_trace(config: SimConfig, slots: int) -> list[str]:
 
 def run_trace(config: SimConfig, slots: int) -> list[SlotTrace]:
     """The first slots slots of replication 0, as run_experiment draws
-    and settles them: the same _block_cells, outcome grid and cells, so
-    the trace is an episode that the estimate averages.  From the slot
-    after the trigger on, the cells are the grid's terminated half:
-    reporting has stopped, so the announcement is None, and the
-    attackers' post_transmit count transmits."""
+    and settles them: the same keys, _settle and outcome grid, and a row
+    in which numpy would redraw a uniform takes _sampled, so the trace is
+    an episode that the estimate averages.  From the slot after the
+    trigger on, the cells are the grid's terminated half: reporting has
+    stopped, so the announcement is None, and the attackers'
+    post_transmit count transmits."""
     problems = validate_config(config) + validate_trace(config, slots)
     if problems:
         raise ValueError("; ".join(problems))
     grid = _outcome_grid(config, build_policy_tables(config))
-    idle, cell = _block_cells(
-        config, _stream_words(config.base_seed, range(1)),
-        _cell_codes(config), np.empty((1, 3 * config.horizon)))
+    words = _stream_words(config.base_seed, range(1))
+    idle, key, table = _block_keys(config, words, _cell_codes(config),
+                                   np.empty((1, 3 * config.horizon)))
+    if table.take(key).min() < 0:
+        idle, key, table = _sampled(config, words)
     *_, m, n_h = _reward_constants(config)
-    _, kh, ka = np.unravel_index(cell[0], (2, n_h + 1, m + 1))
-    cell, triggers = _block_outcomes(cell, config, grid)
+    _, kh, ka = np.unravel_index(table.take(key[0]), (2, n_h + 1, m + 1))
+    key, table, triggers = _settle(key, table, config, grid)
     att, hon, collision, _, announcement, transmitters, penalty = (
-        column[cell[0]] for column in grid)
+        column[table.take(key[0])] for column in grid)
     first = triggers[0] if triggers[0] >= 0 else config.horizon
     columns = (~idle[0], kh, ka, announcement, transmitters, collision,
                att, hon, penalty, np.arange(config.horizon) >= first)

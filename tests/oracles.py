@@ -9,15 +9,18 @@ signs of transmitting.
 
 run_slot plays one slot at a time, with plain Python arithmetic, by the
 rules of both phases, collaboration and the terminated phase after the
-indirect trigger, that sim._outcome_grid tabulates per cell and
-sim._block_outcomes applies to whole blocks of sim._block_cells' cells.
-test_scalar_and_vector_paths_agree replays the draws decoded from those
-cells through it: it pins every field of run_trace, and the estimator's
-rewards, collision flags and trigger slot of every replication of a
-block.  gathered_reduction and counted_reduction reduce those settled
-cells by gathering every slot and by counting each row's cells: the
-reductions of sim._run_block, whose long rows count codes and never
-form the cells, are held to them.
+indirect trigger, that sim._outcome_grid tabulates per cell.
+settle_cells applies those rules to whole blocks of cells: every slot
+after a row's first exclusive hit takes its cell in the grid's
+terminated half.  settled_cells settles the cells of numpy's own
+samplers' draws (sim._binomial_draws, sim._cells), independent of the
+inversion cut tables through which sim._settle settles keys.
+test_scalar_and_vector_paths_agree replays numpy's draws through
+run_slot: it pins every field of run_trace, and settle_cells' rewards,
+collision flags and trigger slot of every replication of a block.
+block_reduction reduces settled cells through each row's cell counts,
+one row at a time, and counts collisions by gathering: sim._run_block,
+which never forms its inversion rows' cells, is held to it.
 
 full_action_order and full_reward_tensors order and price all (M+1)^2
 profiles of every state, where the package keeps each state's 2(M+1)
@@ -58,8 +61,9 @@ from coopsense.oneshot import (ActionProfile, RewardBreakdown, RewardTensors,
                                SensingState, _check_state, _every_state,
                                _grab_reward, _posteriors, _pick, best_profiles)
 from coopsense.sim import (_ONE_BITS, INVERSION_LIMIT, PolicyTables,
-                           SimConfig, SlotTrace, _busy_probabilities,
-                           _float_of_bits, _inversion_count, _inversion_start,
+                           SimConfig, SlotTrace, _binomial_draws,
+                           _busy_probabilities, _cells, _float_of_bits,
+                           _inversion_count, _inversion_start,
                            _reward_constants)
 
 
@@ -222,30 +226,42 @@ def bisected_inversion_table(n: int, p: float
     return np.array(cuts), counts
 
 
-def gathered_reduction(cell: np.ndarray, idle: np.ndarray,
-                       grid: tuple[np.ndarray, ...], weights: np.ndarray
-                       ) -> tuple:
-    """sim._run_block's reduction of a block's settled cells by gathering
-    the attacker, honest and collision columns over every slot: per-row
-    means, weighted sums over every slot (weights padded with zeros to the
-    horizon), then the collision and busy-slot counts."""
-    att, hon, collision = (column[cell] for column in grid[:3])
-    padded = np.zeros(cell.shape[1])
-    padded[:len(weights)] = weights
-    return (att.mean(axis=1), hon.mean(axis=1),
-            (att * padded).sum(axis=1), (hon * padded).sum(axis=1),
-            int(np.count_nonzero(collision)),
-            idle.size - int(np.count_nonzero(idle)))
+def settle_cells(cell: np.ndarray, config: SimConfig,
+                 grid: tuple[np.ndarray, ...]
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """A (rows x horizon) block of collaborating _outcome_grid cells as
+    they settle, and each row's punishment trigger slot (-1 when none).
+    Under indirect punishment every slot after a row's first exclusive
+    hit takes its cell in the grid's terminated half, in place."""
+    if config.punishment_mode != "indirect":
+        return cell, np.full(cell.shape[0], -1)
+    rows, horizon = cell.shape
+    exclusive_hit = grid[3][cell]
+    first = np.argmax(exclusive_hit, axis=1)  # 0 in a row with no hit
+    triggered = exclusive_hit[np.arange(rows), first]
+    after = np.arange(horizon) > np.where(triggered, first, horizon)[:, None]
+    np.add(cell, len(grid[3]) // 2, out=cell, where=after)
+    return cell, np.where(triggered, first, -1)
 
 
-def counted_reduction(cell: np.ndarray, idle: np.ndarray,
-                      grid: tuple[np.ndarray, ...], weights: np.ndarray
-                      ) -> tuple:
+def settled_cells(config: SimConfig, words: np.ndarray,
+                  grid: tuple[np.ndarray, ...]
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each slot's idle flag and settled cell, and each row's trigger
+    slot, in the replication streams whose sim._stream_words rows are
+    words: numpy's own samplers' draws, settled by settle_cells."""
+    idle, kh, ka = _binomial_draws(config, words)
+    return (idle, *settle_cells(_cells(idle, kh, ka, config), config, grid))
+
+
+def block_reduction(cell: np.ndarray, idle: np.ndarray,
+                    grid: tuple[np.ndarray, ...], weights: np.ndarray
+                    ) -> tuple:
     """sim._run_block's reduction of a block's settled cells through each
     row's cell counts, one row at a time: per-row means as the counts
     times the attacker and honest columns summed in grid order, weighted
-    sums over the weights' prefix, then the collision and busy-slot counts
-    by gathering, as gathered_reduction counts them."""
+    sums over the weights' prefix, then the collision count by gathering
+    the collision column over every slot and the busy-slot count."""
     att, hon, collision = grid[:3]
     counts = np.array([np.bincount(row, minlength=len(att)) for row in cell])
     horizon, prefix = cell.shape[1], len(weights)

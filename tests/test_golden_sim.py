@@ -32,6 +32,11 @@ so the shapes above compare two serial runs.  LONG_SHAPES, at 40,000 and
 thread pool.  In their late_trigger case, indirect punishment triggers
 after slot 8,192, deep in a row that is a block of its own: the
 terminated phase starts well inside the row, not at its first slots.
+
+TRACE_GOLDEN pins run_trace the same way: the sha256 of the repr of the
+whole SlotTrace list of one episode, for an indirect trace that triggers
+in slot 54, a BTPE trace, a heterogeneous direct trace and the
+late_trigger tables over 40,000 slots, triggering in slot 16,103.
 """
 
 import dataclasses
@@ -41,7 +46,7 @@ import numpy as np
 import pytest
 
 from coopsense.model import HeteroParams, ScenarioParams
-from coopsense.sim import PolicyTables, SimConfig, run_experiment
+from coopsense.sim import PolicyTables, SimConfig, run_experiment, run_trace
 
 # an observable region-II scenario whose indirect episodes trigger in about
 # one replication in ten, with a non-zero post-termination table
@@ -205,3 +210,37 @@ def test_golden_sim_stats_long_horizon(name):
             assert max(single.punishment_trigger_slots) > 8192
         out.append(single)
     assert hashlib.sha256(repr(out).encode()).hexdigest() == LONG_GOLDEN[name]
+
+
+# (case, horizon, base seed) of each pinned trace
+TRACE_CASES = {
+    "indirect": (CASES["indirect"], 192, 47),
+    "large_n_btpe": (CASES["large_n_btpe"], 1000, 0),
+    "hetero_direct": (CASES["hetero_direct"], 1000, 0),
+    "late_trigger": (LONG_CASES["late_trigger"], 40_000, 3),
+}
+
+TRACE_GOLDEN = {
+    "hetero_direct":
+        "c340e42cd558ab90850636d9c122e4586b36c24e6893425695e75280f3ecf1d0",
+    "indirect":
+        "a0b9cdb263d04d03e3a939234de7a006df4c23e109b66c3ca9f6242de0799391",
+    "large_n_btpe":
+        "1f9e237f0b317da06c1a350835b1c15e1e6c24f9b5df7baa53e35a18a53aeabc",
+    "late_trigger":
+        "1d2d532037d469982f0d45d0968b28b73d48552130d48afa4530669af58f07ac",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_CASES))
+def test_golden_trace(name):
+    (params, mode, policy), horizon, seed = TRACE_CASES[name]
+    config = SimConfig(params=params, punishment_mode=mode,
+                       attacker_policy=policy, horizon=horizon,
+                       replications=1, base_seed=seed)
+    trace = run_trace(config, horizon)
+    if mode == "indirect":
+        on = [slot.punishment_on for slot in trace]
+        assert 0 < sum(on) < horizon
+    assert hashlib.sha256(repr(trace).encode()).hexdigest() \
+        == TRACE_GOLDEN[name]

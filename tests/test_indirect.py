@@ -113,6 +113,20 @@ def test_oracle_agreement_on_interior_thresholds():
     assert checked >= 5
 
 
+# the closed form's x is positive but below 1.1e-16, so 1 / (1 + x)
+# rounds to 1.0: no discount factor below 1 deters
+TINY_X = ScenarioParams(7, 4, 0.08539688089644135, 0.9743643870193736,
+                        0.005627496715619513, 369.93823518826684,
+                        discount=0.9)
+
+
+def test_threshold_that_rounds_to_one_is_not_deterrable():
+    closed = delta_threshold(TINY_X)
+    assert closed.value == closed.raw_value == 1.0
+    assert not closed.deterrable
+    assert delta_threshold_oracle(TINY_X) is None
+
+
 def test_crossing_matches_threshold():
     # just below the threshold attacking wins, just above honesty wins
     params = dataclasses.replace(NT_SC, collision_penalty=4.0)

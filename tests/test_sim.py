@@ -12,16 +12,16 @@ from coopsense.mdp import build_mdp, optimal_ranks, threshold_policy
 from coopsense.model import (HeteroParams, ScenarioParams, validate,
                              validate_hetero)
 from coopsense.oneshot import expected_slot_rewards, post_transmit
-from coopsense.sim import (PolicyTables, SimConfig, _block_cells,
-                           _block_outcomes, _cell_codes, _cells, _cut_index,
+from coopsense.sim import (PolicyTables, SimConfig, _binomial_draws,
+                           _cell_codes, _cells, _cut_index,
                            _discount_weights, _inversion_count,
                            _inversion_table, _outcome_grid, _stream,
                            _stream_words, build_policy_tables,
                            run_experiment, run_trace, validate_config)
 
 from conftest import observable_scenario, region_ii_scenario, rel_err
-from oracles import (SlotRuntime, bisected_inversion_table,
-                     counted_reduction, gathered_reduction, run_slot)
+from oracles import (SlotRuntime, bisected_inversion_table, block_reduction,
+                     run_slot, settle_cells, settled_cells)
 
 AT_WC = ScenarioParams(6, 2, 0.6, 0.08, 0.08, 100.0, discount=0.9)
 # test_golden_sim.SCENARIO: cooperation case SC, so the attackers keep
@@ -41,10 +41,17 @@ HETERO_ALONE = HeteroParams(
 
 
 def _block_counts(config, words):
-    """Each slot's idle flag and busy counts, decoded from the cells of
-    _block_cells; the cells must carry the idle flag it returns."""
-    idle, cell = _block_cells(config, words, _cell_codes(config),
-                              np.empty((len(words), 3 * config.horizon)))
+    """Each slot's idle flag and busy counts, decoded from the cells that
+    the simulator's block keys map to, and for a row with a redraw key
+    from the cells of its sampler fallback; the cells must carry the idle
+    flag that the keys come with."""
+    idle, key, table = sim._block_keys(
+        config, words, _cell_codes(config),
+        np.empty((len(words), 3 * config.horizon)))
+    cell = table.take(key)
+    for r in np.flatnonzero(cell.min(axis=1) < 0):
+        _, row, row_table = sim._sampled(config, words[r:r + 1])
+        cell[r] = row_table.take(row[0])
     base = config.params.base
     m = base.n_attackers
     cell_idle, kh, ka = np.unravel_index(cell, (2, base.n_total - m + 1, m + 1))
@@ -83,14 +90,14 @@ def test_scalar_and_vector_paths_agree(mode, cb):
     config = SimConfig(params=params, punishment_mode=mode, horizon=400,
                        replications=6, base_seed=9)
     tables = build_policy_tables(config)
-    idle, kh, ka = _block_counts(
+    idle, kh, ka = _binomial_draws(
         config, _stream_words(config.base_seed, range(config.replications)))
     # every field of run_trace, by repr so that -0.0 differs from 0.0; at
     # seed 19 the indirect punishment starts in slot 121 and a later slot
     # is an exclusive hit by the slot rules, at seed 9 it never starts
     for seed in (19, 9):
         trace_config = dataclasses.replace(config, base_seed=seed)
-        row = _block_counts(trace_config, _stream_words(seed, range(1)))
+        row = _binomial_draws(trace_config, _stream_words(seed, range(1)))
         replay = _Replay(*(column[0] for column in row), params.p_idle)
         runtime = SlotRuntime(config, tables)
         for t, trace in enumerate(run_trace(trace_config, config.horizon)):
@@ -99,8 +106,8 @@ def test_scalar_and_vector_paths_agree(mode, cb):
     # the last row never sees a busy slot, so it never triggers
     idle[-1] = True
     grid = _outcome_grid(config, tables)
-    cell, triggers = _block_outcomes(_cells(idle, kh, ka, config), config,
-                                     grid)
+    cell, triggers = settle_cells(_cells(idle, kh, ka, config), config,
+                                  grid)
     att, hon, collision = (column[cell] for column in grid[:3])
     assert triggers[-1] == -1
     if mode == "indirect":
@@ -419,9 +426,8 @@ def test_block_reduction_is_exact_within_stated_ulps(mode, rows, horizon,
     words = _stream_words(seed, range(rows))
     buffer = np.empty((rows, 3 * horizon))
     out = sim._run_block(words, config, grid, inversion, weights, buffer)
-    idle, cell = _block_cells(config, words, inversion, buffer)
-    cell, triggers = _block_outcomes(cell, config, grid)
-    assert out[4:6] == gathered_reduction(cell, idle, grid, weights)[4:]
+    idle, cell, triggers = settled_cells(config, words, grid)
+    assert out[4:6] == block_reduction(cell, idle, grid, weights)[4:]
     assert out[6].tolist() == triggers.tolist()
 
     scaled_weights = [_scaled(w) for w in weights]
@@ -511,13 +517,11 @@ def test_code_counts_reduce_like_the_settled_cells(mode, params, horizon,
     assert code.dtype == (np.uint16 if params is WIDE else np.uint8)
     redrawn = int(np.count_nonzero((codes.take(code) < 0)
                                    .any(axis=1)))
-    idle, cell = _block_cells(config, words, inversion, buffer)
-    cell, triggers = _block_outcomes(cell, config, grid)
-    reference = counted_reduction(cell, idle, grid, weights)
+    idle, cell, triggers = settled_cells(config, words, grid)
+    reference = block_reduction(cell, idle, grid, weights)
     assert [column.tobytes() for column in out[:4]] \
         == [column.tobytes() for column in reference[:4]]
-    assert out[4:6] == reference[4:] \
-        == gathered_reduction(cell, idle, grid, weights)[4:]
+    assert out[4:6] == reference[4:]
     assert out[6].tolist() == triggers.tolist()
     if rows > 1:
         assert (0 < redrawn < rows) == redraw
@@ -693,22 +697,57 @@ def test_trace_fields():
             assert t.honest_reward_per_su == 0.0
 
 
-@pytest.mark.parametrize("mode,cb,hetero", [
+# case: False for a homogeneous scenario drawn through the cut tables,
+# True for a heterogeneous one, "btpe" and "redraw" for draws that take
+# numpy's samplers
+@pytest.mark.parametrize("mode,cb,case", [
     ("none", 0.0, False), ("direct", 40.0, False), ("indirect", 0.0, False),
-    ("direct", 40.0, True)])
-def test_trace_is_the_estimators_episode(mode, cb, hetero):
+    ("direct", 40.0, True), ("indirect", 0.0, "btpe"),
+    ("indirect", 0.0, "redraw")])
+def test_trace_is_the_estimators_episode(monkeypatch, mode, cb, case):
     params = dataclasses.replace(
         observable_scenario(np.random.default_rng(0)), discount=0.8,
         direct_punishment=cb)
-    if hetero:
+    if case is True:
         params = HeteroParams(
             base=dataclasses.replace(params, n_attackers=1),
             p_false_alarm_attacker=0.05, p_missed_detection_attacker=0.3)
-    # at seed 7 replication 0's indirect punishment starts in slot 4
-    config = SimConfig(params=params, punishment_mode=mode, horizon=400,
-                       replications=1, base_seed=7)
+    policy = "optimal"
+    if case == "btpe":
+        # random tables: the optimal ones never hit exclusively here
+        params, rng = BTPE, np.random.default_rng(0)
+        m, n_h = params.n_attackers, params.n_honest
+        policy = PolicyTables(
+            b=rng.integers(0, m + 1, (n_h + 1, m + 1)),
+            transmit=rng.integers(0, m + 1, (n_h + 1, m + 1)),
+            post_transmit=rng.integers(0, m + 1, m + 1))
+    fallback_rows = []
+    if case == "redraw":
+        # as in test_redraw_rows_fall_back_to_numpy: replication 0 is
+        # redrawn, and its draws are numpy's all the same
+        inversion_table, binomial_draws = (sim._inversion_table,
+                                           sim._binomial_draws)
+
+        def first_cut_only(n, p):
+            cuts, counts = inversion_table(n, p)
+            return cuts[:1], np.append(counts[:1], -1)
+
+        def counting_fallback(config, words):
+            fallback_rows.extend(words.tolist())
+            return binomial_draws(config, words)
+
+        monkeypatch.setattr(sim, "_inversion_table", first_cut_only)
+        monkeypatch.setattr(sim, "_binomial_draws", counting_fallback)
+    # at seed 7 replication 0's indirect punishment starts in slot 4, in
+    # slot 2 in the BTPE scenario
+    config = SimConfig(params=params, punishment_mode=mode,
+                       attacker_policy=policy, horizon=400, replications=1,
+                       base_seed=7)
+    assert (_cell_codes(config) is None) == (case == "btpe")
     stats = run_experiment(config)
     traces = run_trace(config, config.horizon)
+    # one fallback row in the estimate and one in the trace
+    assert len(fallback_rows) == (2 if case == "redraw" else 0)
     weights = params.base.discount ** np.arange(config.horizon)
     for block, discounted, rewards in (
             (stats.per_slot_attacker, stats.discounted_attacker,
@@ -721,7 +760,8 @@ def test_trace_is_the_estimators_episode(mode, cb, hetero):
     assert stats.busy_slot_count == sum(t.channel_busy for t in traces)
     on = [t for t, trace in enumerate(traces) if trace.punishment_on]
     assert stats.punishment_trigger_slots == ({on[0]: 1} if on else {})
-    assert on == ([] if mode != "indirect" else list(range(4, 400)))
+    first = 2 if case == "btpe" else 4
+    assert on == ([] if mode != "indirect" else list(range(first, 400)))
 
 
 @pytest.mark.parametrize("slots", [-1, 51])

@@ -103,8 +103,9 @@ def test_long_rows_do_not_fault_the_heap_back_in():
 
 # the peak of one block beside its uniform buffer: the intp copy of the
 # uint8 codes that bincount (and under indirect punishment the hit table's
-# gather) reads, 8 bytes a slot, and a few bytes of codes, idle flags and
-# cut indices; cells are formed over the weights' prefix only
+# gather) reads, 8 bytes a slot, and a few bytes of codes, hit flags and
+# cut indices (the idle flags are freed first); no slot's cell is formed,
+# and rewards are gathered over the weights' prefix only
 BLOCK_BYTES_PER_SLOT = 12
 
 
@@ -158,9 +159,10 @@ def test_short_rows_do_not_fault_the_heap_back_in():
 
 
 # the peak beside its buffer of a block of 192-slot rows, per slot of a
-# 16,384-slot block: 38 bytes a slot at 85 rows (the int64 codes and
-# cells, the gathered rewards and their weighted products); a block of
-# more slots takes more, and with it the faults above
+# 16,384-slot block: 37 bytes a slot at 85 rows (the keys cast to intp
+# once for every gather, the rewards gathered from them and their
+# weighted products); a block of more slots takes more, and with it the
+# faults above
 SHORT_BLOCK_BYTES = 44 * 16_384
 
 
