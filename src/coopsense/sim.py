@@ -70,6 +70,7 @@ configuration only, never on its block.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import math
 import struct
@@ -92,11 +93,12 @@ MODES = ("none", "direct", "indirect")
 # Replications run in contiguous blocks of max(1, BLOCK_SLOTS // horizon)
 # rows.  The size depends on the horizon only, never on the worker count.
 # Fewer, larger blocks of short rows make fewer numpy calls, but past this
-# size their temporaries make glibc's malloc map and trim heap pages that
-# every call faults back in (with its mmap and trim thresholds raised by
-# environment variables the faults vanish).  A 1,000 x 192 indirect call,
-# N=6/M=4, after two warm-up calls, 15 calls in each of 10 fresh processes
-# per size, alternating (2 cores, Python 3.11.7, numpy 2.4.6):
+# size their temporaries made glibc's malloc map and trim heap pages that
+# every call faulted back in, before _keep_heap raised its thresholds.  A
+# 1,000 x 192 indirect call, N=6/M=4, after two warm-up calls, 15 calls in
+# each of 10 fresh processes per size, alternating (2 cores, Python
+# 3.11.7, numpy 2.4.6; the package compiled from source, which left the
+# thresholds raised):
 #
 #   BLOCK_SLOTS                8,192  16,384  32,768  65,536
 #   fastest call, ms            10.6     9.6    12.0    12.0
@@ -785,6 +787,23 @@ def _stat_block(values: np.ndarray) -> StatBlock:
     return StatBlock(mean, var, 1.96 * math.sqrt(var / n))
 
 
+@functools.cache
+def _keep_heap() -> None:
+    """Set glibc malloc's mmap and trim thresholds once per process to the
+    32 and 64 MiB its own dynamic rule stops at, so that each block
+    reuses the heap pages of the blocks and calls before it.  glibc
+    raises them only as it frees mapped blocks: with the package's
+    bytecode cached, a 1,000 x 192 call's buffer left them at 384 and
+    768 KiB, and every call trimmed the heap and faulted about 190 pages
+    back in.  Elsewhere than glibc it does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def run_experiment(config: SimConfig, workers: int = 1) -> SimStats:
     """Replicated episodes, merged in replication order regardless of the
     worker count.  workers, an integer of at least 1, bounds the threads:
@@ -796,6 +815,7 @@ def run_experiment(config: SimConfig, workers: int = 1) -> SimStats:
                         f"not {workers!r}")
     if problems:
         raise ValueError("; ".join(problems))
+    _keep_heap()
     grid = _outcome_grid(config, build_policy_tables(config))
     inversion = _cell_codes(config)
     params = config.params.base
