@@ -5,10 +5,17 @@ versus when they attack below a busy-count threshold z, and the discount
 factors at which honesty takes over.  Everything here is an expectation
 over report counts; the mdp module re-derives the same numbers by
 policy iteration over every state and action, not over threshold sets.
+
+The discount-free part of those values, a scenario's slot values and
+running sums, is built once: _long_run_from caches it for one scenario,
+keyed on the sensing, penalty and rate fields it reads, never on the
+discount, so lr_honest, lr_dishonest and delta_threshold_oracle share it
+at every discount.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -79,12 +86,23 @@ def _long_run(params: ScenarioParams
 
     Only the last formula of each value depends on delta, so the honest
     slot value, the lone-sensing gain and the running reward and trigger
-    sums of every busy-count cutoff are taken once, at params' sensing
-    fields; params.discount is not read.
+    sums of every busy-count cutoff are taken once, at params' sensing,
+    penalty and rate fields; params.discount is not read.
     """
+    return _long_run_from(params.n_total, params.n_attackers, params.p_idle,
+                          params.p_false_alarm, params.p_missed_detection,
+                          params.collision_penalty, params.total_rate)
+
+
+@functools.lru_cache(maxsize=1)
+def _long_run_from(n: int, m: int, p_i: float, p_f: float, p_m: float,
+                   collision_penalty: float, total_rate: float
+                   ) -> Callable[[float], tuple[float, float, int | None]]:
+    # _long_run of the scenario with these fields, the only ones it reads
+    params = ScenarioParams(n, m, p_i, p_f, p_m, collision_penalty,
+                            total_rate=total_rate)
     scan = classify_transmission_case(params) is TransmissionCase.AT
-    n, m = params.n_total, params.n_attackers
-    cp, rate = params.cp_rate1, params.total_rate
+    cp, rate = params.cp_rate1, total_rate
     idle, busy = posterior.count_masses(n, params)
     honest = rate * m * _shared_slot_value(idle, busy, params)
     w = _post_punishment_gain(params)

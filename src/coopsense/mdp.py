@@ -84,7 +84,9 @@ def build_mdp(params: ScenarioParams) -> MdpModel:
 
     The trigger is the busy posterior when the attackers transmit
     through a busy announcement.  After punishment every transmitter
-    count of at least one earns the same lone-sensing reward.
+    count of at least one earns the same lone-sensing reward.  order,
+    reward and trigger are read-only views of oneshot.best_profiles'
+    cached arrays, shared by every discount of the scenario.
     """
     m = params.n_attackers
     pre_states = [("pre", kh, ka)

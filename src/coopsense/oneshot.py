@@ -15,10 +15,19 @@ attack_scan, the threshold oracle's bisection step, reduces each state
 to its rank-0 reward and one scalar grab reward, the only one a direct
 punishment reaches.  A heterogeneous single attacker plays the same game
 with M = 1, its own decision taking the attacker axis.
+
+A scenario is priced once: _ranked caches its states, candidate order
+and posteriors (one scenario), and _priced its tensors and best ranks
+(two entries, one scenario's charges with and without the direct
+punishment).  Both are keyed on the fields they read, passed as plain
+arguments, never on the discount, and their arrays are read-only:
+best_profiles, attack_scan, behavior_table and expected_slot_rewards,
+and so mdp.build_mdp and sim.build_policy_tables, all read them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -80,7 +89,8 @@ class RewardTensors:
 
 def _every_state(group: ScenarioParams) -> tuple[np.ndarray, np.ndarray]:
     # (kh, ka) of every state, broadcasting to [honest_busy, attacker_busy]
-    return np.ogrid[:group.n_honest + 1, :group.n_attackers + 1]
+    return (np.arange(group.n_honest + 1)[:, None],
+            np.arange(group.n_attackers + 1))
 
 
 def _posteriors(params: ScenarioParams | HeteroParams, kh: np.ndarray,
@@ -202,22 +212,80 @@ def _pick(table: np.ndarray, rank: np.ndarray) -> np.ndarray:
     return np.take_along_axis(table, rank[..., None], axis=-1)[..., 0]
 
 
+def _scenario_fields(params: ScenarioParams | HeteroParams) -> tuple:
+    # the fields _posteriors and _action_order read, _ranked's key: six
+    # for a homogeneous scenario, eight for a heterogeneous one
+    base = params.base
+    fields = (base.n_total, base.n_attackers, base.p_idle,
+              base.p_false_alarm, base.p_missed_detection)
+    if isinstance(params, HeteroParams):
+        return fields + (params.p_false_alarm_attacker,
+                         params.p_missed_detection_attacker,
+                         params.rate_attacker)
+    return fields + (base.total_rate,)
+
+
+def _scenario(fields: tuple, collision_penalty: float = 0.0,
+              direct_punishment: float = 0.0
+              ) -> ScenarioParams | HeteroParams:
+    # a scenario with _scenario_fields fields and the given charges; the
+    # fields no pricing reads keep their defaults
+    n, m, p_i, p_f, p_m, *rest = fields
+    if len(rest) == 1:
+        return ScenarioParams(n, m, p_i, p_f, p_m, collision_penalty,
+                              direct_punishment, total_rate=rest[0])
+    return HeteroParams(ScenarioParams(n, m, p_i, p_f, p_m, collision_penalty,
+                                       direct_punishment), *rest)
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@functools.lru_cache(maxsize=1)
+def _ranked(*fields) -> tuple:
+    # (kh, order, pi, pb, rate) of every state of the scenario with these
+    # _scenario_fields: _every_state's kh, _action_order's and
+    # _posteriors' output, read-only
+    params = _scenario(fields)
+    kh, ka = _every_state(params.base)
+    order = _action_order(params.base.n_attackers, kh, ka)
+    pi, pb, rate = _posteriors(params, kh, ka)
+    _read_only(kh, order, pi, pb)
+    return kh, order, pi, pb, rate
+
+
+@functools.lru_cache(maxsize=2)
+def _priced(collision_penalty: float, direct_punishment: float, *fields
+            ) -> tuple[np.ndarray, np.ndarray, RewardTensors]:
+    # best_profiles of the scenario with these _scenario_fields and
+    # charges, read-only; a charge left out prices as a zero charge, bit
+    # for bit, so a scenario without a direct punishment prices once
+    kh, order, pi, pb, rate = _ranked(*fields)
+    tensors = _price(_scenario(fields, collision_penalty, direct_punishment),
+                     kh, order, pi, pb, rate, True)
+    best = tensors.attacker.argmax(axis=-1)
+    _read_only(best, tensors.attacker, tensors.honest, tensors.trigger)
+    return order, best, tensors
+
+
 def best_profiles(params: ScenarioParams | HeteroParams,
                   include_direct_punishment: bool
                   ) -> tuple[np.ndarray, np.ndarray, RewardTensors]:
     """(action_order, every state's best-response rank, the slot rewards
-    of every state's candidates in that order).
+    of every state's candidates in that order), all read-only.
 
     The best response is the first maximum of the attackers' aggregate
     reward in action_order.  For a heterogeneous attacker the posteriors
     are posterior_idle_hetero and the rate is rate_attacker; the
-    penalties are charges, so they are converted to that rate.
+    penalties are charges, so they are converted to that rate.  The
+    result is cached for the last scenario's two charges.
     """
-    kh, ka = _every_state(params.base)
-    order = _action_order(params.base.n_attackers, kh, ka)
-    tensors = _price(params, kh, order, *_posteriors(params, kh, ka),
-                     include_direct_punishment)
-    return order, tensors.attacker.argmax(axis=-1), tensors
+    base = params.base
+    return _priced(base.collision_penalty,
+                   base.direct_punishment if include_direct_punishment else 0.0,
+                   *_scenario_fields(params))
 
 
 def attack_scan(params: ScenarioParams) -> Callable[[float], bool]:
@@ -229,18 +297,19 @@ def attack_scan(params: ScenarioParams) -> Callable[[float], bool]:
     announcement and M_T >= 1), and every grab of a state has the one
     reward _grab_reward, the only reward that depends on C_b.  The first
     maximum is not rank 0 exactly when rank 0 is not NaN and a later
-    reward is NaN or larger.  So one pricing pass gives each state its
-    rank-0 reward and whether a non-grab profile already beats it, and
-    each call compares one scalar grab reward per state with its rank-0
-    reward, stopping at the first attacked state: the verdicts are
+    reward is NaN or larger.  So the cached pricing without a direct
+    punishment gives each state its rank-0 reward and whether a non-grab
+    profile already beats it.  States with equal (P(idle), M*P(busy),
+    rank-0 reward) get equal verdicts, so each call runs over those
+    triples once each, comparing one scalar grab reward with the rank-0
+    reward and stopping at the first attacked one: the verdicts are
     best_profiles' bit for bit.
     """
     m = params.n_attackers
-    kh, ka = _every_state(params)
-    order = _action_order(m, kh, ka)
-    pi, pb, rate = _posteriors(params, kh, ka)
+    fields = _scenario_fields(params)
+    kh, order, pi, pb, rate = _ranked(*fields)
     cp = params.collision_penalty / rate
-    attacker = _price(params, kh, order, pi, pb, rate, False).attacker
+    attacker = _priced(params.collision_penalty, 0.0, *fields)[2].attacker
     first = attacker[..., 0]
     grab = _action_masks(order, params, kh)[2]
     # rank 0 is one of the non-grabs, so their maximum is NaN or larger
@@ -249,29 +318,30 @@ def attack_scan(params: ScenarioParams) -> Callable[[float], bool]:
     live = ~np.isnan(first)
     if (live & ~(rival <= first)).any():
         return lambda direct_punishment: True
-    states = list(zip(pi[live, 0].tolist(), pb[live, 0].tolist(),
-                      first[live].tolist()))
+    # _grab_reward's m * pb * (cp + cb) is (m * pb) * (cp + cb)
+    states = list(dict.fromkeys(zip(
+        pi[live, 0].tolist(), [m * x for x in pb[live, 0].tolist()],
+        first[live].tolist())))
 
     def attacked(direct_punishment: float) -> bool:
-        cb = direct_punishment / rate
-        for pi_s, pb_s, first_s in states:
-            if not _grab_reward(pi_s, pb_s, m, cp, cb, rate) <= first_s:
+        penalty = cp + direct_punishment / rate
+        for pi_s, mpb_s, first_s in states:
+            if not rate * (pi_s - mpb_s * penalty) <= first_s:
                 return True
         return False
 
     return attacked
 
 
-def _response(params: ScenarioParams, kh: int, order: np.ndarray,
-              tensors: RewardTensors, index: tuple
+def _response(params: ScenarioParams, kh: int, flat: int, attacker: float,
+              honest: float, rank: int
               ) -> tuple[ActionProfile, RewardBreakdown]:
-    # the best response of a state with kh honest busy decisions, read at
-    # index, ending in the best rank, of _action_order's and _price's output
-    profile = profile_at(order[index], params.n_attackers)
+    # the best response of a state with kh honest busy decisions: the
+    # candidate flat at rank, with its attacker and honest rewards
+    profile = profile_at(flat, params.n_attackers)
     return profile, RewardBreakdown(
-        float(tensors.attacker[index]), float(tensors.honest[index]),
-        fusion.fuse(kh + profile.busy_reports, params.n_total, 1),
-        bool(index[-1] != 0))
+        attacker, honest,
+        fusion.fuse(kh + profile.busy_reports, params.n_total, 1), rank != 0)
 
 
 def best_response(state: SensingState, params: ScenarioParams,
@@ -283,17 +353,22 @@ def best_response(state: SensingState, params: ScenarioParams,
     order = _action_order(params.n_attackers, kh, ka)
     tensors = _price(params, kh, order, *_posteriors(params, kh, ka),
                      include_direct_punishment)
-    return _response(params, state.honest_busy, order, tensors,
-                     (tensors.attacker.argmax(),))
+    rank = int(tensors.attacker.argmax())
+    return _response(params, state.honest_busy, int(order[rank]),
+                     float(tensors.attacker[rank]),
+                     float(tensors.honest[rank]), rank)
 
 
 def behavior_table(params: ScenarioParams, include_direct_punishment: bool = True,
                    ) -> list[tuple[SensingState, ActionProfile, RewardBreakdown]]:
     """Best response in every sensing state, in lexicographic state order."""
     order, best, tensors = best_profiles(params, include_direct_punishment)
-    return [(SensingState(kh, ka),
-             *_response(params, kh, order, tensors, (kh, ka, best[kh, ka])))
-            for kh, ka in np.ndindex(best.shape)]
+    rows = zip(np.ndindex(best.shape),
+               *(_pick(t, best).ravel().tolist()
+                 for t in (order, tensors.attacker, tensors.honest)),
+               best.ravel().tolist())
+    return [(SensingState(kh, ka), *_response(params, kh, *row))
+            for (kh, ka), *row in rows]
 
 
 def expected_slot_rewards(params: ScenarioParams | HeteroParams,

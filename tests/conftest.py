@@ -4,8 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from coopsense import condition_i_bounds, direct_threshold
+from coopsense import condition_i_bounds, direct_threshold, indirect, oneshot
 from coopsense.model import ScenarioParams
+
+# every per-scenario cache of the exact layers, each bounded to one scenario
+SCENARIO_CACHES = (oneshot._ranked, oneshot._priced, indirect._long_run_from)
 
 
 def region_ii_scenario(rng: np.random.Generator,
@@ -86,3 +89,11 @@ def fig_params() -> ScenarioParams:
     return ScenarioParams(n_total=6, n_attackers=2, p_idle=0.6,
                           p_false_alarm=0.08, p_missed_detection=0.08,
                           collision_penalty=1e4, discount=0.9)
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empties the per-scenario caches, so a test that counts the work
+    behind a scenario counts it whatever ran before."""
+    for cache in SCENARIO_CACHES:
+        cache.cache_clear()

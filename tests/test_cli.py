@@ -284,7 +284,8 @@ def test_simulate_worker_invariance(tmp_path):
     assert (tmp_path / "simulation.json").read_bytes() == first
 
 
-def test_simulate_builds_the_policy_tables_once(tmp_path, monkeypatch):
+def test_simulate_builds_the_policy_tables_once(tmp_path, monkeypatch,
+                                                fresh_caches):
     # the optimal indirect tables solve the termination MDP; the estimate
     # and the trace share one build, and read the same as separate builds
     scenario = dict(SCENARIO, collision_penalty=100.0)

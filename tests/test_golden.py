@@ -244,7 +244,7 @@ def test_golden_digest(name):
     assert hashlib.sha256(repr(produce()).encode()).hexdigest() == digest
 
 
-def test_bisection_step_counts(monkeypatch):
+def test_bisection_step_counts(monkeypatch, fresh_caches):
     # every attacked(C_b) of the direct oracle and every gap(delta) of the
     # discount oracle, per scenario: both bisections keep their step counts
     steps = []

@@ -302,7 +302,7 @@ def test_action_order_is_the_documented_tie_break(n_honest, m):
             assert [profile_at(f, m) for f in order[kh, ka]] == want
 
 
-def test_posteriors_are_formed_once_per_busy_total(monkeypatch):
+def test_posteriors_are_formed_once_per_busy_total(monkeypatch, fresh_caches):
     # a homogeneous posterior depends on the busy total alone: all
     # (n_h+1)(M+1) states take the N + 1 totals once each, one state one
     params = ScenarioParams(120, 60, 0.5, 0.05, 0.3, 1.0)

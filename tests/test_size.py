@@ -5,7 +5,8 @@ simulator's peak allocation for one block.
 Each exact layer prices 2(M+1) candidate profiles per sensing state, so a
 fresh process that runs them all at N=120, M=60 stays within a budget far
 below the (M+1)^2 profile grid's: that grid took about 580 MB for the
-one-shot pricing alone.
+one-shot pricing alone.  The per-scenario caches keep the last scenario's
+pricing alive, and no more than that over any number of scenarios.
 
 The simulator refills one uniform buffer per thread for every block.  A
 1-worker run_experiment call over 20 rows of 100,000 slots took 22,801
@@ -27,6 +28,7 @@ run_experiment set the thresholds itself.  Each script runs in a fresh
 interpreter, so the tests see whichever state the package is in.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -37,8 +39,10 @@ import numpy as np
 import pytest
 
 import coopsense
-from coopsense import sim
-from coopsense.model import ScenarioParams
+from coopsense import indirect, oneshot, sim
+from coopsense.model import HeteroParams, ScenarioParams
+
+from conftest import region_ii_scenario
 
 BUDGET_MB = 200
 
@@ -79,6 +83,31 @@ def _last_word(script: str) -> str:
 def test_exact_layers_fit_the_budget_at_n120_m60():
     peak_mb = int(_last_word(SCRIPT)) / 1024  # ru_maxrss is in KiB
     assert peak_mb < BUDGET_MB, peak_mb
+
+
+# each per-scenario cache's bound: one scenario, whose pricing takes one
+# entry per charge, with and without the direct punishment
+CACHE_BOUNDS = {oneshot._ranked: 1, oneshot._priced: 2,
+                indirect._long_run_from: 1}
+
+
+def test_the_caches_hold_one_scenario(fresh_caches):
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        params = region_ii_scenario(rng)
+        params = dataclasses.replace(
+            params, direct_punishment=params.collision_penalty)
+        for flag in (False, True):
+            oneshot.best_profiles(params, flag)
+        oneshot.attack_scan(params)(0.0)
+        indirect.lr_dishonest(params)
+        hetero = HeteroParams(dataclasses.replace(params, n_attackers=1),
+                              0.1, 0.2, 1.5)
+        for flag in (False, True):
+            oneshot.best_profiles(hetero, flag)
+    for cache, bound in CACHE_BOUNDS.items():
+        assert cache.cache_info().maxsize == bound
+        assert cache.cache_info().currsize == bound
 
 
 # a quarter of the 22,801 faults a call took with per-block buffers
