@@ -31,7 +31,7 @@ from .model import (HeteroParams, ScenarioParams, _is_count, _is_real,
                     check_a4, classify_cooperation_case,
                     classify_transmission_case, validate, validate_hetero)
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 _SCENARIO_KEYS = {f.name for f in dataclasses.fields(ScenarioParams)}
 _HETERO_KEYS = {f.name for f in dataclasses.fields(HeteroParams)} - {"base"}

@@ -213,11 +213,13 @@ def classify_transmission_case(params: ScenarioParams) -> TransmissionCase:
 
     The boundary (exact equality) counts as AT.
     """
-    from . import posterior
+    from . import oneshot, posterior
 
     post = posterior.posterior_idle(params.n_total, 1, params)
-    value = (post.p_idle_given_reports
-             - params.n_attackers * post.p_busy_given_reports * params.cp_rate1)
+    # a grab's reward at unit rate, without a direct charge
+    value = oneshot._grab_reward(post.p_idle_given_reports,
+                                 post.p_busy_given_reports,
+                                 params.n_attackers, params.cp_rate1, 0.0, 1.0)
     return TransmissionCase.NT if value < 0.0 else TransmissionCase.AT
 
 

@@ -8,10 +8,15 @@ many nodes transmit, never on which ones.
 _price is the one home of the slot-reward rule: it prices each state's
 candidate profiles in action_order, and every best response in the
 package is the first maximum of the attacker tensor in that order, and
-so over all profiles.  action_order is the one home of the tie-break
-rule, with honesty at rank 0, and _candidate of the profile-to-candidate
-rule.  The private layers take their states as (kh, ka) index arrays.
-attack_scan, the threshold oracle's bisection step, reduces each state
+so over all profiles.  The simulator prices its realized slots through
+it too (sim._outcome_grid, on a known channel), and its grab entry
+_grab_reward, without a direct charge, prices lone sensing
+(lone_sensing_value and the simulator's terminated phase) and the
+transmission case (model.classify_transmission_case).  action_order is
+the one home of the tie-break rule, with honesty at rank 0, and
+_candidate of the profile-to-candidate rule.  The private layers take
+their states as (kh, ka) index arrays.  attack_scan, the threshold
+oracle's bisection step, reduces each state
 to its rank-0 reward and one scalar grab reward, the only one a direct
 punishment reaches.  A heterogeneous single attacker plays the same game
 with M = 1, its own decision taking the attacker axis.
@@ -392,12 +397,12 @@ def expected_slot_rewards(params: ScenarioParams | HeteroParams,
 
 def lone_sensing_value(attacker_busy: int, params: ScenarioParams) -> float:
     """Unit-rate aggregate value of all M attackers transmitting on their
-    own pooled sensing, collaboration terminated: pi - M*pi_b*c_p on the
-    group-size-M posterior."""
+    own pooled sensing, collaboration terminated: a grab with no busy
+    announcement, so no direct charge, on the group-size-M posterior."""
     m = params.n_attackers
     post = posterior.posterior_idle(m, attacker_busy, params)
-    return (post.p_idle_given_reports
-            - m * post.p_busy_given_reports * params.cp_rate1)
+    return _grab_reward(post.p_idle_given_reports, post.p_busy_given_reports,
+                        m, params.cp_rate1, 0.0, 1.0)
 
 
 def lone_sensing_pays(attacker_busy: int, params: ScenarioParams) -> bool:

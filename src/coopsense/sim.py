@@ -9,10 +9,12 @@ horizon of THREAD_HORIZON slots on: a shorter row is mostly short numpy
 calls that hold the GIL, and there two threads took up to twice the
 time of one.  Below it the blocks run serially whatever `workers` says.
 
-The outcome grid settles every (idle, honest busy count,
-attacker busy count) cell twice: by _slot_rules while the SUs
-collaborate, and by oneshot.post_transmit after the indirect trigger.
-Every block enters as keys and a key table that maps each key to its
+The outcome grid settles every (idle, honest busy count, attacker busy
+count) cell twice, both times by the one-shot layer's slot-reward rule
+on a known channel: by oneshot._price while the SUs collaborate, and by
+oneshot._grab_reward for the oneshot.post_transmit count after the
+indirect trigger; the simulator writes no reward rule of its own.  Every
+block enters as keys and a key table that maps each key to its
 collaborating cell, and _settle alone moves every key after a row's
 first exclusive hit into a second phase that maps to the terminated
 half; the estimator and run_trace (replication 0) read both phases from
@@ -298,58 +300,55 @@ def _reward_constants(config: SimConfig) -> tuple[float, float, float, float, in
     return r_att, r_hon, base.collision_penalty, cb, m, base.n_total - m
 
 
-def _slot_rules(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,
-                config: SimConfig, tables: PolicyTables
-                ) -> tuple[np.ndarray, ...]:
-    """Elementwise outcome of slots while the SUs collaborate: realized
-    rewards (attacker aggregate, honest per-SU), collision flags, the
-    exclusive hits (a collision after a busy announcement), then the
-    announcements, transmitter counts and per-SU penalties that only
-    traces read."""
-    r_att, r_hon, cp, cb, m, n_h = _reward_constants(config)
-    busy = ~idle
-    b = tables.b[kh, ka]
-    mt = tables.transmit[kh, ka]
-    announced = (kh >= 1) | (b >= 1)
-    h0 = ~announced
-    t_total = np.where(h0, n_h + mt, mt)
-    collision = busy & (t_total >= 1)
-
-    att = np.zeros(idle.shape)
-    hon = np.zeros(idle.shape)
-    penalty = np.zeros(idle.shape)
-    shared = idle & h0
-    att[shared] = r_att * mt[shared] / t_total[shared]
-    hon[shared] = r_hon / t_total[shared]
-    att[idle & announced & (mt >= 1)] = r_att
-    att[busy & h0] = -m * cp
-    hon[busy & h0] = -cp
-    penalty[busy & h0] = cp
-    exclusive_hit = busy & announced & (mt >= 1)
-    att[exclusive_hit] = -m * (cp + cb)
-    hon[exclusive_hit] = -(cp + cb)
-    penalty[exclusive_hit] = cp + cb
-    announcement = np.where(announced, Announcement.H1, Announcement.H0)
-    return att, hon, collision, exclusive_hit, announcement, t_total, penalty
-
-
 def _outcome_grid(config: SimConfig, tables: PolicyTables
                   ) -> tuple[np.ndarray, ...]:
-    """_slot_rules' seven columns on cells (idle * (n_h + 1) + honest_busy)
-    * (M + 1) + attacker_busy, then on the same cells after termination:
-    the post_transmit count transmits on its own sensing, with no
-    announcement (None), exclusive hit, penalty or honest reward."""
-    r_att, _, cp, _, m, n_h = _reward_constants(config)
+    """Seven columns on cells (idle * (n_h + 1) + honest_busy) * (M + 1)
+    + attacker_busy: the realized rewards (attacker aggregate at the
+    attackers' rate, one honest SU's at the honest rate), the collision
+    flag, the exclusive hit (a collision after a busy announcement), then
+    the announcement, transmitter count and per-SU penalty that only
+    traces read.
+
+    While the SUs collaborate, oneshot._price prices each cell as a state
+    whose channel is known, (P(idle), P(busy)) = (1, 0) or (0, 1), with
+    its policy profile as a one-column order, and its trigger is the
+    exclusive hit.  Then come the same cells after termination: the
+    post_transmit count transmits on its own sensing, a grab with no
+    busy announcement (oneshot._grab_reward without a direct charge),
+    with no announcement (None), exclusive hit, penalty or honest
+    reward."""
+    params = config.params
+    r_att, r_hon, cp, cb, m, n_h = _reward_constants(config)
     idle, kh, ka = np.indices((2, n_h + 1, m + 1)).reshape(3, -1)
     idle = idle.astype(bool)
+    # the absent channel weight is -0.0, so that a zero reward keeps the
+    # sign of its charge: -0.0 on a busy cell at C_p = 0, and 0.0 for the
+    # honest SUs, who do not transmit, on an idle grab
+    pi, pb = (np.where(idle, w_idle, w_busy)[:, None]
+              for w_idle, w_busy in ((1.0, -0.0), (-0.0, 1.0)))
+    order = np.ravel_multi_index((tables.b[kh, ka], tables.transmit[kh, ka]),
+                                 (m + 1, m + 1))[:, None]
+    direct = config.punishment_mode == "direct"
+    priced = oneshot._price(params, kh, order, pi, pb, r_att, direct)
+    honest = oneshot._price(params, kh, order, pi, pb, r_hon, direct).honest
+    mt, announced, grab = (mask[:, 0] for mask in
+                           oneshot._action_masks(order, params.base, kh))
+    t_total = np.where(announced, mt, n_h + mt)
+    # the charges as the SUs pay them, not converted to a rate and back
+    penalty = np.where(~idle & (grab | ~announced),
+                       np.where(grab, cp + cb, cp), 0.0)
     transmitters = tables.post_transmit[ka]
     transmit = transmitters >= 1
     zero = np.zeros(idle.shape)
-    ended = (np.where(transmit, np.where(idle, r_att, -m * cp), 0.0), zero,
-             ~idle & transmit, np.zeros(idle.shape, dtype=bool),
-             np.full(idle.shape, None), transmitters, zero)
-    return tuple(np.concatenate(halves) for halves in zip(
-        _slot_rules(idle, kh, ka, config, tables), ended))
+    ended = np.where(transmit, oneshot._grab_reward(
+        pi[:, 0], pb[:, 0], m, cp / r_att, 0.0, r_att), 0.0)
+    return tuple(np.concatenate(halves) for halves in (
+        (priced.attacker[:, 0], ended), (honest[:, 0], zero),
+        (~idle & (t_total >= 1), ~idle & transmit),
+        (priced.trigger[:, 0] > 0.0, np.zeros(idle.shape, dtype=bool)),
+        (np.where(announced, Announcement.H1, Announcement.H0),
+         np.full(idle.shape, None)),
+        (t_total, transmitters), (penalty, zero)))
 
 
 def _cells(idle: np.ndarray, kh: np.ndarray, ka: np.ndarray,

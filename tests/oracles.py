@@ -9,7 +9,9 @@ signs of transmitting.
 
 run_slot plays one slot at a time, with plain Python arithmetic, by the
 rules of both phases, collaboration and the terminated phase after the
-indirect trigger, that sim._outcome_grid tabulates per cell.
+indirect trigger, that sim._outcome_grid tabulates per cell: it prices
+a slot as evaluate_profile prices a state, in oneshot._price's float
+order, with the channel known.
 settle_cells applies those rules to whole blocks of cells: every slot
 after a row's first exclusive hit takes its cell in the grid's
 terminated half.  settled_cells settles the cells of numpy's own
@@ -153,7 +155,13 @@ def run_slot(rng: np.random.Generator, runtime: SlotRuntime) -> SlotTrace:
     """One slot, scalar path: sense, report, fuse, transmit, settle.
 
     Draws channel, honest count and attacker count in turn each slot; a
-    replay generator hands it the block draws of one replication.
+    replay generator hands it the block draws of one replication.  The
+    rewards are evaluate_profile's, in its float order, on the realized
+    channel: (P(idle), P(busy)) is (1, -0.0) or (-0.0, 1), the signed
+    zero giving a zero reward the sign of its charge.  The attackers'
+    reward is at their rate and one honest SU's at the honest rate, each
+    with the charges converted to that rate; the per-SU penalty is the
+    charge itself.
     """
     config = runtime.config
     r_att, r_hon, cp, cb, m, n_h = _reward_constants(config)
@@ -161,11 +169,13 @@ def run_slot(rng: np.random.Generator, runtime: SlotRuntime) -> SlotTrace:
     honest, attacker = _busy_probabilities(config)
     kh = int(rng.binomial(n_h, honest[0] if idle else honest[1]))
     ka = int(rng.binomial(m, attacker[0] if idle else attacker[1]))
+    pi, pb = (1.0, -0.0) if idle else (-0.0, 1.0)
 
     if runtime.punishment_on:
+        # lone sensing: a grab with no busy announcement, so no direct charge
         pmt = int(runtime.tables.post_transmit[ka])
         collision = (not idle) and pmt >= 1
-        att = (r_att if idle else -m * cp) if pmt >= 1 else 0.0
+        att = r_att * (pi - m * pb * (cp / r_att + 0.0)) if pmt >= 1 else 0.0
         return SlotTrace(not idle, kh, ka, None, pmt, collision, att,
                          0.0, 0.0, True)
 
@@ -174,22 +184,22 @@ def run_slot(rng: np.random.Generator, runtime: SlotRuntime) -> SlotTrace:
     announced = kh >= 1 or b >= 1
     t_total = mt if announced else n_h + mt
     collision = (not idle) and t_total >= 1
+    cp_att, cb_att = cp / r_att, cb / r_att
+    cp_hon, cb_hon = cp / r_hon, cb / r_hon
     penalty = 0.0
     if announced and mt >= 1:
-        att = r_att if idle else -m * (cp + cb)
-        hon = 0.0 if idle else -(cp + cb)
+        att = r_att * (pi - m * pb * (cp_att + cb_att))
+        hon = r_hon * (-pb * (cp_hon + cb_hon))
         penalty = 0.0 if idle else cp + cb
         if config.punishment_mode == "indirect" and not idle:
             runtime.punishment_on = True
     elif announced:
         att = hon = 0.0
-    elif idle:
-        att = r_att * mt / t_total
-        hon = r_hon / t_total
     else:
-        att = -m * cp
-        hon = -cp
-        penalty = cp
+        share = pi / (n_h + mt)
+        att = r_att * (mt * share - m * pb * cp_att)
+        hon = r_hon * (share - pb * cp_hon)
+        penalty = 0.0 if idle else cp
     return SlotTrace(not idle, kh, ka,
                      Announcement.H1 if announced else Announcement.H0,
                      t_total, collision, att, hon, penalty,
@@ -441,10 +451,11 @@ def exact_count_masses(n: int, params: ScenarioParams
             for k in range(n + 1)]
 
 
-def exact_split_pmf(params: ScenarioParams | HeteroParams
-                    ) -> list[list[Fraction]]:
-    """Pr[honest busy count kh, attacker busy count ka], indexed [kh][ka];
-    a heterogeneous attacker is a group of one at its own rates."""
+def exact_cell_pmf(params: ScenarioParams | HeteroParams) -> list[Fraction]:
+    """Pr[channel, honest busy count kh, attacker busy count ka] of every
+    cell of sim._outcome_grid's collaborating half, in its order (the
+    busy channel first); a heterogeneous attacker is a group of one at its
+    own rates."""
     base = params.base
     n_h, m = base.n_honest, base.n_attackers
     p_i, p_f, p_m = (Fraction(x) for x in (
@@ -454,10 +465,21 @@ def exact_split_pmf(params: ScenarioParams | HeteroParams
         p_ma = Fraction(params.p_missed_detection_attacker)
     else:
         p_fa, p_ma = p_f, p_m
-    return [[p_i * _binomial(n_h, kh, p_f) * _binomial(m, ka, p_fa)
-             + (1 - p_i) * _binomial(n_h, kh, 1 - p_m)
-             * _binomial(m, ka, 1 - p_ma)
-             for ka in range(m + 1)] for kh in range(n_h + 1)]
+    return [p_c * _binomial(n_h, kh, p_h) * _binomial(m, ka, p_a)
+            for p_c, p_h, p_a in ((1 - p_i, 1 - p_m, 1 - p_ma),
+                                  (p_i, p_f, p_fa))
+            for kh in range(n_h + 1) for ka in range(m + 1)]
+
+
+def exact_split_pmf(params: ScenarioParams | HeteroParams
+                    ) -> list[list[Fraction]]:
+    """Pr[honest busy count kh, attacker busy count ka], indexed [kh][ka]:
+    exact_cell_pmf's two channel halves summed."""
+    cells = exact_cell_pmf(params)
+    width = params.base.n_attackers + 1
+    both = [busy + idle for busy, idle in zip(cells, cells[len(cells) // 2:])]
+    return [both[start:start + width]
+            for start in range(0, len(cells) // 2, width)]
 
 
 def _cp_rate1(params: ScenarioParams) -> Fraction:

@@ -74,7 +74,7 @@ def test_analyze_outputs(tmp_path):
     code = cli.main(["analyze", "--config", _write_config(tmp_path, doc)])
     assert code == 0
     report = json.loads((tmp_path / "analysis.json").read_text())
-    assert report["schema_version"] == 6
+    assert report["schema_version"] == 7
     assert report["collision_penalty_window"]["region"] == "II"
     assert report["transmission_case"] == "AT"
     assert len(report["posterior_table"]) == 7

@@ -20,11 +20,13 @@ from coopsense.indirect import lr_dishonest, lr_honest
 from coopsense.model import HeteroParams, TransmissionCase
 from coopsense.oneshot import expected_slot_rewards
 from coopsense.posterior import count_masses, split_pmf
+from coopsense.sim import SimConfig, _outcome_grid, build_policy_tables
 
 from conftest import region_ii_scenario
-from oracles import (exact_count_masses, exact_direct_constraints,
-                     exact_direct_constraints_hetero, exact_lr_dishonest,
-                     exact_lr_honest, exact_slot_rewards, exact_split_pmf)
+from oracles import (exact_cell_pmf, exact_count_masses,
+                     exact_direct_constraints, exact_direct_constraints_hetero,
+                     exact_lr_dishonest, exact_lr_honest, exact_slot_rewards,
+                     exact_split_pmf)
 
 BOUND = Fraction(1e-13)
 
@@ -109,6 +111,29 @@ def test_slot_rewards_match_exact(params, include_direct_punishment, honest):
     exact = exact_slot_rewards(params, include_direct_punishment, honest)
     for value, reference in zip(got, exact):
         assert _near(value, reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=st.one_of(scenarios(), scenarios(hetero=True)))
+def test_outcome_grid_sums_to_slot_rewards(params):
+    # one slot-reward rule: the simulator's collaborating cells, weighted
+    # by their exact probabilities, give the one-shot expectation.  A
+    # heterogeneous run prices its honest SUs at their own rates, where
+    # expected_slot_rewards prices them at the attacker's, so only the
+    # attacker columns are compared there
+    cells = exact_cell_pmf(params)
+    compared = 1 if isinstance(params, HeteroParams) else 2
+    for mode in ("none", "direct"):
+        for policy in ("optimal", "honest"):
+            config = SimConfig(params, mode, policy)
+            grid = _outcome_grid(config, build_policy_tables(config))
+            expected = expected_slot_rewards(params, mode == "direct",
+                                             policy == "honest")
+            for column, value in list(zip(grid, expected))[:compared]:
+                terms = [p * Fraction(r) for p, r in
+                         zip(cells, column[:len(cells)].tolist())]
+                assert _near(value, (sum(terms), sum(map(abs, terms)))), \
+                    (mode, policy)
 
 
 def _constraints_near(got: dict[str, float],

@@ -119,7 +119,7 @@ GOLDEN = {
     "custom_indirect":
         "0fc508af832633dc6f843780068a29972190757d9574ed3558d3192b7621c864",
     "hetero_direct":
-        "87a6893e7d3a7018b05ae5fe12af5beac65c4a156f577ee4070d383356559fc1",
+        "0a2604203737bfb515a2fe176faa265d48a3d213fd8262e0e5743c35ee757653",
     "large_n_btpe":
         "b8864c06c47562bd9dd760a8f6ff3b47a2190c3cb50c4e7b06c68d9dda1909ee",
     "flip_boundary":
@@ -131,7 +131,7 @@ GOLDEN = {
     "four_word_seed":
         "9fb1e72e78271c76c0fe883fa735c6a5ad0cf4c36043de1478dc6b59f140e308",
     "wide_seed":
-        "0db4b97bf66fb8a852aab8b7f64032c131515acdab9d47dbf505742ae0c74df2",
+        "faea8cdecbed79b7997dd2a820f332d8bbb6adfce61bb022202d824975eedbaa",
 }
 
 
@@ -222,7 +222,7 @@ TRACE_CASES = {
 
 TRACE_GOLDEN = {
     "hetero_direct":
-        "c340e42cd558ab90850636d9c122e4586b36c24e6893425695e75280f3ecf1d0",
+        "a3a2b1bf5268d6bd91d80aaec4858c568ac7cde9517947610e7c0b5435c666a7",
     "indirect":
         "a0b9cdb263d04d03e3a939234de7a006df4c23e109b66c3ca9f6242de0799391",
     "large_n_btpe":

@@ -20,6 +20,7 @@ from coopsense.sim import (PolicyTables, SimConfig, _binomial_draws,
                            run_experiment, run_trace, validate_config)
 
 from conftest import observable_scenario, region_ii_scenario, rel_err
+from test_golden_sim import HETERO
 from oracles import (SlotRuntime, bisected_inversion_table, block_reduction,
                      run_slot, settle_cells, settled_cells)
 
@@ -80,29 +81,64 @@ class _Replay:
             else self.ka[self.slot]
 
 
-@pytest.mark.parametrize("mode,cb", [("none", 0.0), ("direct", 40.0),
-                                     ("indirect", 0.0)])
-def test_scalar_and_vector_paths_agree(mode, cb):
-    # a scenario whose indirect episodes trigger within a few hundred slots
-    params = dataclasses.replace(
-        observable_scenario(np.random.default_rng(0)), discount=0.8,
-        direct_punishment=cb)
-    config = SimConfig(params=params, punishment_mode=mode, horizon=400,
-                       replications=6, base_seed=9)
+# a scenario whose indirect episodes trigger within a few hundred slots
+_OBSERVABLE = dataclasses.replace(
+    observable_scenario(np.random.default_rng(0)), discount=0.8)
+
+# the heterogeneous attacker grabs in every state, and alone it transmits
+# on every own decision
+_GRAB = PolicyTables(b=np.ones((5, 2), dtype=np.int64),
+                     transmit=np.ones((5, 2), dtype=np.int64),
+                     post_transmit=np.ones(2, dtype=np.int64))
+
+# (params, mode, policy) of each scalar-path case, the observable scenario
+# under the optimal policy keyed by mode and C_b.  The other cases reach
+# cells whose rewards depend on the float order: the honest unanimous-idle
+# share at N=5/M=3 (3 * (1/5) is not 3/5), the honest shares at a channel
+# rate of 2.5 and at a heterogeneous attacker's rate of 1.5, and _GRAB at
+# that rate, where each busy slot converts C_p + C_b, or after the
+# indirect trigger C_p alone, to the rate and back
+SCALAR_CASES = {
+    "none-0.0": (_OBSERVABLE, "none", "optimal"),
+    "direct-40.0": (dataclasses.replace(_OBSERVABLE, direct_punishment=40.0),
+                    "direct", "optimal"),
+    "indirect-0.0": (_OBSERVABLE, "indirect", "optimal"),
+    "honest_n5_m3": (ScenarioParams(5, 3, 0.6, 0.08, 0.15, 3.0, 6.0,
+                                    discount=0.8), "direct", "honest"),
+    "rate": (dataclasses.replace(
+        _OBSERVABLE, total_rate=2.5,
+        collision_penalty=2.5 * _OBSERVABLE.collision_penalty,
+        direct_punishment=40.0), "direct", "honest"),
+    "hetero": (HETERO, "direct", "honest"),
+    "hetero_grab": (HETERO, "direct", _GRAB),
+    "hetero_lone": (HETERO, "indirect", _GRAB),
+}
+
+# the cases whose indirect punishment starts within a trace, by seed
+_TRIGGERED = {"indirect-0.0": (19,), "hetero_lone": (19, 9)}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_CASES))
+def test_scalar_and_vector_paths_agree(name):
+    params, mode, policy = SCALAR_CASES[name]
+    config = SimConfig(params=params, punishment_mode=mode,
+                       attacker_policy=policy, horizon=400, replications=6,
+                       base_seed=9)
     tables = build_policy_tables(config)
     idle, kh, ka = _binomial_draws(
         config, _stream_words(config.base_seed, range(config.replications)))
-    # every field of run_trace, by repr so that -0.0 differs from 0.0; at
-    # seed 19 the indirect punishment starts in slot 121 and a later slot
-    # is an exclusive hit by the slot rules, at seed 9 it never starts
+    # every field of run_trace, by repr so that -0.0 differs from 0.0; in
+    # the observable scenario at seed 19 the indirect punishment starts in
+    # slot 121 and a later slot is an exclusive hit by the grid, at seed 9
+    # it never starts; _GRAB starts it at the first busy slot
     for seed in (19, 9):
         trace_config = dataclasses.replace(config, base_seed=seed)
         row = _binomial_draws(trace_config, _stream_words(seed, range(1)))
-        replay = _Replay(*(column[0] for column in row), params.p_idle)
+        replay = _Replay(*(column[0] for column in row), params.base.p_idle)
         runtime = SlotRuntime(config, tables)
         for t, trace in enumerate(run_trace(trace_config, config.horizon)):
             assert repr(trace) == repr(run_slot(replay, runtime)), (seed, t)
-        assert runtime.punishment_on == (mode == "indirect" and seed == 19)
+        assert runtime.punishment_on == (seed in _TRIGGERED.get(name, ()))
     # the last row never sees a busy slot, so it never triggers
     idle[-1] = True
     grid = _outcome_grid(config, tables)
@@ -113,7 +149,7 @@ def test_scalar_and_vector_paths_agree(mode, cb):
     if mode == "indirect":
         assert (triggers[:-1] >= 0).any()
     for row in range(config.replications):
-        replay = _Replay(idle[row], kh[row], ka[row], params.p_idle)
+        replay = _Replay(idle[row], kh[row], ka[row], params.base.p_idle)
         runtime = SlotRuntime(config, tables)
         seen_trigger = -1
         for t in range(config.horizon):
