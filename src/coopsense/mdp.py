@@ -17,13 +17,17 @@ Sensing is independent across slots: the next state is drawn from the
 split pmf, or from the attackers-alone pmf once punishment triggers.  So
 a policy's value reduces to two scalars, and no matrix over state pairs
 is built.  The solver works on action ranks, positions in a state's action
-order; ActionProfile objects and Policy dicts exist only at the API edge.
+order, and so does a Policy: a read-only mapping over the model's rank
+array that builds an ActionProfile only when an item is read.  A
+scenario's discount-free arrays are built once (_built, keyed on the
+fields they read) and shared, read-only, by the model of every discount.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,20 +78,56 @@ class MdpModel:
                for row in self.order.tolist()]
         return tuple(pre + [tuple(self.post_order.tolist())] * (m + 1))
 
+    @functools.cached_property
+    def _index(self) -> dict[StateKey, int]:
+        # each state's position in states, built on first access
+        return {s: i for i, s in enumerate(self.states)}
 
-Policy = dict  # StateKey -> Action
+
+class Policy(Mapping):
+    """A read-only map from every state of model to the action at rank
+    ranks[s] of state s, ranks a read-only intp array.  An item is built
+    when read; == holds against any mapping with the same items, a plain
+    dict included, and repr is that dict's."""
+
+    __slots__ = ("model", "ranks")
+
+    def __init__(self, model: MdpModel, ranks: np.ndarray):
+        self.model = model
+        self.ranks = np.array(ranks, dtype=np.intp)
+        self.ranks.flags.writeable = False
+
+    def __getitem__(self, state: StateKey) -> Action:
+        model = self.model
+        si = model._index[state]
+        rank = self.ranks[si]
+        if si < model.n_pre:
+            return oneshot.profile_at(model.order[si, rank],
+                                      model.params.n_attackers)
+        return int(model.post_order[rank])
+
+    def __contains__(self, state: object) -> bool:
+        return state in self.model._index
+
+    def __iter__(self) -> Iterator[StateKey]:
+        return iter(self.model.states)
+
+    def __len__(self) -> int:
+        return len(self.model.states)
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 MAX_SOLVES = 1000  # policy iteration needs a handful; this only bounds a runaway
 
 
-def build_mdp(params: ScenarioParams) -> MdpModel:
-    """Assemble states, per-state action orders, rewards and triggers.
-
-    The trigger is the busy posterior when the attackers transmit
-    through a busy announcement.  After punishment every transmitter
-    count of at least one earns the same lone-sensing reward.  order,
-    reward and trigger are read-only views of oneshot.best_profiles'
-    cached arrays, shared by every discount of the scenario.
-    """
+@functools.lru_cache(maxsize=1)
+def _built(collision_penalty: float, *fields) -> tuple:
+    # (states, order, split, alone, reward, trigger, post_reward) of the
+    # scenario with these oneshot._scenario_fields and collision penalty,
+    # read-only; build_mdp reads no other field
+    params = oneshot._scenario(fields, collision_penalty)
     m = params.n_attackers
     pre_states = [("pre", kh, ka)
                   for kh in range(params.n_honest + 1) for ka in range(m + 1)]
@@ -102,8 +142,24 @@ def build_mdp(params: ScenarioParams) -> MdpModel:
     post_reward = np.array([params.total_rate
                             * oneshot.lone_sensing_value(ka, params)
                             for ka in range(m + 1)])
-    return MdpModel(params, states, order, split, alone, reward, trigger,
-                    post_reward, params.discount)
+    oneshot._read_only(split, alone, post_reward)
+    return states, order, split, alone, reward, trigger, post_reward
+
+
+def build_mdp(params: ScenarioParams) -> MdpModel:
+    """Assemble states, per-state action orders, rewards and triggers.
+
+    The trigger is the busy posterior when the attackers transmit
+    through a busy announcement.  After punishment every transmitter
+    count of at least one earns the same lone-sensing reward.  Everything
+    but params and discount is built once per scenario, keyed on the
+    fields it reads (never the discount or the direct punishment), and
+    shared read-only by every discount's model; order, reward and trigger
+    are views of oneshot.best_profiles' cached arrays.
+    """
+    return MdpModel(params, *_built(params.collision_penalty,
+                                    *oneshot._scenario_fields(params)),
+                    params.discount)
 
 
 def _q(model: MdpModel, ranks: np.ndarray
@@ -145,6 +201,7 @@ def optimal_ranks(model: MdpModel) -> tuple[np.ndarray, np.ndarray]:
     """
     n_pre = model.n_pre
     rows = np.arange(n_pre)
+    # the break-even post reward does not pay, as in oneshot.post_transmit
     ranks = np.concatenate([np.zeros(n_pre, dtype=np.intp),
                             (model.post_reward > 0.0).astype(np.intp)])
     valued = set()
@@ -160,25 +217,27 @@ def optimal_ranks(model: MdpModel) -> tuple[np.ndarray, np.ndarray]:
         f"policy iteration did not converge in {MAX_SOLVES} solves")
 
 
-def _policy(model: MdpModel, ranks: np.ndarray) -> Policy:
-    # the Policy dict taking action ranks[s] in every state s
-    m = model.params.n_attackers
-    flat, post = model.actions_at(ranks)
-    acts = [oneshot.profile_at(f, m) for f in flat.tolist()]
-    return dict(zip(model.states, acts + post.tolist()))
-
-
 def value_iteration(model: MdpModel, tolerance: float
                     ) -> tuple[np.ndarray, Policy]:
-    """Optimal values and policy: optimal_ranks' ranks as a Policy.  The
-    values are exact, so they meet any tolerance > 0."""
+    """Optimal values and policy: optimal_ranks' values and ranks as a
+    Policy.  tolerance must be positive and is otherwise ignored: the
+    values are exact, so they meet any tolerance."""
     if not tolerance > 0.0:
         raise ValueError("tolerance must be positive")
     values, ranks = optimal_ranks(model)
-    return values, _policy(model, ranks)
+    return values, Policy(model, ranks)
 
 
-def _ranks(model: MdpModel, policy: Policy) -> np.ndarray:
+def _ranks_of(model: MdpModel, codes: np.ndarray) -> np.ndarray:
+    # each state's rank of its action code: a pre state's flat candidate
+    # index in its order, a post state's transmitter count
+    n_pre = model.n_pre
+    return np.concatenate([
+        (model.order == codes[:n_pre, None]).argmax(axis=1),
+        (model.post_order == codes[n_pre:, None]).argmax(axis=1)])
+
+
+def _ranks(model: MdpModel, policy: Mapping[StateKey, Action]) -> np.ndarray:
     # each state's action rank under policy, a pre profile taken as its
     # _candidate; ValueError names the first state
     # whose action is missing or not one of its actions
@@ -199,22 +258,28 @@ def _ranks(model: MdpModel, policy: Policy) -> np.ndarray:
         else:
             raise ValueError(f"policy action {a!r} in state {s} is not an "
                              f"ActionProfile with counts in [0, {m}]")
-    codes = np.array(codes)
-    return np.concatenate([
-        (model.order == codes[:n_pre, None]).argmax(axis=1),
-        (model.post_order == codes[n_pre:, None]).argmax(axis=1)])
+    return _ranks_of(model, np.array(codes))
 
 
-def policy_value(model: MdpModel, policy: Policy) -> np.ndarray:
+def policy_value(model: MdpModel, policy: Mapping[StateKey, Action]
+                 ) -> np.ndarray:
     """Fixed-policy value of every state, from the renewal scalars x and w.
 
-    Every state lies within 1e-13 * max|exact| of the exact value of the
-    model's float arrays and discount; a value past the float range is an
-    inf of the exact value's sign.  Raises ValueError naming the state
-    when policy misses a state or maps it to something that is not one
-    of its actions; a pre state's actions are all profiles in [0, M]^2.
+    A Policy over model's states and action orders (of any discount of
+    the scenario) is valued at its ranks; any other mapping is checked
+    state by state.  Every state lies within 1e-13 * max|exact| of the
+    exact value of the model's float arrays and discount; a value past
+    the float range is an inf of the exact value's sign.  Raises
+    ValueError naming the state when policy misses a state or maps it to
+    something that is not one of its actions; a pre state's actions are
+    all profiles in [0, M]^2.
     """
-    _, v, scale = _q(model, _ranks(model, policy))
+    if (isinstance(policy, Policy) and policy.model.states is model.states
+            and policy.model.order is model.order):
+        ranks = policy.ranks
+    else:
+        ranks = _ranks(model, policy)
+    _, v, scale = _q(model, ranks)
     with np.errstate(over="ignore"):  # past the float range: inf
         return v * scale
 
@@ -222,17 +287,17 @@ def policy_value(model: MdpModel, policy: Policy) -> np.ndarray:
 def honest_policy(model: MdpModel) -> Policy:
     """Every pre state's honest-equivalent profile (its rank 0); wait
     after termination."""
-    return _policy(model, np.zeros(len(model.states), dtype=np.intp))
+    return Policy(model, np.zeros(len(model.states), dtype=np.intp))
 
 
 def threshold_policy(model: MdpModel, z: int) -> Policy:
     """Attack when at most z sensors saw busy, else report busy and wait;
     after termination play oneshot.post_transmit."""
     m = model.params.n_attackers
-    pre = [ActionProfile(max(ka, 1), m if kh + ka <= z else 0)
-           for _, kh, ka in model.states[:model.n_pre]]
-    post = oneshot.post_transmit(model.params).tolist()
-    return dict(zip(model.states, pre + post))
+    kh, ka = np.divmod(np.arange(model.n_pre), m + 1)
+    pre = np.maximum(ka, 1) * (m + 1) + np.where(kh + ka <= z, m, 0)
+    post = oneshot.post_transmit(model.params)
+    return Policy(model, _ranks_of(model, np.concatenate([pre, post])))
 
 
 def start_value(model: MdpModel, values: np.ndarray) -> float:
@@ -243,6 +308,19 @@ def start_value(model: MdpModel, values: np.ndarray) -> float:
     return float(weights @ np.where(weights == 0.0, 0.0, values))
 
 
+def _threshold_violation(pre: Sequence[StateKey], attacked: Sequence[bool]
+                         ) -> StateKey | None:
+    # the first pre state that is not attacked while some attacked state
+    # has at most as many busy sensors, or None if the attack set is
+    # downward-closed in the total busy count
+    max_attack_k = max((s[1] + s[2] for s, a in zip(pre, attacked) if a),
+                       default=-1)
+    for s, a in zip(pre, attacked):
+        if not a and s[1] + s[2] <= max_attack_k:
+            return s
+    return None
+
+
 def verify_threshold_structure(model: MdpModel
                                ) -> tuple[bool, StateKey | None]:
     """Check the optimal attack set is downward-closed in total busy count.
@@ -251,10 +329,7 @@ def verify_threshold_structure(model: MdpModel
     some state with at least as many busy sensors attacks.
     """
     _, ranks = optimal_ranks(model)
-    pre = model.states[:model.n_pre]
-    attacked = dict(zip(pre, (ranks[:model.n_pre] != 0).tolist()))
-    max_attack_k = max((s[1] + s[2] for s in pre if attacked[s]), default=-1)
-    for s in pre:
-        if not attacked[s] and s[1] + s[2] <= max_attack_k:
-            return False, s
-    return True, None
+    n_pre = model.n_pre
+    state = _threshold_violation(model.states[:n_pre],
+                                 (ranks[:n_pre] != 0).tolist())
+    return state is None, state

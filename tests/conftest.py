@@ -4,11 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from coopsense import condition_i_bounds, direct_threshold, indirect, oneshot
+from coopsense import condition_i_bounds, direct_threshold, indirect, mdp, oneshot
 from coopsense.model import ScenarioParams
 
 # every per-scenario cache of the exact layers, each bounded to one scenario
-SCENARIO_CACHES = (oneshot._ranked, oneshot._priced, indirect._long_run_from)
+SCENARIO_CACHES = (oneshot._ranked, oneshot._priced, indirect._long_run_from,
+                   mdp._built)
 
 
 def region_ii_scenario(rng: np.random.Generator,

@@ -1,11 +1,12 @@
 """The per-scenario caches of the exact layers.
 
 oneshot._ranked and oneshot._priced hold one scenario's states, order,
-posteriors and priced tensors, and indirect._long_run_from its long-run
-sums.  A cache must never answer for another scenario, must not be
-writable through what it hands out, and must spare the repeated work:
-one pricing per charge and one long-run build per scenario over the
-oracle's whole call chain, at any number of discounts.
+posteriors and priced tensors, indirect._long_run_from its long-run
+sums, and mdp._built its discount-free MDP arrays.  A cache must never
+answer for another scenario, must not be writable through what it hands
+out, and must spare the repeated work: one pricing per charge, one
+long-run build and one MDP build per scenario over the oracle's whole
+call chain, at any number of discounts.
 """
 
 import dataclasses
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coopsense import indirect, oneshot
+from coopsense import indirect, mdp, oneshot
 from coopsense.direct import direct_threshold, direct_threshold_oracle
 from coopsense.fusion import condition_i_bounds
 from coopsense.mdp import (build_mdp, honest_policy, policy_value,
@@ -53,8 +54,9 @@ def _scenarios(draw):
         draft, direct_punishment=fine * draw(st.floats(0.3, 2.0)))
 
 
-# every field that pricing or the long-run sums read, and the discount,
-# which neither reads; each maps a scenario to its value in the twin
+# every field that pricing, the long-run sums or the MDP build read, and
+# the discount, which none reads; each maps a scenario to its value in
+# the twin
 _TWEAKS = {
     "n_total": lambda p: p.n_total + 1,
     "n_attackers": lambda p: p.n_attackers + 1,
@@ -90,8 +92,8 @@ def _bits(x):
 def _results(params, fresh=False):
     # every cached result of params: best_profiles with and without the
     # direct punishment and, for a homogeneous scenario, attack_scan's
-    # verdicts at a few charges and the long-run values and oracle; with
-    # fresh, each from empty caches
+    # verdicts at a few charges, the long-run values and oracle and the
+    # MDP model; with fresh, each from empty caches
     calls = [lambda: oneshot.best_profiles(params, False),
              lambda: oneshot.best_profiles(params, True)]
     if isinstance(params, ScenarioParams):
@@ -100,7 +102,8 @@ def _results(params, fresh=False):
                       c * params.direct_punishment) for c in charges],
                   lambda: indirect.lr_honest(params),
                   lambda: indirect.lr_dishonest(params),
-                  lambda: indirect.delta_threshold_oracle(params)]
+                  lambda: indirect.delta_threshold_oracle(params),
+                  lambda: build_mdp(params)]
     out = []
     for call in calls:
         if fresh:
@@ -144,7 +147,8 @@ def test_cached_arrays_are_read_only(fresh_caches):
     order, best, tensors = oneshot.best_profiles(params, True)
     model = build_mdp(params)
     for array in (order, best, tensors.attacker, tensors.honest,
-                  tensors.trigger, model.order, model.reward, model.trigger):
+                  tensors.trigger, model.order, model.split, model.alone,
+                  model.reward, model.trigger, model.post_reward):
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
 
@@ -171,7 +175,8 @@ def _oracle_chain(params):
 @pytest.mark.parametrize("fine, pricings", [(0.0, 1), (3.0, 2)])
 def test_one_pricing_per_scenario(monkeypatch, fresh_caches, fine, pricings):
     # one pricing per charge, and a charge left out prices like a zero
-    # one; one long-run build, shared by a second discount
+    # one; one long-run build and one MDP build, shared by a second
+    # discount
     params = ScenarioParams(4, 3, 0.6, 0.05, 0.45, 4.0, direct_punishment=fine,
                             discount=0.9)
     priced = []
@@ -189,3 +194,21 @@ def test_one_pricing_per_scenario(monkeypatch, fresh_caches, fine, pricings):
     assert sorted(priced) == sorted({0.0, fine})
     assert len(priced) == pricings
     assert indirect._long_run_from.cache_info().misses == 1
+    assert mdp._built.cache_info().misses == 1
+
+
+# the fields build_mdp reads; it reads neither the discount nor the direct
+# punishment
+_MDP_FIELDS = sorted(set(_TWEAKS) - {"discount", "direct_punishment"})
+
+
+@pytest.mark.parametrize("field", sorted(_TWEAKS))
+def test_an_mdp_field_tweak_rebuilds(fresh_caches, field):
+    params = ScenarioParams(5, 2, 0.6, 0.05, 0.3, 4.0, direct_punishment=2.0,
+                            discount=0.9, total_rate=1.5)
+    twin = dataclasses.replace(params, **{field: _TWEAKS[field](params)})
+    first, second = build_mdp(params), build_mdp(twin)
+    rebuilt = field in _MDP_FIELDS
+    assert mdp._built.cache_info().misses == 1 + rebuilt
+    assert (second.order is first.order) != rebuilt
+    assert (second.post_reward is first.post_reward) != rebuilt

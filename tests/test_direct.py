@@ -43,10 +43,11 @@ def test_log_value_survives_saturation():
 
 
 def test_m_range_enforced():
-    with pytest.raises(ValueError):
-        direct_threshold(0, FIG4)
-    with pytest.raises(ValueError):
-        direct_threshold(11, FIG4)
+    # m = n must fail the range check, not a math domain error further in
+    for threshold in (direct_threshold, direct_threshold_oracle):
+        for m in (0, FIG4.n_total, FIG4.n_total + 1):
+            with pytest.raises(ValueError, match=r"outside \[1, 10\]"):
+                threshold(m, FIG4)
 
 
 def test_sweep_decreasing_in_m():

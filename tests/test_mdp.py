@@ -8,12 +8,14 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from coopsense import mdp, oneshot
 from coopsense.indirect import lr_dishonest, lr_honest
-from coopsense.mdp import (_q, build_mdp, honest_policy, optimal_ranks,
-                           policy_value, start_value, threshold_policy,
-                           value_iteration, verify_threshold_structure)
+from coopsense.mdp import (Policy, _q, _threshold_violation, build_mdp,
+                           honest_policy, optimal_ranks, policy_value,
+                           start_value, threshold_policy, value_iteration,
+                           verify_threshold_structure)
 from coopsense.model import ScenarioParams, validate
-from coopsense.oneshot import ActionProfile
+from coopsense.oneshot import ActionProfile, post_transmit
 
 from conftest import region_ii_scenario, rel_err
 from oracles import (bellman_backup, dense_arrays, exact_policy_values,
@@ -332,6 +334,57 @@ def test_threshold_structure_holds_in_window():
         assert ok, counterexample
 
 
+# two honest sensors and one attacker; busy totals 0, 1, 1, 2, 2, 3
+_PRE = [("pre", kh, ka) for kh in range(3) for ka in range(2)]
+
+
+@pytest.mark.parametrize("attacked, violation", [
+    pytest.param(set(), None, id="none"),
+    pytest.param(set(_PRE), None, id="all"),
+    pytest.param({("pre", 0, 0), ("pre", 0, 1), ("pre", 1, 0)}, None,
+                 id="total_at_most_1"),
+    # ("pre", 1, 0) declines at the same total as the attacked ("pre", 0, 1)
+    pytest.param({("pre", 0, 0), ("pre", 0, 1)}, ("pre", 1, 0),
+                 id="equal_total"),
+    pytest.param({("pre", 1, 1)}, ("pre", 0, 0), id="hole_at_zero"),
+    pytest.param({("pre", 0, 0), ("pre", 0, 1), ("pre", 1, 0), ("pre", 2, 1)},
+                 ("pre", 1, 1), id="gap_below_the_top"),
+])
+def test_threshold_violation_on_hand_made_attack_sets(attacked, violation):
+    mask = [s in attacked for s in _PRE]
+    assert _threshold_violation(_PRE, mask) == violation
+
+
+def test_break_even_post_reward_waits():
+    # the boundary does not pay, as in oneshot.post_transmit: a post state
+    # whose lone-sensing reward is exactly 0.0 waits (rank 0)
+    model = build_mdp(AT_WC)
+    edge = dataclasses.replace(model, post_reward=np.array([0.0, 1.0, -1.0]))
+    values, ranks = optimal_ranks(edge)
+    assert ranks[model.n_pre:].tolist() == [0, 1, 0]
+    _, policy = value_iteration(edge, 1e-12)
+    assert [policy[("post", ka)] for ka in range(3)] == [0, 2, 0]
+
+
+def test_policy_iteration_keeps_its_action_on_a_float_tie():
+    # at ('pre', 5, 2) attacking earns about 1e-17 and terminates, which
+    # ties honesty in floats only.  Policy iteration moves there first and
+    # moves a state again only on strict improvement, so the values are
+    # that policy's, while the first-wins ranks report honesty there;
+    # moving on ties as well would value the honest choice, an ulp away
+    params = ScenarioParams(7, 2, 0.32688053056260463, 0.00390625, 0.0625,
+                            0.0, discount=0.99)
+    model = build_mdp(params)
+    state = model.states.index(("pre", 5, 2))
+    values, ranks = optimal_ranks(model)
+    assert ranks[state] == 0
+    kept = ranks.copy()
+    kept[state] = 1
+    assert model.reward[state, 1] > 0.0 and model.trigger[state, 1] == 1.0
+    assert values.tobytes() == policy_value(model, Policy(model, kept)).tobytes()
+    assert values.tobytes() != policy_value(model, Policy(model, ranks)).tobytes()
+
+
 def test_value_iteration_rejects_bad_tolerance():
     model = build_mdp(AT_WC)
     for tolerance in (0.0, -1.0, math.nan):
@@ -346,3 +399,91 @@ def test_values_scale_with_rate():
     model = build_mdp(AT_WC)
     assert rel_err(start_value(model, scaled_v),
                    3.0 * start_value(model, base_v)) < 1e-10
+
+
+def _old_threshold_dict(model, z):
+    # threshold_policy as a plain dict of ActionProfiles, state by state
+    m = model.params.n_attackers
+    pre = [ActionProfile(max(ka, 1), m if kh + ka <= z else 0)
+           for _, kh, ka in model.states[:model.n_pre]]
+    return dict(zip(model.states, pre + post_transmit(model.params).tolist()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(params=VALIDATED_SPACE)
+def test_policies_equal_the_dicts_they_replace(params):
+    assume(not validate(params))
+    model = build_mdp(params)
+    acts = model.actions_per_state
+    pairs = [(honest_policy(model),
+              {s: a[0] for s, a in zip(model.states, acts)})]
+    pairs += [(threshold_policy(model, z), _old_threshold_dict(model, z))
+              for z in range(-1, params.n_total + 2)]
+    try:
+        _, ranks = optimal_ranks(model)
+    except ValueError:
+        pass
+    else:
+        pairs.append((value_iteration(model, 1e-12)[1],
+                      {s: a[r] for s, a, r in zip(model.states, acts,
+                                                  ranks.tolist())}))
+    for policy, old in pairs:
+        assert isinstance(policy, Policy)
+        assert policy == old and old == policy
+        assert repr(policy) == repr(old)
+        np.testing.assert_array_equal(policy_value(model, policy),
+                                      policy_value(model, old))
+
+
+def test_policy_is_a_read_only_mapping_in_state_order():
+    model = build_mdp(AT_WC)
+    policy = threshold_policy(model, 2)
+    assert list(policy) == list(model.states)
+    assert len(policy) == len(model.states)
+    assert ("post", 2) in policy and ("post", 3) not in policy
+    for unknown in (("post", 3), ("pre", 0, 3), "pre", ("pre", 0.5, 0)):
+        with pytest.raises(KeyError):
+            policy[unknown]
+    with pytest.raises(TypeError):
+        policy[("post", 0)] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        policy.ranks[0] = 1
+    assert policy != {**policy, ("post", 0): 1 - policy[("post", 0)]}
+
+
+def test_policy_of_another_model_is_checked():
+    model = build_mdp(AT_WC)
+    # another discount of the scenario shares the states and orders
+    other_discount = build_mdp(dataclasses.replace(AT_WC, discount=0.5))
+    fewer = build_mdp(dataclasses.replace(AT_WC, n_total=5))
+    more_attackers = build_mdp(dataclasses.replace(AT_WC, n_attackers=3))
+    for source in (other_discount, fewer, more_attackers):
+        policy = threshold_policy(source, 2)
+        try:
+            want = policy_value(model, dict(policy))
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=re.escape(str(exc))):
+                policy_value(model, policy)
+        else:
+            np.testing.assert_array_equal(policy_value(model, policy), want)
+    with pytest.raises(ValueError, match=re.escape(
+            "policy has no action for state ('pre', 4, 0)")):
+        policy_value(model, honest_policy(fewer))
+    with pytest.raises(ValueError, match=re.escape(
+            "policy action 3 in state ('post', 1)")):
+        policy_value(model, {**dict(honest_policy(model)),
+                             **{("post", 1): 3}})
+
+
+def test_rank_native_path_builds_no_profile(monkeypatch):
+    # the honest, threshold and optimal policies are valued at their ranks:
+    # no ActionProfile is built, and no policy is read state by state
+    def forbidden(*args):
+        raise AssertionError("called on the rank-native path")
+
+    model = build_mdp(AT_WC)
+    monkeypatch.setattr(oneshot, "profile_at", forbidden)
+    monkeypatch.setattr(mdp, "_ranks", forbidden)
+    values, policy = value_iteration(model, 1e-12)
+    for pi in (policy, honest_policy(model), threshold_policy(model, 3)):
+        assert np.isfinite(policy_value(model, pi)).all()
