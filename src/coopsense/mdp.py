@@ -20,7 +20,11 @@ is built.  The solver works on action ranks, positions in a state's action
 order, and so does a Policy: a read-only mapping over the model's rank
 array that builds an ActionProfile only when an item is read.  A
 scenario's discount-free arrays are built once (_built, keyed on the
-fields they read) and shared, read-only, by the model of every discount.
+fields they read; the split pmf is oneshot._ranked's) and shared,
+read-only, by the model of every discount.  A policy's value takes the
+renewal scalars and its own actions' entries only (_renewal); the
+action values of every rank (_q) are formed only where policy iteration
+looks for a better action.
 """
 
 from __future__ import annotations
@@ -134,7 +138,7 @@ def _built(collision_penalty: float, *fields) -> tuple:
     states = tuple(pre_states + [("post", ka) for ka in range(m + 1)])
     n_pre = len(pre_states)
 
-    split = posterior.split_pmf(params).ravel()
+    split = oneshot._ranked(*fields)[5].ravel()
     alone = np.add(*posterior.count_masses(m, params))
     order, _, tensors = oneshot.best_profiles(params, False)
     order, reward, trigger = (a.reshape(n_pre, -1) for a in (
@@ -162,29 +166,35 @@ def build_mdp(params: ScenarioParams) -> MdpModel:
                     params.discount)
 
 
-def _q(model: MdpModel, ranks: np.ndarray
-       ) -> tuple[np.ndarray, np.ndarray, float]:
-    """(q, v, scale) for the policy taking action ranks[s] in state s:
-    every pre state's action values q (n_pre, A) and every state's value
-    v, in units of the power of two scale, finite past the float range.
+def _renewal(model: MdpModel, ranks: np.ndarray) -> tuple:
+    """(x, w, scale, v) for the policy taking action ranks[s] in state s:
+    the renewal scalars x and w and every state's value v, in units of
+    the power of two scale, finite past the float range.
 
     w = alone.V_post = alone.r_post / (1-d), and x = split.V_pre =
     (R + d*T*w) / ((1-d) + d*T), with R and T the split means of the
-    policy's rewards and triggers; then q = r + d*((1-t)*x + t*w) and
-    V_post = r_post + d*w.
+    policy's rewards r and triggers t; then V_pre = r + d*((1-t)*x + t*w)
+    and V_post = r_post + d*w.
     """
     n_pre, d = model.n_pre, model.discount
     pre = np.arange(n_pre), ranks[:n_pre]
+    reward, trigger = model.reward[pre], model.trigger[pre]
     r_post = np.where(ranks[n_pre:] > 0, model.post_reward, 0.0)
-    scale = 2.0 ** math.frexp(max(np.max(np.abs(model.reward[pre])),
+    scale = 2.0 ** math.frexp(max(np.max(np.abs(reward)),
                                   np.max(np.abs(r_post))))[1]
     w = model.alone @ r_post / scale / (1.0 - d)
-    t = model.split @ model.trigger[pre]
-    x = ((model.split @ model.reward[pre] / scale + d * t * w)
-         / ((1.0 - d) + d * t))
-    q = model.reward / scale + d * ((1.0 - model.trigger) * x
-                                    + model.trigger * w)
-    return q, np.concatenate([q[pre], r_post / scale + d * w]), scale
+    t = model.split @ trigger
+    x = ((model.split @ reward / scale + d * t * w) / ((1.0 - d) + d * t))
+    v_pre = reward / scale + d * ((1.0 - trigger) * x + trigger * w)
+    return x, w, scale, np.concatenate([v_pre, r_post / scale + d * w])
+
+
+def _q(model: MdpModel, x: float, w: float, scale: float) -> np.ndarray:
+    # every pre state's action values (n_pre, A) in units of scale, by
+    # _renewal's elementwise rule for V_pre
+    d = model.discount
+    return model.reward / scale + d * ((1.0 - model.trigger) * x
+                                       + model.trigger * w)
 
 
 def optimal_ranks(model: MdpModel) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +216,8 @@ def optimal_ranks(model: MdpModel) -> tuple[np.ndarray, np.ndarray]:
                             (model.post_reward > 0.0).astype(np.intp)])
     valued = set()
     for _ in range(MAX_SOLVES):
-        q, v, scale = _q(model, ranks)
+        x, w, scale, v = _renewal(model, ranks)
+        q = _q(model, x, w, scale)
         greedy = q.argmax(axis=1)
         better = q[rows, greedy] > q[rows, ranks[:n_pre]]
         if not better.any() or ranks.tobytes() in valued:
@@ -279,7 +290,7 @@ def policy_value(model: MdpModel, policy: Mapping[StateKey, Action]
         ranks = policy.ranks
     else:
         ranks = _ranks(model, policy)
-    _, v, scale = _q(model, ranks)
+    _, _, scale, v = _renewal(model, ranks)
     with np.errstate(over="ignore"):  # past the float range: inf
         return v * scale
 

@@ -21,18 +21,24 @@ to its rank-0 reward and one scalar grab reward, the only one a direct
 punishment reaches.  A heterogeneous single attacker plays the same game
 with M = 1, its own decision taking the attacker axis.
 
-A scenario is priced once: _ranked caches its states, candidate order
-and posteriors (one scenario), and _priced its tensors and best ranks
-(two entries, one scenario's charges with and without the direct
+A scenario is priced once: _ranked caches its states, candidate order,
+posteriors and split pmf (one scenario), and _priced its tensors and best
+ranks (two entries, one scenario's charges with and without the direct
 punishment).  Both are keyed on the fields they read, passed as plain
 arguments, never on the discount, and their arrays are read-only:
 best_profiles, attack_scan, behavior_table and expected_slot_rewards,
 and so mdp.build_mdp and sim.build_policy_tables, all read them.
+Three caches hold no scenario: _order_rows, action_order's M + 2
+distinct rows at each M, which every order gathers from, and the frozen
+records that profile_at and behavior_table share, one per (flat, M) and
+per (kh, ka).  A gather (_action_order, action_order, _pick) returns a
+fresh array, so no caller writes into a cached table.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -161,8 +167,22 @@ def _price(params: ScenarioParams | HeteroParams, kh: np.ndarray,
 
 
 def profile_at(flat: int, m: int) -> ActionProfile:
-    """The profile at flat index b*(M+1) + M_T."""
-    return ActionProfile(*divmod(int(flat), m + 1))
+    """The profile at flat index b*(M+1) + M_T, one shared record per
+    (flat, M)."""
+    return _profile(int(flat), int(m))
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _profile(flat: int, m: int) -> ActionProfile:
+    # profile_at's records: (M+1)^2 at M attackers, 3,721 at M = 60
+    return ActionProfile(*divmod(flat, m + 1))
+
+
+@functools.lru_cache(maxsize=1 << 12)
+def _sensing_state(kh: int, ka: int) -> SensingState:
+    # behavior_table's state records: (N-M+1)(M+1) a scenario, at most
+    # 3,721 at N = 120
+    return SensingState(kh, ka)
 
 
 def _candidate(profile: ActionProfile, attacker_busy: int, m: int) -> int:
@@ -196,12 +216,16 @@ def action_order(params: ScenarioParams) -> np.ndarray:
 
 
 def _action_order(m: int, kh: np.ndarray, ka: np.ndarray) -> np.ndarray:
-    # action_order of the states (kh, ka).  A state's order depends only
-    # on its row, ka or M + 1 for the unanimous-idle state, so each row
-    # from the states' lowest to their highest (all, or one) is formed once
-    row = np.where(kh + ka == 0, m + 1, ka)
-    low = row.min()
-    rows = np.arange(low, row.max() + 1)[:, None]
+    # action_order of the states (kh, ka), a fresh array.  A state's order
+    # depends only on its row, ka or M + 1 for the unanimous-idle state
+    return _order_rows(m)[np.where(kh + ka == 0, m + 1, ka)]
+
+
+@functools.lru_cache(maxsize=1 << 5)
+def _order_rows(m: int) -> np.ndarray:
+    # the M + 2 distinct rows of action_order at M attackers, indexed by
+    # row (ka, then M + 1 for the unanimous-idle state), read-only
+    rows = np.arange(m + 2)[:, None]
     rank = np.arange(2 * (m + 1))
     first = rank <= m
     rows_ka = rows % (m + 1)  # the unanimous-idle row has ka = 0
@@ -209,12 +233,15 @@ def _action_order(m: int, kh: np.ndarray, ka: np.ndarray) -> np.ndarray:
     # M_T counts down from M in each block, except that outside the
     # unanimous-idle state the first block starts at the honest M_T = 0
     mt = (m - rank + (first & (rows <= m))) % (m + 1)
-    return (b * (m + 1) + mt)[row - low]
+    order = b * (m + 1) + mt
+    _read_only(order)
+    return order
 
 
 def _pick(table: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    # table[kh, ka, rank[kh, ka]]
-    return np.take_along_axis(table, rank[..., None], axis=-1)[..., 0]
+    # table[kh, ka, rank[kh, ka]], a fresh array
+    return table.reshape(-1, table.shape[-1])[
+        np.arange(rank.size), rank.ravel()].reshape(rank.shape)
 
 
 def _scenario_fields(params: ScenarioParams | HeteroParams) -> tuple:
@@ -250,15 +277,16 @@ def _read_only(*arrays: np.ndarray) -> None:
 
 @functools.lru_cache(maxsize=1)
 def _ranked(*fields) -> tuple:
-    # (kh, order, pi, pb, rate) of every state of the scenario with these
-    # _scenario_fields: _every_state's kh, _action_order's and
-    # _posteriors' output, read-only
+    # (kh, order, pi, pb, rate, split) of every state of the scenario with
+    # these _scenario_fields: _every_state's kh, _action_order's and
+    # _posteriors' output and posterior.split_pmf, read-only
     params = _scenario(fields)
     kh, ka = _every_state(params.base)
     order = _action_order(params.base.n_attackers, kh, ka)
     pi, pb, rate = _posteriors(params, kh, ka)
-    _read_only(kh, order, pi, pb)
-    return kh, order, pi, pb, rate
+    split = posterior.split_pmf(params)
+    _read_only(kh, order, pi, pb, split)
+    return kh, order, pi, pb, rate, split
 
 
 @functools.lru_cache(maxsize=2)
@@ -267,7 +295,7 @@ def _priced(collision_penalty: float, direct_punishment: float, *fields
     # best_profiles of the scenario with these _scenario_fields and
     # charges, read-only; a charge left out prices as a zero charge, bit
     # for bit, so a scenario without a direct punishment prices once
-    kh, order, pi, pb, rate = _ranked(*fields)
+    kh, order, pi, pb, rate, _ = _ranked(*fields)
     tensors = _price(_scenario(fields, collision_penalty, direct_punishment),
                      kh, order, pi, pb, rate, True)
     best = tensors.attacker.argmax(axis=-1)
@@ -312,7 +340,7 @@ def attack_scan(params: ScenarioParams) -> Callable[[float], bool]:
     """
     m = params.n_attackers
     fields = _scenario_fields(params)
-    kh, order, pi, pb, rate = _ranked(*fields)
+    kh, order, pi, pb, rate, _ = _ranked(*fields)
     cp = params.collision_penalty / rate
     attacker = _priced(params.collision_penalty, 0.0, *fields)[2].attacker
     first = attacker[..., 0]
@@ -338,17 +366,6 @@ def attack_scan(params: ScenarioParams) -> Callable[[float], bool]:
     return attacked
 
 
-def _response(params: ScenarioParams, kh: int, flat: int, attacker: float,
-              honest: float, rank: int
-              ) -> tuple[ActionProfile, RewardBreakdown]:
-    # the best response of a state with kh honest busy decisions: the
-    # candidate flat at rank, with its attacker and honest rewards
-    profile = profile_at(flat, params.n_attackers)
-    return profile, RewardBreakdown(
-        attacker, honest,
-        fusion.fuse(kh + profile.busy_reports, params.n_total, 1), rank != 0)
-
-
 def best_response(state: SensingState, params: ScenarioParams,
                   include_direct_punishment: bool) -> tuple[ActionProfile, RewardBreakdown]:
     """Maximizer of the attackers' aggregate reward, ties broken by
@@ -359,21 +376,33 @@ def best_response(state: SensingState, params: ScenarioParams,
     tensors = _price(params, kh, order, *_posteriors(params, kh, ka),
                      include_direct_punishment)
     rank = int(tensors.attacker.argmax())
-    return _response(params, state.honest_busy, int(order[rank]),
-                     float(tensors.attacker[rank]),
-                     float(tensors.honest[rank]), rank)
+    profile = profile_at(order[rank], params.n_attackers)
+    busy = state.honest_busy + profile.busy_reports
+    return profile, RewardBreakdown(
+        float(tensors.attacker[rank]), float(tensors.honest[rank]),
+        fusion.fuse(busy, params.n_total, 1), rank != 0)
 
 
 def behavior_table(params: ScenarioParams, include_direct_punishment: bool = True,
                    ) -> list[tuple[SensingState, ActionProfile, RewardBreakdown]]:
-    """Best response in every sensing state, in lexicographic state order."""
+    """Best response in every sensing state, in lexicographic state order.
+    The states and profiles are shared frozen records."""
     order, best, tensors = best_profiles(params, include_direct_punishment)
-    rows = zip(np.ndindex(best.shape),
+    m = params.n_attackers
+    # the announcement of every busy total, one fusion.fuse call each
+    announced = [fusion.fuse(k, params.n_total, 1)
+                 for k in range(params.n_total + 1)]
+    rows = zip(itertools.product(range(params.n_honest + 1), range(m + 1)),
                *(_pick(t, best).ravel().tolist()
                  for t in (order, tensors.attacker, tensors.honest)),
                best.ravel().tolist())
-    return [(SensingState(kh, ka), *_response(params, kh, *row))
-            for (kh, ka), *row in rows]
+    table = []
+    for (kh, ka), flat, attacker, honest, rank in rows:
+        profile = profile_at(flat, m)
+        table.append((_sensing_state(kh, ka), profile, RewardBreakdown(
+            attacker, honest, announced[kh + profile.busy_reports],
+            rank != 0)))
+    return table
 
 
 def expected_slot_rewards(params: ScenarioParams | HeteroParams,
@@ -388,7 +417,7 @@ def expected_slot_rewards(params: ScenarioParams | HeteroParams,
     """
     _, best, tensors = best_profiles(params, include_direct_punishment)
     chosen = np.zeros_like(best) if honest else best
-    weights = posterior.split_pmf(params)
+    weights = _ranked(*_scenario_fields(params))[5]
     # fsum rounds once, so no bit depends on numpy's reduction order
     att, hon = (math.fsum((weights * _pick(t, chosen)).ravel().tolist())
                 for t in (tensors.attacker, tensors.honest))

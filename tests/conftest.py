@@ -4,12 +4,21 @@ import math
 import numpy as np
 import pytest
 
-from coopsense import condition_i_bounds, direct_threshold, indirect, mdp, oneshot
+from coopsense import (cli, condition_i_bounds, direct_threshold, indirect,
+                       mdp, oneshot, posterior, sim)
 from coopsense.model import ScenarioParams
 
 # every per-scenario cache of the exact layers, each bounded to one scenario
 SCENARIO_CACHES = (oneshot._ranked, oneshot._priced, indirect._long_run_from,
                    mdp._built)
+
+# every other cache of the package: each holds no scenario, only values of
+# a group size, a count, a pmf's fields or nothing, and keeps them for any
+# scenario that asks for the same; each is bounded or takes no argument
+SHARED_CACHES = (posterior._posterior_idle, posterior._binomial_pmf,
+                 oneshot._order_rows, oneshot._profile,
+                 oneshot._sensing_state, sim._inversion_table,
+                 sim._keep_heap, cli._parser)
 
 
 def region_ii_scenario(rng: np.random.Generator,

@@ -1,12 +1,15 @@
-"""The per-scenario caches of the exact layers.
+"""The caches of the exact layers.
 
 oneshot._ranked and oneshot._priced hold one scenario's states, order,
-posteriors and priced tensors, indirect._long_run_from its long-run
-sums, and mdp._built its discount-free MDP arrays.  A cache must never
-answer for another scenario, must not be writable through what it hands
-out, and must spare the repeated work: one pricing per charge, one
+posteriors, split pmf and priced tensors, indirect._long_run_from its
+long-run sums, and mdp._built its discount-free MDP arrays.  A cache must
+never answer for another scenario, must not be writable through what it
+hands out, and must spare the repeated work: one pricing per charge, one
 long-run build and one MDP build per scenario over the oracle's whole
-call chain, at any number of discounts.
+call chain, at any number of discounts.  The caches that hold no
+scenario, oneshot's order rows by M and its shared records, hand out
+nothing a caller can write into a cached table, and records equal to
+fresh ones.
 """
 
 import dataclasses
@@ -16,14 +19,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coopsense import indirect, mdp, oneshot
+from coopsense import fusion, indirect, mdp, oneshot
 from coopsense.direct import direct_threshold, direct_threshold_oracle
 from coopsense.fusion import condition_i_bounds
 from coopsense.mdp import (build_mdp, honest_policy, policy_value,
                            value_iteration)
 from coopsense.model import HeteroParams, ScenarioParams, TransmissionCase
+from coopsense.oneshot import ActionProfile, RewardBreakdown, SensingState
 
-from conftest import SCENARIO_CACHES
+from conftest import SCENARIO_CACHES, region_ii_scenario
 
 
 def _clear():
@@ -90,12 +94,16 @@ def _bits(x):
 
 
 def _results(params, fresh=False):
-    # every cached result of params: best_profiles with and without the
-    # direct punishment and, for a homogeneous scenario, attack_scan's
-    # verdicts at a few charges, the long-run values and oracle and the
-    # MDP model; with fresh, each from empty caches
-    calls = [lambda: oneshot.best_profiles(params, False),
-             lambda: oneshot.best_profiles(params, True)]
+    # every cached result of params: _ranked's tables, split pmf
+    # included, best_profiles with and without the direct punishment,
+    # the slot rewards that read the split pmf and, for a homogeneous
+    # scenario, attack_scan's verdicts at a few charges, the long-run
+    # values and oracle and the MDP model; with fresh, each from empty
+    # caches
+    calls = [lambda: oneshot._ranked(*oneshot._scenario_fields(params)),
+             lambda: oneshot.best_profiles(params, False),
+             lambda: oneshot.best_profiles(params, True),
+             lambda: oneshot.expected_slot_rewards(params, True)]
     if isinstance(params, ScenarioParams):
         charges = (0.0, 0.5, 1.0, 2.0, 8.0)
         calls += [lambda: [oneshot.attack_scan(params)(
@@ -146,11 +154,72 @@ def test_cached_arrays_are_read_only(fresh_caches):
     params = ScenarioParams(6, 2, 0.6, 0.08, 0.08, 1e4, direct_punishment=3.0)
     order, best, tensors = oneshot.best_profiles(params, True)
     model = build_mdp(params)
+    kh, ranked, pi, pb, _, split = oneshot._ranked(
+        *oneshot._scenario_fields(params))
     for array in (order, best, tensors.attacker, tensors.honest,
                   tensors.trigger, model.order, model.split, model.alone,
-                  model.reward, model.trigger, model.post_reward):
+                  model.reward, model.trigger, model.post_reward,
+                  kh, ranked, pi, pb, split, oneshot._order_rows(2)):
         with pytest.raises(ValueError, match="read-only"):
             array.flat[0] = 0
+
+
+def test_writes_into_fresh_arrays_never_reach_a_cache(fresh_caches):
+    # action_order, _action_order and _pick gather from cached tables into
+    # fresh writable arrays
+    params = ScenarioParams(6, 2, 0.6, 0.08, 0.08, 1e4, direct_punishment=3.0)
+    m = params.n_attackers
+    order, best, tensors = oneshot.best_profiles(params, True)
+    kept = [a.copy() for a in (oneshot._order_rows(m), order,
+                               tensors.attacker)]
+    kh, ka = oneshot._every_state(params)
+    for fresh in (oneshot.action_order(params),
+                  oneshot._action_order(m, kh, ka),
+                  oneshot._action_order(m, np.array(0), np.array(0)),
+                  oneshot._pick(order, best),
+                  oneshot._pick(tensors.attacker, best)):
+        fresh[...] = -7
+    for table, want in zip((oneshot._order_rows(m), order, tensors.attacker),
+                           kept):
+        assert table.tobytes() == want.tobytes()
+    np.testing.assert_array_equal(oneshot.action_order(params), order)
+
+
+def _fresh_rows(params, flag):
+    # behavior_table's rows from new records, read off best_profiles
+    order, best, tensors = oneshot.best_profiles(params, flag)
+    m = params.n_attackers
+    rows = []
+    for kh in range(params.n_honest + 1):
+        for ka in range(m + 1):
+            rank = int(best[kh, ka])
+            b, mt = divmod(int(order[kh, ka, rank]), m + 1)
+            rewards = RewardBreakdown(
+                float(tensors.attacker[kh, ka, rank]),
+                float(tensors.honest[kh, ka, rank]),
+                fusion.fuse(kh + b, params.n_total, 1), rank != 0)
+            rows.append((SensingState(kh, ka), ActionProfile(b, mt), rewards))
+    return rows
+
+
+def test_behavior_table_rows_equal_fresh_records():
+    rng = np.random.default_rng(17)
+    for n in range(2, 21):
+        params = region_ii_scenario(rng, n_range=(n, n))
+        params = dataclasses.replace(
+            params, direct_punishment=params.collision_penalty
+            * float(rng.uniform(0.0, 2.0)))
+        for flag in (False, True):
+            table = oneshot.behavior_table(params, flag)
+            assert table == _fresh_rows(params, flag)
+            # the records are shared, and frozen
+            again = oneshot.behavior_table(params, flag)
+            assert all(a[0] is b[0] and a[1] is b[1]
+                       for a, b in zip(table, again))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table[0][1].transmitters = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        table[0][0].honest_busy = 0
 
 
 def _oracle_chain(params):

@@ -7,6 +7,9 @@ from coopsense.indirect import (delta_threshold, delta_threshold_oracle,
                                 delta_threshold_sc, delta_threshold_wc,
                                 delta_threshold_worst_case, lr_dishonest,
                                 lr_honest)
+from coopsense.fusion import Region, condition_i_bounds
+from coopsense.mdp import (build_mdp, policy_value, start_value,
+                           threshold_policy, value_iteration)
 from coopsense.model import (CooperationCase, ScenarioParams,
                              TransmissionCase, classify_transmission_case)
 
@@ -28,6 +31,42 @@ def test_lr_dishonest_pinned_scan():
     assert rel_err(out.lr_dishonest, 4.06800966099020833155) < 1e-13
     assert rel_err(out.lr_honest, lr_honest(AT_WC)) < 1e-15
     assert not out.attack_prevented
+
+
+# region-II scenarios whose best cutoff is n - 1 and n: with nearly
+# uninformative sensing and a low discount, attacking pays at every busy
+# count, the all-busy one too once P_f reaches 0.4
+HIGH_CUTOFFS = [(ScenarioParams(3, 1, 0.5, 0.3, 0.5, 0.5, discount=0.1), 2),
+                (ScenarioParams(3, 1, 0.5, 0.4, 0.5, 0.5, discount=0.1), 3)]
+
+
+@pytest.mark.parametrize("params, z", HIGH_CUTOFFS)
+def test_the_scan_reaches_the_top_cutoffs(params, z):
+    assert condition_i_bounds(params).region is Region.II
+    out = lr_dishonest(params)
+    assert out.transmission_case is TransmissionCase.AT
+    assert out.z_star == z
+    # the MDP agrees: its threshold policies peak at z, and at its optimum
+    model = build_mdp(params)
+    scan = [start_value(model, policy_value(model, threshold_policy(model, k)))
+            for k in range(params.n_total + 1)]
+    assert int(np.argmax(scan)) == z
+    assert rel_err(scan[z], out.lr_dishonest) < 1e-12
+    values, _ = value_iteration(model, 1e-12)
+    assert rel_err(start_value(model, values), out.lr_dishonest) < 1e-12
+
+
+# the two long-run values tie to the bit at this discount, one of the
+# float discounts next to delta_threshold_oracle's crossing
+TIE = ScenarioParams(2, 1, 0.26130607940689476, 0.17123432507267966,
+                     0.24123056746212396, 1.1013496927684592,
+                     discount=0.9895291290126378)
+
+
+def test_an_exact_tie_counts_as_prevented():
+    out = lr_dishonest(TIE)
+    assert out.lr_honest == out.lr_dishonest
+    assert out.attack_prevented
 
 
 def test_nt_case_attacks_unanimous_idle_only():

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from coopsense import mdp, oneshot
 from coopsense.indirect import lr_dishonest, lr_honest
-from coopsense.mdp import (Policy, _q, _threshold_violation, build_mdp,
+from coopsense.mdp import (Policy, _renewal, _threshold_violation, build_mdp,
                            honest_policy, optimal_ranks, policy_value,
                            start_value, threshold_policy, value_iteration,
                            verify_threshold_structure)
@@ -209,7 +209,7 @@ def test_policy_values_match_exact_rationals(params, seed):
 
 def _reference_policy_value(model, policy):
     # each state's action looked up in its actions_per_state tuple
-    _, values, scale = _q(model, np.array(
+    _, _, scale, values = _renewal(model, np.array(
         [acts.index(policy[s])
          for s, acts in zip(model.states, model.actions_per_state)]))
     with np.errstate(over="ignore"):

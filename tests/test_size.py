@@ -28,8 +28,12 @@ run_experiment set the thresholds itself.  Each script runs in a fresh
 interpreter, so the tests see whichever state the package is in.
 """
 
+import ast
 import dataclasses
+import importlib
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
@@ -39,10 +43,10 @@ import numpy as np
 import pytest
 
 import coopsense
-from coopsense import indirect, oneshot, sim
+from coopsense import indirect, mdp, oneshot, sim
 from coopsense.model import HeteroParams, ScenarioParams
 
-from conftest import region_ii_scenario
+from conftest import SCENARIO_CACHES, SHARED_CACHES, region_ii_scenario
 
 BUDGET_MB = 200
 
@@ -88,7 +92,7 @@ def test_exact_layers_fit_the_budget_at_n120_m60():
 # each per-scenario cache's bound: one scenario, whose pricing takes one
 # entry per charge, with and without the direct punishment
 CACHE_BOUNDS = {oneshot._ranked: 1, oneshot._priced: 2,
-                indirect._long_run_from: 1}
+                indirect._long_run_from: 1, mdp._built: 1}
 
 
 def test_the_caches_hold_one_scenario(fresh_caches):
@@ -101,6 +105,7 @@ def test_the_caches_hold_one_scenario(fresh_caches):
             oneshot.best_profiles(params, flag)
         oneshot.attack_scan(params)(0.0)
         indirect.lr_dishonest(params)
+        mdp.build_mdp(params)
         hetero = HeteroParams(dataclasses.replace(params, n_attackers=1),
                               0.1, 0.2, 1.5)
         for flag in (False, True):
@@ -108,6 +113,44 @@ def test_the_caches_hold_one_scenario(fresh_caches):
     for cache, bound in CACHE_BOUNDS.items():
         assert cache.cache_info().maxsize == bound
         assert cache.cache_info().currsize == bound
+
+
+def _package_caches() -> list:
+    """Every functools cache of the package, by identity.  Each one in the
+    source, a decorator or a call, must be a module attribute, so that
+    the source's count of them and the attributes found agree."""
+    root = Path(coopsense.__file__).parent
+    in_source = 0
+    for path in root.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                names = {alias.name for alias in node.names}
+                assert not names & {"cache", "lru_cache"}, path
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "functools"
+                    and node.attr in ("cache", "lru_cache")):
+                in_source += 1
+    found = {}
+    for info in pkgutil.iter_modules([str(root)]):
+        module = importlib.import_module(f"coopsense.{info.name}")
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_info", None)):
+                found[id(value)] = value
+    assert len(found) == in_source, (len(found), in_source)
+    return list(found.values())
+
+
+def test_every_cache_is_registered_and_bounded():
+    caches = _package_caches()
+    scenario, shared = set(SCENARIO_CACHES), set(SHARED_CACHES)
+    assert not scenario & shared
+    assert set(caches) == scenario | shared
+    assert len(caches) == len(SCENARIO_CACHES) + len(SHARED_CACHES)
+    assert set(CACHE_BOUNDS) == scenario
+    for cache in SHARED_CACHES:
+        takes_nothing = not inspect.signature(cache.__wrapped__).parameters
+        assert cache.cache_info().maxsize is not None or takes_nothing, cache
 
 
 # a quarter of the 22,801 faults a call took with per-block buffers
